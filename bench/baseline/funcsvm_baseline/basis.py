@@ -1,0 +1,319 @@
+"""Finite-dimensional basis projections of sampled curves.
+
+Three families are supported:
+
+* ``fourier`` -- constant mode first, then (cos, sin) pairs of increasing
+  frequency on the observed interval rescaled to [0, 1], each scaled to
+  unit quadrature norm.
+* ``haar_wavelet`` -- weight-adjusted orthonormal Haar system: the scaling
+  coefficient first, then detail coefficients coarsest to finest.  On
+  power-of-two grids the decomposition is exact (Parseval holds to float
+  precision); other lengths are handled by symmetric zero padding of the
+  mean-removed signal, with the mean folded back into the scaling
+  coefficient, and are only approximately invertible.
+* ``bspline`` -- L2-orthogonal projection onto a clamped cubic spline
+  space; the stored coefficients are the (non-orthonormal) B-spline
+  coordinates, so coefficient inner products must be taken through the
+  basis Gram matrix (see :func:`coefficient_gram`).
+
+Fourier coefficients on uniform grids can optionally go through an FFT;
+correctness is defined by direct quadrature and the FFT path must agree
+with it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from .errors import ConfigurationError
+from .functions import LabeledDataset, SampledFunction, SamplingGrid
+from . import splines
+
+__all__ = [
+    "BasisSpec",
+    "CoefficientVector",
+    "project",
+    "reconstruct",
+    "basis_matrix",
+    "coefficient_gram",
+    "select_spline_dimension",
+]
+
+FAMILIES = ("fourier", "haar_wavelet", "bspline")
+
+
+@dataclass(frozen=True)
+class BasisSpec:
+    family: str
+    dimension: int
+    spline_degree: int = 3
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ConfigurationError(f"unknown basis family {self.family!r}")
+        if self.dimension < 1:
+            raise ConfigurationError("basis dimension must be >= 1")
+        if self.family == "bspline" and self.dimension < self.spline_degree + 1:
+            raise ConfigurationError(
+                "bspline basis dimension must be >= spline degree + 1"
+            )
+
+    @property
+    def orthonormal(self) -> bool:
+        return self.family in ("fourier", "haar_wavelet")
+
+
+@dataclass(frozen=True)
+class CoefficientVector:
+    coefficients: np.ndarray
+    basis: BasisSpec
+
+    def __post_init__(self):
+        c = np.ascontiguousarray(self.coefficients, dtype=float)
+        if c.shape != (self.basis.dimension,):
+            raise ConfigurationError("coefficient length must equal the basis dimension")
+        c.setflags(write=False)
+        object.__setattr__(self, "coefficients", c)
+
+
+def _check_compatible(spec: BasisSpec, grid: SamplingGrid) -> None:
+    n = len(grid)
+    if spec.dimension > n:
+        raise ConfigurationError(
+            f"basis dimension {spec.dimension} exceeds grid length {n}"
+        )
+
+
+# -- Fourier ---------------------------------------------------------------
+
+def _fourier_columns(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
+    a, b = grid.interval
+    s = (grid.abscissae - a) / (b - a)
+    scale = 1.0 / np.sqrt(b - a)
+    cols = np.empty((len(grid), spec.dimension))
+    for j in range(spec.dimension):
+        if j == 0:
+            cols[:, j] = scale
+        else:
+            k = (j + 1) // 2
+            phase = 2.0 * np.pi * k * s
+            if j % 2 == 1:
+                cols[:, j] = np.sqrt(2.0) * scale * np.cos(phase)
+            else:
+                cols[:, j] = np.sqrt(2.0) * scale * np.sin(phase)
+    return cols
+
+
+def _fourier_fft_coefficients(spec: BasisSpec, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
+    # Trapezoid quadrature of v * Psi_j on a uniform closed grid equals a
+    # length (n-1) DFT of the weighted samples plus the endpoint term.
+    a, b = grid.interval
+    v = grid.weights * values
+    F = np.fft.rfft(v[:-1])
+    end = v[-1]
+    scale = 1.0 / np.sqrt(b - a)
+    out = np.empty(spec.dimension)
+    for j in range(spec.dimension):
+        if j == 0:
+            out[j] = scale * (F[0].real + end)
+        else:
+            k = (j + 1) // 2
+            if k >= F.size:
+                raise ConfigurationError(
+                    "fourier dimension too large for the FFT fast path"
+                )
+            if j % 2 == 1:
+                out[j] = np.sqrt(2.0) * scale * (F[k].real + end)
+            else:
+                out[j] = np.sqrt(2.0) * scale * (-F[k].imag)
+    return out
+
+
+# -- Haar ------------------------------------------------------------------
+
+def _haar_forward(y: np.ndarray) -> np.ndarray:
+    """Full orthonormal Haar transform of a power-of-two signal."""
+    s = y.copy()
+    details = []
+    while s.size > 1:
+        d = (s[0::2] - s[1::2]) / np.sqrt(2.0)
+        s = (s[0::2] + s[1::2]) / np.sqrt(2.0)
+        details.append(d)
+    return np.concatenate([s] + details[::-1])
+
+
+def _haar_inverse(c: np.ndarray) -> np.ndarray:
+    s = c[:1].copy()
+    pos = 1
+    while pos < c.size:
+        d = c[pos : pos + s.size]
+        out = np.empty(2 * s.size)
+        out[0::2] = (s + d) / np.sqrt(2.0)
+        out[1::2] = (s - d) / np.sqrt(2.0)
+        s = out
+        pos += d.size
+    return s
+
+
+def _next_pow2(n: int) -> int:
+    p = 1
+    while p < n:
+        p *= 2
+    return p
+
+
+def _haar_project(spec: BasisSpec, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
+    n = len(grid)
+    if spec.dimension > n:
+        raise ConfigurationError("haar dimension exceeds grid length")
+    w = grid.weights
+    sw = np.sqrt(w)
+    p = _next_pow2(n)
+    if p == n:
+        return _haar_forward(sw * values)[: spec.dimension]
+    # Padded fallback: remove the quadrature mean, pad symmetrically, fold
+    # the mean back into the scaling coefficient.
+    mass = grid.total_mass
+    m = float(np.dot(w, values) / mass)
+    y = sw * (values - m)
+    left = (p - n) // 2
+    padded = np.zeros(p)
+    padded[left : left + n] = y
+    c = _haar_forward(padded)
+    c[0] += m * np.sqrt(mass)
+    return c[: spec.dimension]
+
+
+def _haar_reconstruct(spec: BasisSpec, grid: SamplingGrid, coeffs: np.ndarray) -> np.ndarray:
+    n = len(grid)
+    w = grid.weights
+    sw = np.sqrt(w)
+    p = _next_pow2(n)
+    full = np.zeros(p)
+    full[: coeffs.size] = coeffs
+    if p == n:
+        return _haar_inverse(full) / sw
+    mass = grid.total_mass
+    m = full[0] / np.sqrt(mass)
+    full = full.copy()
+    full[0] = 0.0
+    y = _haar_inverse(full)
+    left = (p - n) // 2
+    return y[left : left + n] / sw + m
+
+
+# -- B-spline --------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def _bspline_tables(spec: BasisSpec, grid: SamplingGrid):
+    B, _ = splines.design_matrix(grid.abscissae, spec.dimension, spec.spline_degree)
+    W = grid.weights
+    G = B.T @ (W[:, None] * B)
+    solve = np.linalg.cholesky(G)
+    return B, G, solve
+
+
+# -- Public API ------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def basis_matrix(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
+    """Sampled basis functions as columns of an (n, d) matrix."""
+    _check_compatible(spec, grid)
+    if spec.family == "fourier":
+        cols = _fourier_columns(spec, grid)
+    elif spec.family == "haar_wavelet":
+        cols = np.stack(
+            [
+                _haar_reconstruct(spec, grid, np.eye(spec.dimension)[j])
+                for j in range(spec.dimension)
+            ],
+            axis=1,
+        )
+    else:
+        B, _, _ = _bspline_tables(spec, grid)
+        cols = B
+    cols = np.ascontiguousarray(cols)
+    cols.setflags(write=False)
+    return cols
+
+
+@lru_cache(maxsize=64)
+def coefficient_gram(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
+    """Metric for coefficient inner products: identity except for B-splines."""
+    if spec.orthonormal:
+        g = np.eye(spec.dimension)
+    else:
+        _, G, _ = _bspline_tables(spec, grid)
+        g = G
+    g = np.ascontiguousarray(g)
+    g.setflags(write=False)
+    return g
+
+
+def project(
+    u: SampledFunction, spec: BasisSpec, use_fft: bool | None = None
+) -> CoefficientVector:
+    """Coefficients of the orthogonal projection of ``u`` onto the basis span.
+
+    ``use_fft`` forces or forbids the FFT fast path for Fourier bases on
+    uniform grids; by default it is used whenever applicable.
+    """
+    grid = u.grid
+    _check_compatible(spec, grid)
+    if spec.family == "fourier":
+        if use_fft is None:
+            use_fft = grid.is_uniform and spec.dimension // 2 <= (len(grid) - 2) // 2
+        if use_fft:
+            if not grid.is_uniform:
+                raise ConfigurationError("FFT projection requires a uniform grid")
+            coeffs = _fourier_fft_coefficients(spec, grid, u.values)
+        else:
+            cols = basis_matrix(spec, grid)
+            coeffs = cols.T @ (grid.weights * u.values)
+    elif spec.family == "haar_wavelet":
+        coeffs = _haar_project(spec, grid, u.values)
+    else:
+        B, _, chol = _bspline_tables(spec, grid)
+        rhs = B.T @ (grid.weights * u.values)
+        coeffs = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    return CoefficientVector(coeffs, spec)
+
+
+def reconstruct(c: CoefficientVector, grid: SamplingGrid) -> SampledFunction:
+    """Pointwise evaluation of the basis expansion on ``grid``."""
+    spec = c.basis
+    _check_compatible(spec, grid)
+    if spec.family == "haar_wavelet":
+        values = _haar_reconstruct(spec, grid, c.coefficients)
+    else:
+        values = basis_matrix(spec, grid) @ c.coefficients
+    return SampledFunction(grid, values)
+
+
+def select_spline_dimension(dataset: LabeledDataset, candidates) -> int:
+    """Spline dimension minimizing mean leave-one-point-out reconstruction error.
+
+    The criterion ignores class labels; ties go to the smaller dimension.
+    """
+    cands = list(candidates)
+    if not cands:
+        raise ConfigurationError("no candidate dimensions given")
+    x = dataset.grid.abscissae
+    rows = dataset.value_matrix()
+    errors = {}
+    for d in cands:
+        try:
+            errors[d] = splines.loo_reconstruction_error(x, rows, d)
+        except ConfigurationError:
+            continue
+    if not errors:
+        raise ConfigurationError("no candidate spline dimension is feasible")
+    best_err = min(errors.values())
+    # Errors indistinguishable from the best (e.g. several exact fits) count
+    # as ties, which go to the smaller dimension.
+    atol = 1e-12 * max(float(np.mean(rows**2)), 1e-300)
+    best = min(d for d, e in errors.items() if e <= best_err + atol)
+    return int(best)

@@ -1,0 +1,143 @@
+"""Run configuration: JSON documents resolved into grids and protocols."""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from pathlib import Path
+
+from .basis import BasisSpec
+from .datasets import DatasetDescriptor
+from .errors import UsageError
+from .kernels import BaseKernel, FunctionalKernel, Transform
+from .selection import STEP_PENALTY_CAP, STEP_PENALTY_HIGH, CandidateGrid, step_penalty
+
+__all__ = ["RunConfig", "load_config", "build_grid"]
+
+
+@dataclass
+class RunConfig:
+    dataset: DatasetDescriptor | None
+    grid: CandidateGrid
+    protocol: dict = field(default_factory=dict)
+    split: dict = field(default_factory=lambda: {"policy": "first_l"})
+    seed: int = 0
+    tol: float = 1e-3
+
+
+def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
+    return parse_config(doc, overrides)
+
+
+def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
+    overrides = overrides or {}
+    grid_doc = dict(doc.get("grid", {}))
+    for key in ("C", "sigma", "dimensions"):
+        if overrides.get(key) is not None:
+            if key == "sigma":
+                # replace sigma lists of every gaussian kernel entry
+                kernels = []
+                for entry in grid_doc.get("kernels", []):
+                    entry = dict(entry)
+                    if entry.get("kind") == "gaussian":
+                        entry["sigma"] = overrides["sigma"]
+                    kernels.append(entry)
+                grid_doc["kernels"] = kernels
+            else:
+                grid_doc[key] = overrides[key]
+    dataset = None
+    if "dataset" in doc:
+        ds = doc["dataset"]
+        dataset = DatasetDescriptor(
+            path=ds["path"],
+            format=ds.get("format", "csv_rows"),
+            label_map=ds.get("label_map"),
+            fat_threshold=ds.get("fat_threshold", 20.0),
+            interval=tuple(ds["interval"]) if ds.get("interval") else None,
+            abscissae=tuple(ds["abscissae"]) if ds.get("abscissae") else None,
+        )
+    seed = overrides.get("seed")
+    if seed is None:
+        seed = doc.get("seed", 0)
+    return RunConfig(
+        dataset=dataset,
+        grid=build_grid(grid_doc),
+        protocol=doc.get("protocol", {}),
+        split=doc.get("split", {"policy": "first_l"}),
+        seed=int(seed),
+        tol=float(doc.get("tol", 1e-3)),
+    )
+
+
+def _expand_kernels(entries, transforms) -> list[FunctionalKernel]:
+    kernels = []
+    for entry in entries:
+        kind = entry.get("kind")
+        if kind == "linear":
+            bases = [BaseKernel.linear()]
+        elif kind == "gaussian":
+            sigmas = entry.get("sigma", 1.0)
+            if not isinstance(sigmas, (list, tuple)):
+                sigmas = [sigmas]
+            bases = [BaseKernel.gaussian(s) for s in sigmas]
+        elif kind == "polynomial":
+            degrees = entry.get("degree", 2)
+            if not isinstance(degrees, (list, tuple)):
+                degrees = [degrees]
+            bases = [BaseKernel.polynomial(d) for d in degrees]
+        else:
+            raise UsageError(f"unknown kernel kind {kind!r} in grid")
+        kernels.extend(
+            FunctionalKernel(transforms=transforms, base=b) for b in bases
+        )
+    return kernels
+
+
+def build_grid(doc: dict) -> CandidateGrid:
+    """Resolve a grid document into an ordered :class:`CandidateGrid`."""
+    transforms = tuple(
+        Transform(
+            t["kind"],
+            order=t.get("order", 2),
+            spline_dimension=t.get("spline_dimension", 0),
+        )
+        for t in doc.get("transforms", [])
+    )
+    kernels = _expand_kernels(doc.get("kernels", []), transforms)
+    C_values = doc.get("C", [])
+    dimensions = doc.get("dimensions", [0])
+    basis_family = doc.get("basis", "fourier")
+    spline_degree = doc.get("spline_degree", 3)
+    if basis_family != "fourier":
+        # attach the requested family so from_axes rebuilds it per dimension
+        kernels = [
+            FunctionalKernel(
+                transforms=k.transforms,
+                projection=BasisSpec(basis_family, max(d for d in dimensions if d > 0),
+                                     spline_degree=spline_degree)
+                if any(d > 0 for d in dimensions) else None,
+                base=k.base,
+            )
+            for k in kernels
+        ]
+    penalty_doc = doc.get("penalty", {"kind": "step"})
+    if penalty_doc.get("kind") == "step":
+        cap = penalty_doc.get("cap", STEP_PENALTY_CAP)
+        high = penalty_doc.get("high", STEP_PENALTY_HIGH)
+        penalties = {d: step_penalty(d, cap, high) for d in dimensions}
+        default = 0.0
+    elif penalty_doc.get("kind") == "table":
+        penalties = {int(k): float(v) for k, v in penalty_doc.get("table", {}).items()}
+        default = float(penalty_doc.get("default", 0.0))
+    else:
+        raise UsageError(f"unknown penalty kind {penalty_doc.get('kind')!r}")
+    return CandidateGrid.from_axes(
+        kernels, C_values, dimensions=dimensions,
+        penalties=penalties, default_penalty=default,
+    )

@@ -1,0 +1,237 @@
+"""Experiment protocols: leave-one-out, fixed and repeated splits.
+
+Every protocol is exactly reproducible from (data, grid, protocol, seed);
+report assembly is ordered by fold/run index regardless of any
+concurrency in the inner selection.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy import stats
+
+from .errors import DataError, FuncSvmError, UsageError
+from .functions import LabeledDataset, SamplingGrid
+from .kernels import kernel_to_dict
+from .selection import CandidateGrid, select
+from .solver import predict_batch
+
+__all__ = [
+    "EvaluationReport",
+    "run_leave_one_out",
+    "run_fixed_split",
+    "run_repeated_splits",
+    "paired_t_test",
+    "generate_synthetic",
+]
+
+VARIANCE_FLOOR = 1e-12
+
+
+@dataclass
+class EvaluationReport:
+    protocol: dict
+    per_run_errors: list
+    per_run_chosen: list
+    mean_error: float
+    excluded_runs: int = 0
+    wall_time: float = 0.0
+    extra: dict = field(default_factory=dict)
+
+    def payload(self) -> dict:
+        """Deterministic content; wall time is reporting metadata, not payload."""
+        return {
+            "protocol": self.protocol,
+            "per_run_errors": self.per_run_errors,
+            "per_run_chosen": self.per_run_chosen,
+            "mean_error": self.mean_error,
+            "excluded_runs": self.excluded_runs,
+            "extra": self.extra,
+        }
+
+
+def _chosen_summary(result) -> dict:
+    return {
+        "dimension": result.chosen.dimension,
+        "kernel": kernel_to_dict(result.chosen.kernel),
+        "C": result.chosen.C,
+        "validation_error": result.chosen_record.validation_error,
+        "score": result.chosen_record.score,
+    }
+
+
+def run_leave_one_out(
+    data: LabeledDataset,
+    grid: CandidateGrid,
+    inner_l: int | None = None,
+    tol: float = 1e-3,
+    threads: int = 1,
+) -> EvaluationReport:
+    """Hold out each curve in turn; run the split-sample selection on the rest.
+
+    The inner split takes the first ``inner_l`` of the remaining curves in
+    stored order (defaults to half).  Folds where no candidate trains are
+    excluded and counted, never silently dropped.
+    """
+    n = len(data)
+    if n < 3:
+        raise UsageError("leave-one-out needs at least three examples")
+    l = inner_l if inner_l is not None else (n - 1) // 2
+    start = time.perf_counter()
+    errors, chosen, excluded = [], [], 0
+    for i in range(n):
+        rest = [j for j in range(n) if j != i]
+        fold = data.subset(rest)
+        try:
+            result = select(grid, fold, l, policy="first_l", tol=tol, threads=threads)
+        except FuncSvmError as exc:
+            excluded += 1
+            chosen.append({"fold": i, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        pred = predict_batch(result.model, [data.functions[i]])[0]
+        errors.append(int(pred != data.labels[i]))
+        chosen.append(_chosen_summary(result))
+    if not errors:
+        raise DataError("every leave-one-out fold failed")
+    return EvaluationReport(
+        protocol={"kind": "leave_one_out", "inner_l": l, "n": n},
+        per_run_errors=[float(e) for e in errors],
+        per_run_chosen=chosen,
+        mean_error=float(np.mean(errors)),
+        excluded_runs=excluded,
+        wall_time=time.perf_counter() - start,
+    )
+
+
+def run_fixed_split(
+    data: LabeledDataset,
+    grid: CandidateGrid,
+    train_size: int,
+    inner_l: int,
+    seed: int | None = None,
+    policy: str = "first_l",
+    tol: float = 1e-3,
+    threads: int = 1,
+) -> EvaluationReport:
+    """One outer train/test split with an inner split-sample selection."""
+    report = run_repeated_splits(
+        data, grid, count=1, train_size=train_size, inner_l=inner_l,
+        seed=seed, outer_policy=policy, tol=tol, threads=threads,
+    )
+    report.protocol = {**report.protocol, "kind": "fixed_split"}
+    return report
+
+
+def run_repeated_splits(
+    data: LabeledDataset,
+    grid: CandidateGrid,
+    count: int,
+    train_size: int,
+    inner_l: int,
+    seed: int | None = 0,
+    outer_policy: str = "seeded_shuffle",
+    inner_policy: str = "seeded_shuffle",
+    tol: float = 1e-3,
+    threads: int = 1,
+) -> EvaluationReport:
+    """Repeat a random train/test split ``count`` times and average test error."""
+    n = len(data)
+    if count < 1:
+        raise UsageError("repeated splits need count >= 1")
+    if not 1 <= train_size < n:
+        raise UsageError(f"train size {train_size} incompatible with N={n}")
+    if not 1 <= inner_l < train_size:
+        raise UsageError("inner split size must be below the train size")
+    start = time.perf_counter()
+    rng = np.random.default_rng(seed)
+    errors, chosen, excluded = [], [], 0
+    for run in range(count):
+        run_seed = int(rng.integers(0, 2**63 - 1))
+        order = (
+            np.random.default_rng(run_seed).permutation(n)
+            if outer_policy == "seeded_shuffle"
+            else np.arange(n)
+        )
+        train = data.subset(order[:train_size])
+        test = data.subset(order[train_size:])
+        try:
+            result = select(
+                grid, train, inner_l, policy=inner_policy,
+                seed=run_seed + 1, tol=tol, threads=threads,
+            )
+        except FuncSvmError as exc:
+            excluded += 1
+            chosen.append({"run": run, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        pred = predict_batch(result.model, test.functions)
+        errors.append(float(np.mean(pred != test.labels)))
+        chosen.append(_chosen_summary(result))
+    if not errors:
+        raise DataError("every repeated split failed")
+    return EvaluationReport(
+        protocol={
+            "kind": "repeated_splits", "count": count, "train_size": train_size,
+            "inner_l": inner_l, "seed": seed, "outer_policy": outer_policy,
+            "inner_policy": inner_policy,
+        },
+        per_run_errors=errors,
+        per_run_chosen=chosen,
+        mean_error=float(np.mean(errors)),
+        excluded_runs=excluded,
+        wall_time=time.perf_counter() - start,
+    )
+
+
+def paired_t_test(errors_a, errors_b) -> float:
+    """Two-sided paired t-test p-value on per-split error pairs.
+
+    Zero-variance differences are handled with a variance floor: identical
+    vectors give p = 1, a constant nonzero difference gives a near-zero p.
+    """
+    a = np.asarray(errors_a, dtype=float)
+    b = np.asarray(errors_b, dtype=float)
+    if a.shape != b.shape or a.size < 2:
+        raise UsageError("paired test needs two equal-length vectors of size >= 2")
+    d = a - b
+    var = float(np.var(d, ddof=1))
+    var = max(var, VARIANCE_FLOOR)
+    t = float(np.mean(d) / np.sqrt(var / d.size))
+    return float(2.0 * stats.t.sf(abs(t), df=d.size - 1))
+
+
+def generate_synthetic(
+    n: int,
+    noise: float = 0.2,
+    label_noise: float = 0.0,
+    grid_length: int = 64,
+    frequencies: tuple[float, float] = (2.0, 3.0),
+    seed: int | None = 0,
+    grid: SamplingGrid | None = None,
+) -> LabeledDataset:
+    """Two-class sinusoid family on [0, 1].
+
+    Class +1 curves follow sin(2 pi f1 t) and class -1 curves
+    sin(2 pi f2 t), with i.i.d. Gaussian observation noise of the given
+    standard deviation.  ``label_noise`` flips each label independently,
+    so for separable prototypes the Bayes error equals the flip rate.
+    """
+    if grid is None:
+        grid = SamplingGrid.uniform(0.0, 1.0, grid_length)
+    rng = np.random.default_rng(seed)
+    t = grid.abscissae
+    f_pos, f_neg = frequencies
+    labels = rng.choice((-1, 1), size=n)
+    protos = {
+        1: np.sin(2.0 * np.pi * f_pos * t),
+        -1: np.sin(2.0 * np.pi * f_neg * t),
+    }
+    values = np.stack([protos[int(y)] for y in labels])
+    if noise > 0:
+        values = values + noise * rng.standard_normal(values.shape)
+    if label_noise > 0:
+        flips = rng.random(n) < label_noise
+        labels = np.where(flips, -labels, labels)
+    return LabeledDataset.from_matrix(grid, values, labels)

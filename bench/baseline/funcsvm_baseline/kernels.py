@@ -1,0 +1,275 @@
+"""Kernels on curves: transform chains, basis projections, base kernels.
+
+A :class:`FunctionalKernel` evaluates ``K(P(u), P(v))`` where ``P`` is an
+optional pipeline of functional transforms (center, normalize, spline
+derivative) followed by an optional basis projection, and ``K`` is a
+linear, Gaussian or polynomial base kernel.  All inner products respect
+the underlying L2 geometry: quadrature weights for raw curves, the
+identity for orthonormal coefficient vectors, and the basis Gram matrix
+for B-spline coefficients.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import basis as basis_mod
+from .errors import ConfigurationError
+from .functions import SampledFunction, center, normalize, spline_derivative
+
+__all__ = [
+    "BaseKernel",
+    "Transform",
+    "FunctionalKernel",
+    "PreparedBatch",
+    "prepare_batch",
+    "kernel_eval",
+    "gram_matrix",
+    "cross_matrix",
+    "kernel_to_dict",
+    "kernel_from_dict",
+]
+
+EXP_FLOOR = -700.0  # clamp for Gaussian exponents, avoids exact underflow
+
+
+@dataclass(frozen=True)
+class BaseKernel:
+    """Linear, Gaussian (exp(-sigma * ||u - v||^2)) or polynomial ((1 + <u,v>)^degree)."""
+
+    kind: str
+    sigma: float | None = None
+    degree: int | None = None
+
+    def __post_init__(self):
+        if self.kind == "linear":
+            pass
+        elif self.kind == "gaussian":
+            if self.sigma is None or self.sigma <= 0:
+                raise ConfigurationError("gaussian kernel needs sigma > 0")
+        elif self.kind == "polynomial":
+            if self.degree is None or self.degree < 1:
+                raise ConfigurationError("polynomial kernel needs degree >= 1")
+        else:
+            raise ConfigurationError(f"unknown base kernel {self.kind!r}")
+
+    @classmethod
+    def linear(cls) -> "BaseKernel":
+        return cls("linear")
+
+    @classmethod
+    def gaussian(cls, sigma: float) -> "BaseKernel":
+        return cls("gaussian", sigma=float(sigma))
+
+    @classmethod
+    def polynomial(cls, degree: int) -> "BaseKernel":
+        return cls("polynomial", degree=int(degree))
+
+    def describe(self) -> str:
+        if self.kind == "gaussian":
+            return f"gaussian(sigma={self.sigma:g})"
+        if self.kind == "polynomial":
+            return f"polynomial(degree={self.degree})"
+        return "linear"
+
+
+@dataclass(frozen=True)
+class Transform:
+    """One step of the functional preprocessing chain."""
+
+    kind: str
+    order: int = 2
+    spline_dimension: int = 0
+
+    def __post_init__(self):
+        if self.kind in ("center", "normalize"):
+            return
+        if self.kind == "derivative":
+            if self.order not in (1, 2):
+                raise ConfigurationError("derivative order must be 1 or 2")
+            if self.spline_dimension < self.order + 4:
+                raise ConfigurationError(
+                    "derivative transform needs spline dimension >= order + 4"
+                )
+            return
+        raise ConfigurationError(f"unknown transform {self.kind!r}")
+
+    def apply(self, u: SampledFunction, index: int | None = None) -> SampledFunction:
+        if self.kind == "center":
+            return center(u)
+        if self.kind == "normalize":
+            return normalize(u, index=index)
+        return spline_derivative(u, self.order, self.spline_dimension)
+
+
+@dataclass(frozen=True)
+class FunctionalKernel:
+    transforms: tuple[Transform, ...] = ()
+    projection: basis_mod.BasisSpec | None = None
+    base: BaseKernel = field(default_factory=BaseKernel.linear)
+
+    def __post_init__(self):
+        object.__setattr__(self, "transforms", tuple(self.transforms))
+
+    @property
+    def prep_signature(self) -> tuple:
+        """Hashable key identifying the transform + projection pipeline."""
+        return (self.transforms, self.projection)
+
+    def describe(self) -> str:
+        parts = [t.kind for t in self.transforms]
+        if self.projection is not None:
+            parts.append(f"{self.projection.family}(d={self.projection.dimension})")
+        parts.append(self.base.describe())
+        return " -> ".join(parts)
+
+
+@dataclass(frozen=True)
+class PreparedBatch:
+    """Transformed/projected inputs as row vectors plus their metric.
+
+    ``metric`` is a weight vector (diagonal metric) for raw curves and
+    orthonormal coefficients, or a dense Gram matrix for B-spline
+    coefficients.
+    """
+
+    vectors: np.ndarray
+    metric: np.ndarray
+
+    @property
+    def diagonal_metric(self) -> bool:
+        return self.metric.ndim == 1
+
+    def row(self, i: int) -> "PreparedBatch":
+        return PreparedBatch(self.vectors[i : i + 1], self.metric)
+
+
+def prepare_batch(kernel: FunctionalKernel, functions) -> PreparedBatch:
+    """Apply the kernel's transforms and projection to a batch of curves."""
+    funcs = list(functions)
+    if not funcs:
+        raise ConfigurationError("cannot prepare an empty batch")
+    for t in kernel.transforms:
+        funcs = [t.apply(f, index=i) for i, f in enumerate(funcs)]
+    grid = funcs[0].grid
+    if kernel.projection is not None:
+        spec = kernel.projection
+        vectors = np.stack(
+            [basis_mod.project(f, spec).coefficients for f in funcs]
+        )
+        gram = basis_mod.coefficient_gram(spec, grid)
+        metric = np.ones(spec.dimension) if spec.orthonormal else gram
+    else:
+        vectors = np.stack([f.values for f in funcs])
+        metric = grid.weights
+    return PreparedBatch(vectors, metric)
+
+
+def inner_product_matrix(a: PreparedBatch, b: PreparedBatch) -> np.ndarray:
+    """Pairwise metric inner products between two prepared batches."""
+    if a.diagonal_metric:
+        return (a.vectors * a.metric) @ b.vectors.T
+    return a.vectors @ a.metric @ b.vectors.T
+
+
+def squared_distance_matrix(a: PreparedBatch, b: PreparedBatch) -> np.ndarray:
+    ab = inner_product_matrix(a, b)
+    if a.diagonal_metric:
+        na = np.einsum("ij,j,ij->i", a.vectors, a.metric, a.vectors)
+        nb = np.einsum("ij,j,ij->i", b.vectors, b.metric, b.vectors)
+    else:
+        na = np.einsum("ij,jk,ik->i", a.vectors, a.metric, a.vectors)
+        nb = np.einsum("ij,jk,ik->i", b.vectors, b.metric, b.vectors)
+    return np.maximum(na[:, None] + nb[None, :] - 2.0 * ab, 0.0)
+
+
+def apply_base(base: BaseKernel, a: PreparedBatch, b: PreparedBatch) -> np.ndarray:
+    """Base kernel matrix between two prepared batches."""
+    if base.kind == "linear":
+        return inner_product_matrix(a, b)
+    if base.kind == "polynomial":
+        return (1.0 + inner_product_matrix(a, b)) ** base.degree
+    d2 = squared_distance_matrix(a, b)
+    return np.exp(np.maximum(-base.sigma * d2, EXP_FLOOR))
+
+
+def kernel_eval(
+    kernel: FunctionalKernel, u: SampledFunction, v: SampledFunction
+) -> float:
+    """Evaluate the composed kernel on a single pair of curves."""
+    prep = prepare_batch(kernel, [u, v])
+    k = apply_base(kernel.base, prep.row(0), prep.row(1))
+    return float(k[0, 0])
+
+
+def gram_matrix(kernel: FunctionalKernel, functions) -> np.ndarray:
+    """Symmetric kernel matrix; transforms are applied once per input."""
+    prep = prepare_batch(kernel, functions)
+    K = apply_base(kernel.base, prep, prep)
+    return (K + K.T) / 2.0
+
+
+def cross_matrix(
+    kernel: FunctionalKernel, rows, cols
+) -> np.ndarray:
+    """Kernel values between two batches (rows x cols)."""
+    a = prepare_batch(kernel, rows)
+    b = prepare_batch(kernel, cols)
+    return apply_base(kernel.base, a, b)
+
+
+# -- Serialization ---------------------------------------------------------
+
+def kernel_to_dict(kernel: FunctionalKernel) -> dict:
+    """Lossless human-readable description of a kernel specification."""
+    out: dict = {"base": {"kind": kernel.base.kind}}
+    if kernel.base.sigma is not None:
+        out["base"]["sigma"] = kernel.base.sigma
+    if kernel.base.degree is not None:
+        out["base"]["degree"] = kernel.base.degree
+    out["transforms"] = [
+        {
+            "kind": t.kind,
+            **({"order": t.order, "spline_dimension": t.spline_dimension}
+               if t.kind == "derivative" else {}),
+        }
+        for t in kernel.transforms
+    ]
+    if kernel.projection is not None:
+        p = kernel.projection
+        out["projection"] = {
+            "family": p.family,
+            "dimension": p.dimension,
+            "spline_degree": p.spline_degree,
+        }
+    else:
+        out["projection"] = None
+    return out
+
+
+def kernel_from_dict(doc: dict) -> FunctionalKernel:
+    base_doc = doc.get("base", {"kind": "linear"})
+    base = BaseKernel(
+        base_doc["kind"],
+        sigma=base_doc.get("sigma"),
+        degree=base_doc.get("degree"),
+    )
+    transforms = tuple(
+        Transform(
+            t["kind"],
+            order=t.get("order", 2),
+            spline_dimension=t.get("spline_dimension", 0),
+        )
+        for t in doc.get("transforms", [])
+    )
+    proj_doc = doc.get("projection")
+    projection = None
+    if proj_doc is not None:
+        projection = basis_mod.BasisSpec(
+            proj_doc["family"],
+            proj_doc["dimension"],
+            spline_degree=proj_doc.get("spline_degree", 3),
+        )
+    return FunctionalKernel(transforms=transforms, projection=projection, base=base)

@@ -1,0 +1,110 @@
+"""Model files and report files.
+
+Model format: the four magic bytes ``FSVM``, one version byte, then a
+UTF-8 JSON document.  Floats are serialized with ``repr`` round-tripping,
+so a loaded model reproduces decision values bit for bit.  Reports are
+written as two JSON files: a deterministic payload and a separate
+metadata file holding timestamps.  All writes are atomic
+(write-then-rename).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from .errors import IntegrityError
+from .functions import SamplingGrid
+from .kernels import PreparedBatch, kernel_from_dict, kernel_to_dict
+from .solver import SvmModel
+
+__all__ = ["save_model", "load_model", "write_report", "MODEL_MAGIC", "MODEL_VERSION"]
+
+MODEL_MAGIC = b"FSVM"
+MODEL_VERSION = 1
+
+
+def _atomic_write_bytes(path: str, payload: bytes) -> None:
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _dump_json(doc: dict) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def save_model(model: SvmModel, path: str) -> None:
+    doc = {
+        "kernel": kernel_to_dict(model.kernel),
+        "grid": {
+            "abscissae": model.grid.abscissae.tolist(),
+            "weights": model.grid.weights.tolist(),
+        },
+        "support_vectors": model.support.vectors.tolist(),
+        "metric": model.support.metric.tolist(),
+        "support_coeffs": model.support_coeffs.tolist(),
+        "support_labels": model.support_labels.tolist(),
+        "support_alphas": model.support_alphas.tolist(),
+        "bias": model.bias,
+        "meta": model.meta,
+    }
+    _atomic_write_bytes(path, MODEL_MAGIC + bytes([MODEL_VERSION]) + _dump_json(doc))
+
+
+def load_model(path: str) -> SvmModel:
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise IntegrityError(f"cannot read model file {path}: {exc}") from exc
+    if len(blob) < 5 or blob[:4] != MODEL_MAGIC:
+        raise IntegrityError(f"{path} is not a model file (bad magic header)")
+    version = blob[4]
+    if version != MODEL_VERSION:
+        raise IntegrityError(f"unsupported model file version {version}")
+    try:
+        doc = json.loads(blob[5:].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IntegrityError(f"model file {path} is corrupt or truncated: {exc}") from exc
+    try:
+        grid = SamplingGrid(
+            np.asarray(doc["grid"]["abscissae"], dtype=float),
+            np.asarray(doc["grid"]["weights"], dtype=float),
+        )
+        vectors = np.asarray(doc["support_vectors"], dtype=float)
+        if vectors.size == 0:
+            vectors = vectors.reshape(0, 0)
+        model = SvmModel(
+            kernel=kernel_from_dict(doc["kernel"]),
+            grid=grid,
+            support=PreparedBatch(vectors, np.asarray(doc["metric"], dtype=float)),
+            support_coeffs=np.asarray(doc["support_coeffs"], dtype=float),
+            support_labels=np.asarray(doc["support_labels"], dtype=int),
+            support_alphas=np.asarray(doc["support_alphas"], dtype=float),
+            bias=float(doc["bias"]),
+            meta=doc.get("meta", {}),
+        )
+    except KeyError as exc:
+        raise IntegrityError(f"model file {path} is missing field {exc}") from exc
+    return model
+
+
+def write_report(payload: dict, path: str, meta: dict | None = None) -> None:
+    """Write a deterministic payload file plus a sidecar metadata file."""
+    _atomic_write_bytes(path, _dump_json(payload) + b"\n")
+    meta_doc = {"written_at": time.time()}
+    if meta:
+        meta_doc.update(meta)
+    _atomic_write_bytes(str(path) + ".meta.json", _dump_json(meta_doc) + b"\n")

@@ -1,0 +1,393 @@
+"""Penalized split-sample hyperparameter selection.
+
+The sample is split into a training part and a validation part; one SVM
+is trained per candidate (projection dimension d, kernel, C); the winner
+minimizes ``validation error + lambda_d / sqrt(validation size)``.  Ties
+break toward smaller d, then smaller C, then kernel declaration order.
+The returned model is the winning candidate's model trained on the
+training half (no refit on the full sample).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+
+from .errors import (
+    ConfigurationError,
+    DataError,
+    DegenerateTrainingError,
+    FuncSvmError,
+    UsageError,
+)
+from .functions import LabeledDataset
+from .kernels import FunctionalKernel, prepare_batch, \
+    inner_product_matrix, squared_distance_matrix
+from .solver import DEFAULT_TOL, SvmModel, predict_batch, solve_dual, train_svm
+
+__all__ = [
+    "Candidate",
+    "CandidateGrid",
+    "SelectionResult",
+    "split_sample",
+    "empirical_error",
+    "select",
+    "validate_grid",
+]
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One point of the search grid; dimension 0 means no projection."""
+
+    dimension: int
+    kernel: FunctionalKernel
+    C: float
+
+    def __post_init__(self):
+        if self.dimension < 0:
+            raise ConfigurationError("projection dimension must be >= 0")
+        if self.C <= 0:
+            raise ConfigurationError("C must be positive")
+
+
+@dataclass(frozen=True)
+class CandidateGrid:
+    """Ordered candidate list plus the per-dimension penalty table.
+
+    ``kernel_order`` records each candidate's kernel declaration index
+    within its dimension, used for deterministic tie-breaking.
+    """
+
+    candidates: tuple[Candidate, ...]
+    penalties: dict = field(default_factory=dict)
+    default_penalty: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "candidates", tuple(self.candidates))
+
+    def __len__(self) -> int:
+        return len(self.candidates)
+
+    def penalty(self, dimension: int) -> float:
+        return float(self.penalties.get(dimension, self.default_penalty))
+
+    @classmethod
+    def from_axes(
+        cls,
+        kernels,
+        C_values,
+        dimensions=(0,),
+        penalties=None,
+        default_penalty: float = 0.0,
+    ) -> "CandidateGrid":
+        """Cartesian product grid.
+
+        ``kernels`` is either a sequence of :class:`FunctionalKernel` used
+        for every dimension, or a mapping from dimension to such a
+        sequence.  Each kernel's projection dimension is taken from the
+        ``dimensions`` axis: kernels given without a projection are
+        combined with a Fourier projection of the requested dimension
+        unless the dimension is 0.
+        """
+        from .basis import BasisSpec
+
+        cands = []
+        for d in dimensions:
+            kernel_list = kernels[d] if isinstance(kernels, dict) else kernels
+            for kernel in kernel_list:
+                if d > 0 and kernel.projection is None:
+                    kernel_d = FunctionalKernel(
+                        transforms=kernel.transforms,
+                        projection=BasisSpec("fourier", d),
+                        base=kernel.base,
+                    )
+                elif d > 0:
+                    kernel_d = FunctionalKernel(
+                        transforms=kernel.transforms,
+                        projection=BasisSpec(
+                            kernel.projection.family, d,
+                            spline_degree=kernel.projection.spline_degree,
+                        ),
+                        base=kernel.base,
+                    )
+                else:
+                    kernel_d = kernel
+                for C in C_values:
+                    cands.append(Candidate(d, kernel_d, float(C)))
+        return cls(tuple(cands), penalties=dict(penalties or {}),
+                   default_penalty=default_penalty)
+
+
+STEP_PENALTY_CAP = 100
+STEP_PENALTY_HIGH = 1000.0
+
+
+def step_penalty(dimension: int, cap: int = STEP_PENALTY_CAP,
+                 high: float = STEP_PENALTY_HIGH) -> float:
+    """Preset penalty: 0 up to the dimension cap, a high constant above."""
+    return 0.0 if dimension <= cap else high
+
+
+@dataclass
+class Split:
+    train: LabeledDataset
+    validation: LabeledDataset
+    warnings: list = field(default_factory=list)
+
+
+def split_sample(
+    data: LabeledDataset, l: int, policy: str = "first_l", seed: int | None = None
+) -> Split:
+    """Disjoint, exhaustive train/validation split.
+
+    ``first_l`` keeps stored order; ``seeded_shuffle`` permutes with the
+    given seed first.  A side containing a single class is reported as a
+    warning, not an error (individual candidates will fail later).
+    """
+    n = len(data)
+    if not 1 <= l < n:
+        raise UsageError(f"training size l={l} must satisfy 1 <= l < N={n}")
+    if policy == "first_l":
+        order = np.arange(n)
+    elif policy == "seeded_shuffle":
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n)
+    else:
+        raise UsageError(f"unknown split policy {policy!r}")
+    train = data.subset(order[:l])
+    val = data.subset(order[l:])
+    warnings = []
+    for name, side in (("training", train), ("validation", val)):
+        if np.unique(side.labels).size < 2:
+            warnings.append(f"{name} side contains a single class")
+    return Split(train, val, warnings)
+
+
+def empirical_error(model: SvmModel, data: LabeledDataset) -> float:
+    """Misclassification fraction of the model on the given data."""
+    if len(data) == 0:
+        raise DataError("cannot compute an error rate on empty data")
+    pred = predict_batch(model, data.functions)
+    return float(np.mean(pred != data.labels))
+
+
+@dataclass
+class CandidateRecord:
+    candidate: Candidate
+    index: int
+    kernel_order: int
+    validation_error: float | None
+    score: float | None
+    error: str | None = None
+
+    def as_row(self) -> dict:
+        from .kernels import kernel_to_dict
+
+        return {
+            "index": self.index,
+            "dimension": self.candidate.dimension,
+            "kernel": kernel_to_dict(self.candidate.kernel),
+            "C": self.candidate.C,
+            "validation_error": self.validation_error,
+            "score": self.score,
+            "error": self.error,
+        }
+
+
+@dataclass
+class SelectionResult:
+    chosen: Candidate
+    model: SvmModel
+    table: list  # of CandidateRecord
+    train_size: int
+    validation_size: int
+    split_warnings: list = field(default_factory=list)
+
+    @property
+    def chosen_record(self) -> CandidateRecord:
+        return min(
+            (r for r in self.table if r.score is not None),
+            key=_tie_break_key,
+        )
+
+
+def _tie_break_key(record: CandidateRecord):
+    return (
+        record.score,
+        record.candidate.dimension,
+        record.candidate.C,
+        record.kernel_order,
+    )
+
+
+class _PrepCache:
+    """Per-pipeline cache of prepared batches and pairwise statistics."""
+
+    def __init__(self, train: LabeledDataset, validation: LabeledDataset):
+        self.train = train
+        self.validation = validation
+        self._prepared: dict = {}
+        self._stats: dict = {}
+
+    def prepared(self, kernel: FunctionalKernel):
+        key = kernel.prep_signature
+        if key not in self._prepared:
+            tr = prepare_batch(kernel, self.train.functions)
+            va = prepare_batch(kernel, self.validation.functions)
+            self._prepared[key] = (tr, va)
+        return self._prepared[key]
+
+    def matrices(self, kernel: FunctionalKernel):
+        """(train gram, validation x train) for the candidate's base kernel."""
+        tr, va = self.prepared(kernel)
+        key = kernel.prep_signature
+        base = kernel.base
+        if base.kind == "gaussian":
+            skey = ("sq", key)
+            if skey not in self._stats:
+                self._stats[skey] = (
+                    squared_distance_matrix(tr, tr),
+                    squared_distance_matrix(va, tr),
+                )
+            d_tt, d_vt = self._stats[skey]
+            from .kernels import EXP_FLOOR
+
+            K = np.exp(np.maximum(-base.sigma * d_tt, EXP_FLOOR))
+            Kv = np.exp(np.maximum(-base.sigma * d_vt, EXP_FLOOR))
+        else:
+            skey = ("ip", key)
+            if skey not in self._stats:
+                self._stats[skey] = (
+                    inner_product_matrix(tr, tr),
+                    inner_product_matrix(va, tr),
+                )
+            ip_tt, ip_vt = self._stats[skey]
+            if base.kind == "linear":
+                K, Kv = ip_tt, ip_vt
+            else:
+                K = (1.0 + ip_tt) ** base.degree
+                Kv = (1.0 + ip_vt) ** base.degree
+        return (K + K.T) / 2.0, Kv
+
+
+def _evaluate_candidate(
+    cache: _PrepCache, candidate: Candidate, tol: float, max_iter: int
+):
+    K, Kv = cache.matrices(candidate.kernel)
+    y = cache.train.labels
+    sol = solve_dual(K, y, candidate.C, tol=tol, max_iter=max_iter)
+    decisions = Kv @ (sol.alphas * y) + sol.bias
+    pred = np.where(decisions >= 0.0, 1, -1)
+    err = float(np.mean(pred != cache.validation.labels))
+    return sol, err
+
+
+def select(
+    grid: CandidateGrid,
+    data: LabeledDataset,
+    l: int,
+    policy: str = "first_l",
+    seed: int | None = None,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = 1_000_000,
+    threads: int = 1,
+) -> SelectionResult:
+    """Run the full split-sample search and return the winning model."""
+    if len(grid) == 0:
+        raise UsageError("the candidate grid is empty")
+    split = split_sample(data, l, policy=policy, seed=seed)
+    cache = _PrepCache(split.train, split.validation)
+    m = len(split.validation)
+
+    kernel_orders = _kernel_declaration_order(grid)
+
+    def run(indexed):
+        idx, cand = indexed
+        try:
+            _, err = _evaluate_candidate(cache, cand, tol, max_iter)
+            score = err + grid.penalty(cand.dimension) / np.sqrt(m)
+            return CandidateRecord(cand, idx, kernel_orders[idx], err, float(score))
+        except FuncSvmError as exc:
+            return CandidateRecord(cand, idx, kernel_orders[idx], None, None,
+                                   error=f"{type(exc).__name__}: {exc}")
+
+    items = list(enumerate(grid.candidates))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            table = list(pool.map(run, items))
+    else:
+        table = [run(item) for item in items]
+
+    usable = [r for r in table if r.score is not None]
+    if not usable:
+        causes = "; ".join(f"[{r.index}] {r.error}" for r in table)
+        raise DegenerateTrainingError(f"every candidate failed to train: {causes}")
+    best = min(usable, key=_tie_break_key)
+    model = train_svm(
+        best.candidate.kernel, split.train, best.candidate.C, tol=tol,
+        max_iter=max_iter,
+        meta={"dimension": best.candidate.dimension, "seed": seed,
+              "split_policy": policy, "l": l},
+    )
+    return SelectionResult(
+        chosen=best.candidate,
+        model=model,
+        table=table,
+        train_size=len(split.train),
+        validation_size=m,
+        split_warnings=split.warnings,
+    )
+
+
+def _kernel_declaration_order(grid: CandidateGrid) -> dict:
+    """Kernel declaration index per candidate, scoped to its dimension."""
+    orders = {}
+    seen: dict = {}
+    for idx, cand in enumerate(grid.candidates):
+        scope = seen.setdefault(cand.dimension, {})
+        key = cand.kernel
+        if key not in scope:
+            scope[key] = len(scope)
+        orders[idx] = scope[key]
+    return orders
+
+
+def validate_grid(
+    grid: CandidateGrid, N: int | None = None, l: int | None = None
+) -> list[str]:
+    """Warnings for configurations that break the consistency hypotheses."""
+    warnings = []
+    by_dim: dict = {}
+    for cand in grid.candidates:
+        by_dim.setdefault(cand.dimension, []).append(cand)
+    for d, cands in sorted(by_dim.items()):
+        if not any(c.kernel.base.kind == "gaussian" for c in cands):
+            warnings.append(
+                f"dimension {d}: no universal (Gaussian) kernel in the candidate set"
+            )
+        if all(c.C <= 1.0 for c in cands):
+            warnings.append(
+                f"dimension {d}: all C values are <= 1; the C range should extend above 1"
+            )
+    # Summability of sum_d |J_d| exp(-2 lambda_d^2) under the configured
+    # truncation: the tail term at the largest dimension must be negligible.
+    if by_dim:
+        d_max = max(by_dim)
+        kernels_at_cap = {c.kernel for c in by_dim[d_max]}
+        tail = len(kernels_at_cap) * np.exp(-2.0 * grid.penalty(d_max) ** 2)
+        if tail > 1e-6:
+            warnings.append(
+                "penalty summability: the tail term at the largest dimension "
+                f"({tail:.3g}) exceeds 1e-6; penalties should grow with d"
+            )
+    if N is not None and l is not None and 1 <= l < N:
+        m = N - l
+        ratio = l * np.log(m) / m
+        if ratio > 1.0:
+            warnings.append(
+                f"split sizes violate the growth condition: l*log(N-l)/(N-l) = {ratio:.2f} > 1"
+            )
+    return warnings

@@ -1,0 +1,216 @@
+"""Soft-margin SVM dual solver (sequential minimal optimization).
+
+Solves, for a precomputed kernel matrix K and labels y in {-1, +1},
+
+    max_a  sum(a) - 0.5 * a' (yy' * K) a
+    s.t.   sum(a * y) = 0,  0 <= a_i <= C,
+
+by repeated analytic updates of the maximal violating pair, and exposes
+the resulting sign classifier.  Ties in working-set selection go to the
+lowest index, which makes the solve deterministic and permutation
+equivariant.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import ConvergenceError, DegenerateTrainingError
+from .functions import LabeledDataset, SampledFunction, SamplingGrid
+from .kernels import FunctionalKernel, PreparedBatch, apply_base, prepare_batch
+
+__all__ = ["DualSolution", "SvmModel", "solve_dual", "train_svm", "decision_value", "predict"]
+
+DEFAULT_TOL = 1e-3
+DEFAULT_MAX_ITER = 10_000_000
+
+
+@dataclass
+class DualSolution:
+    alphas: np.ndarray
+    bias: float
+    objective: float
+    iterations: int
+    kkt_violation: float
+
+
+def solve_dual(
+    gram: np.ndarray,
+    labels,
+    C: float,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> DualSolution:
+    """Maximal-violating-pair SMO on the dual problem.
+
+    Raises :class:`DegenerateTrainingError` if only one class is present
+    and :class:`ConvergenceError` (carrying the best iterate) if the
+    iteration budget runs out.
+    """
+    K = np.asarray(gram, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    n = y.size
+    if n < 2 or K.shape != (n, n):
+        raise DegenerateTrainingError("need at least two labeled examples")
+    if np.all(y > 0) or np.all(y < 0):
+        raise DegenerateTrainingError("training data contains a single class")
+    if C <= 0:
+        raise DegenerateTrainingError("C must be positive")
+
+    alpha = np.zeros(n)
+    # g = gradient of the dual objective: 1 - (yy'K a)_i
+    g = np.ones(n)
+    pos = y > 0
+    # y_i * alpha_i ranges over [lo_i, hi_i]
+    lo = np.where(pos, 0.0, -C)
+    hi = np.where(pos, C, 0.0)
+    slack = 1e-12 * C
+
+    it = 0
+    violation = np.inf
+    while it < max_iter:
+        ya = y * alpha
+        yg = y * g
+        up = ya < hi - slack
+        down = ya > lo + slack
+        yg_up = np.where(up, yg, -np.inf)
+        yg_down = np.where(down, yg, np.inf)
+        i = int(np.argmax(yg_up))
+        j = int(np.argmin(yg_down))
+        violation = yg_up[i] - yg_down[j]
+        if violation < tol:
+            break
+        quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        lam = min(
+            hi[i] - ya[i],
+            ya[j] - lo[j],
+            violation / quad,
+        )
+        alpha[i] += y[i] * lam
+        alpha[j] -= y[j] * lam
+        g += lam * y * (K[:, j] - K[:, i])
+        it += 1
+
+    np.clip(alpha, 0.0, C, out=alpha)
+    objective = float(alpha.sum() - 0.5 * np.dot(y * alpha, K @ (y * alpha)))
+    bias = _compute_bias(K, y, alpha, C)
+    solution = DualSolution(
+        alphas=alpha,
+        bias=bias,
+        objective=objective,
+        iterations=it,
+        kkt_violation=float(max(violation, 0.0)),
+    )
+    if it >= max_iter and violation >= tol:
+        raise ConvergenceError(
+            f"SMO did not reach tolerance {tol} in {max_iter} updates "
+            f"(violation {violation:.3e})",
+            solution=solution,
+        )
+    return solution
+
+
+def _compute_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
+    """Mean of y_i - f_i over free support vectors, else the midpoint of the
+    interval of biases compatible with the KKT conditions."""
+    f = K @ (y * alpha)
+    eps = 1e-8 * C
+    free = (alpha > eps) & (alpha < C - eps)
+    if np.any(free):
+        return float(np.mean(y[free] - f[free]))
+    lo, hi = -np.inf, np.inf
+    for i in range(y.size):
+        slack_val = y[i] - f[i]  # b = slack_val makes i sit exactly on the margin
+        at_zero = alpha[i] <= eps
+        if (at_zero and y[i] > 0) or (not at_zero and y[i] < 0):
+            lo = max(lo, slack_val)
+        else:
+            hi = min(hi, slack_val)
+    if not np.isfinite(lo):
+        return float(hi) if np.isfinite(hi) else 0.0
+    if not np.isfinite(hi):
+        return float(lo)
+    return float((lo + hi) / 2.0)
+
+
+@dataclass
+class SvmModel:
+    """Trained classifier: kernel spec, retained support data and bias.
+
+    ``support`` holds the *prepared* (transformed/projected) representations
+    of the support vectors, so prediction only has to prepare the query.
+    """
+
+    kernel: FunctionalKernel
+    grid: SamplingGrid
+    support: PreparedBatch
+    support_coeffs: np.ndarray  # alpha_i * y_i per support vector
+    support_labels: np.ndarray
+    support_alphas: np.ndarray
+    bias: float
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def n_support(self) -> int:
+        return int(self.support_coeffs.size)
+
+
+def train_svm(
+    kernel: FunctionalKernel,
+    data: LabeledDataset,
+    C: float,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    meta: dict | None = None,
+) -> SvmModel:
+    """Prepare the data under the kernel, solve the dual, keep the support set."""
+    prep = prepare_batch(kernel, data.functions)
+    K = apply_base(kernel.base, prep, prep)
+    K = (K + K.T) / 2.0
+    sol = solve_dual(K, data.labels, C, tol=tol, max_iter=max_iter)
+    keep = sol.alphas > 1e-10 * C
+    idx = np.flatnonzero(keep)
+    support = PreparedBatch(prep.vectors[idx], prep.metric)
+    y = data.labels[idx].astype(float)
+    alphas = sol.alphas[idx]
+    info = {"C": C, "tol": tol, "objective": sol.objective,
+            "iterations": sol.iterations, "kkt_violation": sol.kkt_violation}
+    if meta:
+        info.update(meta)
+    return SvmModel(
+        kernel=kernel,
+        grid=data.grid,
+        support=support,
+        support_coeffs=alphas * y,
+        support_labels=data.labels[idx],
+        support_alphas=alphas,
+        bias=sol.bias,
+        meta=info,
+    )
+
+
+def decision_value(model: SvmModel, x: SampledFunction) -> float:
+    """sum_i alpha_i y_i K(x_i, x) + b."""
+    return float(decision_values(model, [x])[0])
+
+
+def decision_values(model: SvmModel, functions) -> np.ndarray:
+    """Vectorized decision values for a batch of curves."""
+    funcs = list(functions)
+    if model.n_support == 0:
+        return np.full(len(funcs), model.bias)
+    query = prepare_batch(model.kernel, funcs)
+    k = apply_base(model.kernel.base, query, model.support)
+    return k @ model.support_coeffs + model.bias
+
+
+def predict(model: SvmModel, x: SampledFunction) -> int:
+    """Sign decision rule; a decision value of exactly zero maps to +1."""
+    return 1 if decision_value(model, x) >= 0.0 else -1
+
+
+def predict_batch(model: SvmModel, functions) -> np.ndarray:
+    vals = decision_values(model, functions)
+    return np.where(vals >= 0.0, 1, -1)
