@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -18,12 +17,13 @@ import numpy as np
 
 from . import __version__
 from .config import load_config
-from .datasets import load_dataset, write_csv
+from .datasets import _parse_float, _read_rows, load_dataset, write_csv
 from .errors import (
     ConvergenceError,
     DataError,
     FuncSvmError,
     GridMismatchError,
+    ParseError,
     UsageError,
 )
 from .evaluation import (
@@ -32,12 +32,10 @@ from .evaluation import (
     run_leave_one_out,
     run_repeated_splits,
 )
-from .functions import LabeledDataset, SampledFunction
+from .functions import SampledFunction
 from .persistence import load_model, save_model, write_report
 from .selection import select, validate_grid
 from .solver import decision_values, train_svm
-
-DEFAULT_THREADS = int(os.environ.get("FUNCSVM_THREADS", "1"))
 
 
 def _error_code(exc: FuncSvmError) -> str:
@@ -104,7 +102,7 @@ def cmd_train(args) -> int:
         l = cfg.split.get("l") or len(data) // 2
         result = select(
             cfg.grid, data, l, policy=cfg.split.get("policy", "first_l"),
-            seed=cfg.seed, tol=cfg.tol, threads=args.threads,
+            seed=cfg.seed, tol=cfg.tol,
         )
         model = result.model
         payload = {
@@ -135,7 +133,7 @@ def cmd_select(args) -> int:
     l = cfg.split.get("l") or len(data) // 2
     result = select(
         cfg.grid, data, l, policy=cfg.split.get("policy", "first_l"),
-        seed=cfg.seed, tol=cfg.tol, threads=args.threads,
+        seed=cfg.seed, tol=cfg.tol,
     )
     payload = {
         "chosen": _candidate_doc(result.chosen),
@@ -151,28 +149,25 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _load_predict_curves(path: str, model) -> tuple[LabeledDataset | None, list]:
+def _load_predict_curves(path: str, model) -> list[SampledFunction]:
     """Curves for prediction: csv_rows with labels, or bare value rows."""
-    import csv as _csv
-
-    rows = [r for r in _csv.reader(Path(path).read_text().splitlines()) if r]
-    if not rows:
-        raise DataError(f"{path} contains no rows")
+    rows = _read_rows(path)
     # Header rows carry numeric abscissae, so detect them by the label column.
-    if rows[0][-1].strip().lower() == "label":
+    if rows[0][1][-1].strip().lower() == "label":
         rows = rows[1:]
         if not rows:
-            raise DataError(f"{path} has a header but no data rows")
+            raise ParseError(f"{path} has a header but no data rows")
     n = len(model.grid)
     curves = []
-    for i, row in enumerate(rows):
+    for line, row in rows:
         if len(row) == n + 1:
             row = row[:-1]
         if len(row) != n:
             raise GridMismatchError(
-                f"row {i + 1} has {len(row)} values, model grid expects {n}"
+                f"line {line}: row has {len(row)} values, model grid expects {n}"
             )
-        curves.append(SampledFunction(model.grid, np.asarray(row, dtype=float)))
+        values = np.array([_parse_float(c, line) for c in row])
+        curves.append(SampledFunction(model.grid, values))
     return curves
 
 
@@ -200,20 +195,18 @@ def cmd_evaluate(args) -> int:
     if kind == "leave_one_out":
         report = run_leave_one_out(
             data, cfg.grid, inner_l=proto.get("inner_l"), tol=cfg.tol,
-            threads=args.threads,
         )
     elif kind == "fixed_split":
         report = run_fixed_split(
             data, cfg.grid, train_size=proto["train_size"],
             inner_l=proto["inner_l"], seed=cfg.seed,
             policy=proto.get("policy", "first_l"), tol=cfg.tol,
-            threads=args.threads,
         )
     elif kind == "repeated_splits":
         report = run_repeated_splits(
             data, cfg.grid, count=proto.get("count", 1),
             train_size=proto["train_size"], inner_l=proto["inner_l"],
-            seed=cfg.seed, tol=cfg.tol, threads=args.threads,
+            seed=cfg.seed, tol=cfg.tol,
         )
     else:
         raise UsageError(f"unknown protocol kind {kind!r}")
@@ -273,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sigma-grid", help="override Gaussian sigma grid")
             p.add_argument("--d-range", help="override dimensions: lo:hi or comma list")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=DEFAULT_THREADS,
-                       help="worker threads for independent candidates")
 
     p = sub.add_parser("train", help="train a model from a config")
     add_common(p)

@@ -6,10 +6,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .basis import BasisSpec
 from .datasets import DatasetDescriptor
 from .errors import UsageError
-from .kernels import BaseKernel, FunctionalKernel, Transform
+from .kernels import BaseKernel, FunctionalKernel, transforms_from_dicts
 from .selection import STEP_PENALTY_CAP, STEP_PENALTY_HIGH, CandidateGrid, step_penalty
 
 __all__ = ["RunConfig", "load_config", "build_grid"]
@@ -101,31 +100,10 @@ def _expand_kernels(entries, transforms) -> list[FunctionalKernel]:
 
 def build_grid(doc: dict) -> CandidateGrid:
     """Resolve a grid document into an ordered :class:`CandidateGrid`."""
-    transforms = tuple(
-        Transform(
-            t["kind"],
-            order=t.get("order", 2),
-            spline_dimension=t.get("spline_dimension", 0),
-        )
-        for t in doc.get("transforms", [])
-    )
+    transforms = transforms_from_dicts(doc.get("transforms", []))
     kernels = _expand_kernels(doc.get("kernels", []), transforms)
     C_values = doc.get("C", [])
     dimensions = doc.get("dimensions", [0])
-    basis_family = doc.get("basis", "fourier")
-    spline_degree = doc.get("spline_degree", 3)
-    if basis_family != "fourier":
-        # attach the requested family so from_axes rebuilds it per dimension
-        kernels = [
-            FunctionalKernel(
-                transforms=k.transforms,
-                projection=BasisSpec(basis_family, max(d for d in dimensions if d > 0),
-                                     spline_degree=spline_degree)
-                if any(d > 0 for d in dimensions) else None,
-                base=k.base,
-            )
-            for k in kernels
-        ]
     penalty_doc = doc.get("penalty", {"kind": "step"})
     if penalty_doc.get("kind") == "step":
         cap = penalty_doc.get("cap", STEP_PENALTY_CAP)
@@ -140,4 +118,6 @@ def build_grid(doc: dict) -> CandidateGrid:
     return CandidateGrid.from_axes(
         kernels, C_values, dimensions=dimensions,
         penalties=penalties, default_penalty=default,
+        family=doc.get("basis", "fourier"),
+        spline_degree=doc.get("spline_degree", 3),
     )

@@ -16,7 +16,6 @@ threshold (default 20).
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,12 +57,13 @@ def _parse_float(cell: str, line: int) -> float:
 
 
 def _read_rows(path: str):
+    # Stream the file: an in-memory copy of the text would raise peak memory.
     try:
-        text = Path(path).read_text()
+        with open(path, newline="") as handle:
+            rows = [(i + 1, row) for i, row in enumerate(csv.reader(handle))
+                    if row and any(c.strip() for c in row)]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    rows = [(i + 1, row) for i, row in enumerate(reader) if row and any(c.strip() for c in row)]
     if not rows:
         raise ParseError(f"{path} contains no data rows")
     return rows

@@ -1,8 +1,7 @@
 """Experiment protocols: leave-one-out, fixed and repeated splits.
 
 Every protocol is exactly reproducible from (data, grid, protocol, seed);
-report assembly is ordered by fold/run index regardless of any
-concurrency in the inner selection.
+report assembly is ordered by fold/run index.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ def run_leave_one_out(
     grid: CandidateGrid,
     inner_l: int | None = None,
     tol: float = 1e-3,
-    threads: int = 1,
 ) -> EvaluationReport:
     """Hold out each curve in turn; run the split-sample selection on the rest.
 
@@ -86,7 +84,7 @@ def run_leave_one_out(
         rest = [j for j in range(n) if j != i]
         fold = data.subset(rest)
         try:
-            result = select(grid, fold, l, policy="first_l", tol=tol, threads=threads)
+            result = select(grid, fold, l, policy="first_l", tol=tol)
         except FuncSvmError as exc:
             excluded += 1
             chosen.append({"fold": i, "error": f"{type(exc).__name__}: {exc}"})
@@ -114,12 +112,11 @@ def run_fixed_split(
     seed: int | None = None,
     policy: str = "first_l",
     tol: float = 1e-3,
-    threads: int = 1,
 ) -> EvaluationReport:
     """One outer train/test split with an inner split-sample selection."""
     report = run_repeated_splits(
         data, grid, count=1, train_size=train_size, inner_l=inner_l,
-        seed=seed, outer_policy=policy, tol=tol, threads=threads,
+        seed=seed, outer_policy=policy, tol=tol,
     )
     report.protocol = {**report.protocol, "kind": "fixed_split"}
     return report
@@ -135,7 +132,6 @@ def run_repeated_splits(
     outer_policy: str = "seeded_shuffle",
     inner_policy: str = "seeded_shuffle",
     tol: float = 1e-3,
-    threads: int = 1,
 ) -> EvaluationReport:
     """Repeat a random train/test split ``count`` times and average test error."""
     n = len(data)
@@ -160,7 +156,7 @@ def run_repeated_splits(
         try:
             result = select(
                 grid, train, inner_l, policy=inner_policy,
-                seed=run_seed + 1, tol=tol, threads=threads,
+                seed=run_seed + 1, tol=tol,
             )
         except FuncSvmError as exc:
             excluded += 1

@@ -27,9 +27,11 @@ __all__ = [
     "prepare_batch",
     "kernel_eval",
     "gram_matrix",
-    "cross_matrix",
+    "pairwise_statistic",
+    "kernel_from_statistic",
     "kernel_to_dict",
     "kernel_from_dict",
+    "transforms_from_dicts",
 ]
 
 EXP_FLOOR = -700.0  # clamp for Gaussian exponents, avoids exact underflow
@@ -66,6 +68,11 @@ class BaseKernel:
     @classmethod
     def polynomial(cls, degree: int) -> "BaseKernel":
         return cls("polynomial", degree=int(degree))
+
+    @property
+    def statistic(self) -> str:
+        """Name of the pairwise statistic the kernel is a function of."""
+        return "squared_distance" if self.kind == "gaussian" else "inner_product"
 
     def describe(self) -> str:
         if self.kind == "gaussian":
@@ -185,14 +192,26 @@ def squared_distance_matrix(a: PreparedBatch, b: PreparedBatch) -> np.ndarray:
     return np.maximum(na[:, None] + nb[None, :] - 2.0 * ab, 0.0)
 
 
+def pairwise_statistic(base: BaseKernel, a: PreparedBatch, b: PreparedBatch) -> np.ndarray:
+    """The pairwise statistic the base kernel is a function of: squared
+    distances for the Gaussian kernel, inner products otherwise."""
+    if base.statistic == "squared_distance":
+        return squared_distance_matrix(a, b)
+    return inner_product_matrix(a, b)
+
+
+def kernel_from_statistic(base: BaseKernel, stat: np.ndarray) -> np.ndarray:
+    """Map a :func:`pairwise_statistic` matrix to base kernel values."""
+    if base.kind == "linear":
+        return stat
+    if base.kind == "polynomial":
+        return (1.0 + stat) ** base.degree
+    return np.exp(np.maximum(-base.sigma * stat, EXP_FLOOR))
+
+
 def apply_base(base: BaseKernel, a: PreparedBatch, b: PreparedBatch) -> np.ndarray:
     """Base kernel matrix between two prepared batches."""
-    if base.kind == "linear":
-        return inner_product_matrix(a, b)
-    if base.kind == "polynomial":
-        return (1.0 + inner_product_matrix(a, b)) ** base.degree
-    d2 = squared_distance_matrix(a, b)
-    return np.exp(np.maximum(-base.sigma * d2, EXP_FLOOR))
+    return kernel_from_statistic(base, pairwise_statistic(base, a, b))
 
 
 def kernel_eval(
@@ -209,15 +228,6 @@ def gram_matrix(kernel: FunctionalKernel, functions) -> np.ndarray:
     prep = prepare_batch(kernel, functions)
     K = apply_base(kernel.base, prep, prep)
     return (K + K.T) / 2.0
-
-
-def cross_matrix(
-    kernel: FunctionalKernel, rows, cols
-) -> np.ndarray:
-    """Kernel values between two batches (rows x cols)."""
-    a = prepare_batch(kernel, rows)
-    b = prepare_batch(kernel, cols)
-    return apply_base(kernel.base, a, b)
 
 
 # -- Serialization ---------------------------------------------------------
@@ -256,14 +266,7 @@ def kernel_from_dict(doc: dict) -> FunctionalKernel:
         sigma=base_doc.get("sigma"),
         degree=base_doc.get("degree"),
     )
-    transforms = tuple(
-        Transform(
-            t["kind"],
-            order=t.get("order", 2),
-            spline_dimension=t.get("spline_dimension", 0),
-        )
-        for t in doc.get("transforms", [])
-    )
+    transforms = transforms_from_dicts(doc.get("transforms", []))
     proj_doc = doc.get("projection")
     projection = None
     if proj_doc is not None:
@@ -273,3 +276,15 @@ def kernel_from_dict(doc: dict) -> FunctionalKernel:
             spline_degree=proj_doc.get("spline_degree", 3),
         )
     return FunctionalKernel(transforms=transforms, projection=projection, base=base)
+
+
+def transforms_from_dicts(docs) -> tuple[Transform, ...]:
+    """Transform chain from its dictionary form (config files, model files)."""
+    return tuple(
+        Transform(
+            t["kind"],
+            order=t.get("order", 2),
+            spline_dimension=t.get("spline_dimension", 0),
+        )
+        for t in docs
+    )

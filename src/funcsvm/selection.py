@@ -4,14 +4,13 @@ The sample is split into a training part and a validation part; one SVM
 is trained per candidate (projection dimension d, kernel, C); the winner
 minimizes ``validation error + lambda_d / sqrt(validation size)``.  Ties
 break toward smaller d, then smaller C, then kernel declaration order.
-The returned model is the winning candidate's model trained on the
-training half (no refit on the full sample).
+The returned model is built from the winning candidate's own solve on
+the training half (no refit, neither on that half nor on the full sample).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,9 +22,16 @@ from .errors import (
     UsageError,
 )
 from .functions import LabeledDataset
-from .kernels import FunctionalKernel, prepare_batch, \
-    inner_product_matrix, squared_distance_matrix
-from .solver import DEFAULT_TOL, SvmModel, predict_batch, solve_dual, train_svm
+from .kernels import FunctionalKernel, kernel_from_statistic, pairwise_statistic, \
+    prepare_batch
+from .solver import (
+    DEFAULT_TOL,
+    DualSolution,
+    SvmModel,
+    model_from_solution,
+    predict_batch,
+    solve_dual,
+)
 
 __all__ = [
     "Candidate",
@@ -55,11 +61,7 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidateGrid:
-    """Ordered candidate list plus the per-dimension penalty table.
-
-    ``kernel_order`` records each candidate's kernel declaration index
-    within its dimension, used for deterministic tie-breaking.
-    """
+    """Ordered candidate list plus the per-dimension penalty table."""
 
     candidates: tuple[Candidate, ...]
     penalties: dict = field(default_factory=dict)
@@ -82,39 +84,31 @@ class CandidateGrid:
         dimensions=(0,),
         penalties=None,
         default_penalty: float = 0.0,
+        family: str = "fourier",
+        spline_degree: int = 3,
     ) -> "CandidateGrid":
         """Cartesian product grid.
 
         ``kernels`` is either a sequence of :class:`FunctionalKernel` used
         for every dimension, or a mapping from dimension to such a
-        sequence.  Each kernel's projection dimension is taken from the
-        ``dimensions`` axis: kernels given without a projection are
-        combined with a Fourier projection of the requested dimension
-        unless the dimension is 0.
+        sequence.  The projection comes from the ``dimensions`` axis alone:
+        each kernel is combined with the ``family`` basis of dimension d,
+        or with no projection when d is 0; a projection the kernel already
+        carries is replaced.
         """
         from .basis import BasisSpec
 
         cands = []
         for d in dimensions:
+            projection = (
+                BasisSpec(family, d, spline_degree=spline_degree) if d > 0 else None
+            )
             kernel_list = kernels[d] if isinstance(kernels, dict) else kernels
             for kernel in kernel_list:
-                if d > 0 and kernel.projection is None:
-                    kernel_d = FunctionalKernel(
-                        transforms=kernel.transforms,
-                        projection=BasisSpec("fourier", d),
-                        base=kernel.base,
-                    )
-                elif d > 0:
-                    kernel_d = FunctionalKernel(
-                        transforms=kernel.transforms,
-                        projection=BasisSpec(
-                            kernel.projection.family, d,
-                            spline_degree=kernel.projection.spline_degree,
-                        ),
-                        base=kernel.base,
-                    )
-                else:
-                    kernel_d = kernel
+                kernel_d = FunctionalKernel(
+                    transforms=kernel.transforms, projection=projection,
+                    base=kernel.base,
+                )
                 for C in C_values:
                     cands.append(Candidate(d, kernel_d, float(C)))
         return cls(tuple(cands), penalties=dict(penalties or {}),
@@ -182,6 +176,7 @@ class CandidateRecord:
     validation_error: float | None
     score: float | None
     error: str | None = None
+    solution: DualSolution | None = None
 
     def as_row(self) -> dict:
         from .kernels import kernel_to_dict
@@ -224,7 +219,11 @@ def _tie_break_key(record: CandidateRecord):
 
 
 class _PrepCache:
-    """Per-pipeline cache of prepared batches and pairwise statistics."""
+    """Per-pipeline cache of prepared batches and pairwise statistics.
+
+    A candidate's matrices are its base kernel applied to the cached
+    statistics, so they equal :func:`kernels.apply_base` bit for bit.
+    """
 
     def __init__(self, train: LabeledDataset, validation: LabeledDataset):
         self.train = train
@@ -243,34 +242,16 @@ class _PrepCache:
     def matrices(self, kernel: FunctionalKernel):
         """(train gram, validation x train) for the candidate's base kernel."""
         tr, va = self.prepared(kernel)
-        key = kernel.prep_signature
         base = kernel.base
-        if base.kind == "gaussian":
-            skey = ("sq", key)
-            if skey not in self._stats:
-                self._stats[skey] = (
-                    squared_distance_matrix(tr, tr),
-                    squared_distance_matrix(va, tr),
-                )
-            d_tt, d_vt = self._stats[skey]
-            from .kernels import EXP_FLOOR
-
-            K = np.exp(np.maximum(-base.sigma * d_tt, EXP_FLOOR))
-            Kv = np.exp(np.maximum(-base.sigma * d_vt, EXP_FLOOR))
-        else:
-            skey = ("ip", key)
-            if skey not in self._stats:
-                self._stats[skey] = (
-                    inner_product_matrix(tr, tr),
-                    inner_product_matrix(va, tr),
-                )
-            ip_tt, ip_vt = self._stats[skey]
-            if base.kind == "linear":
-                K, Kv = ip_tt, ip_vt
-            else:
-                K = (1.0 + ip_tt) ** base.degree
-                Kv = (1.0 + ip_vt) ** base.degree
-        return (K + K.T) / 2.0, Kv
+        key = (kernel.prep_signature, base.statistic)
+        if key not in self._stats:
+            self._stats[key] = (
+                pairwise_statistic(base, tr, tr),
+                pairwise_statistic(base, va, tr),
+            )
+        s_tt, s_vt = self._stats[key]
+        K = kernel_from_statistic(base, s_tt)
+        return (K + K.T) / 2.0, kernel_from_statistic(base, s_vt)
 
 
 def _evaluate_candidate(
@@ -293,9 +274,12 @@ def select(
     seed: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = 1_000_000,
-    threads: int = 1,
 ) -> SelectionResult:
-    """Run the full split-sample search and return the winning model."""
+    """Run the full split-sample search and return the winning model.
+
+    Each candidate is solved once; the returned model is the winner's
+    solve, kept with the training half's prepared curves.
+    """
     if len(grid) == 0:
         raise UsageError("the candidate grid is empty")
     split = split_sample(data, l, policy=policy, seed=seed)
@@ -303,32 +287,26 @@ def select(
     m = len(split.validation)
 
     kernel_orders = _kernel_declaration_order(grid)
-
-    def run(indexed):
-        idx, cand = indexed
+    table = []
+    for idx, cand in enumerate(grid.candidates):
         try:
-            _, err = _evaluate_candidate(cache, cand, tol, max_iter)
-            score = err + grid.penalty(cand.dimension) / np.sqrt(m)
-            return CandidateRecord(cand, idx, kernel_orders[idx], err, float(score))
+            sol, err = _evaluate_candidate(cache, cand, tol, max_iter)
         except FuncSvmError as exc:
-            return CandidateRecord(cand, idx, kernel_orders[idx], None, None,
-                                   error=f"{type(exc).__name__}: {exc}")
-
-    items = list(enumerate(grid.candidates))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            table = list(pool.map(run, items))
-    else:
-        table = [run(item) for item in items]
+            table.append(CandidateRecord(cand, idx, kernel_orders[idx], None, None,
+                                         error=f"{type(exc).__name__}: {exc}"))
+            continue
+        score = err + grid.penalty(cand.dimension) / np.sqrt(m)
+        table.append(CandidateRecord(cand, idx, kernel_orders[idx], err, float(score),
+                                     solution=sol))
 
     usable = [r for r in table if r.score is not None]
     if not usable:
         causes = "; ".join(f"[{r.index}] {r.error}" for r in table)
         raise DegenerateTrainingError(f"every candidate failed to train: {causes}")
     best = min(usable, key=_tie_break_key)
-    model = train_svm(
-        best.candidate.kernel, split.train, best.candidate.C, tol=tol,
-        max_iter=max_iter,
+    model = model_from_solution(
+        best.candidate.kernel, cache.prepared(best.candidate.kernel)[0],
+        split.train, best.solution, best.candidate.C, tol,
         meta={"dimension": best.candidate.dimension, "seed": seed,
               "split_policy": policy, "l": l},
     )

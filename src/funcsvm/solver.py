@@ -17,11 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateTrainingError
+from .errors import ConvergenceError, DataError, DegenerateTrainingError
 from .functions import LabeledDataset, SampledFunction, SamplingGrid
 from .kernels import FunctionalKernel, PreparedBatch, apply_base, prepare_batch
 
-__all__ = ["DualSolution", "SvmModel", "solve_dual", "train_svm", "decision_value", "predict"]
+__all__ = [
+    "DualSolution", "SvmModel", "solve_dual", "train_svm", "model_from_solution",
+    "decision_value", "predict",
+]
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 10_000_000
@@ -45,8 +48,10 @@ def solve_dual(
 ) -> DualSolution:
     """Maximal-violating-pair SMO on the dual problem.
 
-    Raises :class:`DegenerateTrainingError` if only one class is present
-    and :class:`ConvergenceError` (carrying the best iterate) if the
+    Raises :class:`DegenerateTrainingError` if only one class is present,
+    :class:`DataError` if the kernel matrix holds a NaN or infinite entry
+    (no violation could ever be compared with ``tol``), and
+    :class:`ConvergenceError` (carrying the best iterate) if the
     iteration budget runs out.
     """
     K = np.asarray(gram, dtype=float)
@@ -54,6 +59,8 @@ def solve_dual(
     n = y.size
     if n < 2 or K.shape != (n, n):
         raise DegenerateTrainingError("need at least two labeled examples")
+    if not np.isfinite(K).all():
+        raise DataError("kernel matrix has non-finite entries")
     if np.all(y > 0) or np.all(y < 0):
         raise DegenerateTrainingError("training data contains a single class")
     if C <= 0:
@@ -170,6 +177,20 @@ def train_svm(
     K = apply_base(kernel.base, prep, prep)
     K = (K + K.T) / 2.0
     sol = solve_dual(K, data.labels, C, tol=tol, max_iter=max_iter)
+    return model_from_solution(kernel, prep, data, sol, C, tol, meta)
+
+
+def model_from_solution(
+    kernel: FunctionalKernel,
+    prep: PreparedBatch,
+    data: LabeledDataset,
+    sol: DualSolution,
+    C: float,
+    tol: float,
+    meta: dict | None = None,
+) -> SvmModel:
+    """Classifier from a solved dual: ``prep`` is ``data`` prepared under
+    ``kernel``, and ``sol`` solves it with box constraint ``C``."""
     keep = sol.alphas > 1e-10 * C
     idx = np.flatnonzero(keep)
     support = PreparedBatch(prep.vectors[idx], prep.metric)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,22 @@ class TestSelectPredictPipeline:
         err = capsys.readouterr().err
         assert err.startswith("FSVM-ERROR code=data msg=")
 
+    def test_non_numeric_cell_exits_2_with_line_number(self, tmp_path, synth_csv, capsys):
+        cfg = write_config(tmp_path, synth_csv)
+        out = tmp_path / "run"
+        assert main(["select", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = synth_csv.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[3] = "abc"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([lines[0], lines[1], ",".join(cells)]) + "\n")
+        rc = main(["predict", "--model", str(out / "model.fsvm"), "--data", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=data msg=line 3:")
+
 
 class TestTrain:
     def test_single_candidate_goes_direct(self, tmp_path, synth_csv):
@@ -184,3 +204,14 @@ class TestOverridesAndInspect:
     def test_bad_usage_exits_1(self, capsys):
         assert main(["select"]) == 1  # missing required flags
         capsys.readouterr()
+
+
+def test_version_ignores_the_environment():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "FUNCSVM_THREADS": "abc", "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-m", "funcsvm.cli", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0.1.0"
+    assert proc.stderr == ""

@@ -13,7 +13,7 @@ from funcsvm import (
     kernel_eval,
 )
 from funcsvm.errors import ConfigurationError, DegenerateFunctionError
-from funcsvm.kernels import cross_matrix, kernel_from_dict, kernel_to_dict
+from funcsvm.kernels import kernel_from_dict, kernel_to_dict
 
 
 def random_functions(n_funcs, grid_len=64, seed=0, interval=(0.0, 1.0)):
@@ -154,15 +154,6 @@ class TestProjectionConsistency:
         assert kernel_eval(q_coeff, funcs[0], funcs[1]) == pytest.approx(
             inner_product(recon[0], recon[1]), rel=1e-8
         )
-
-
-class TestCrossMatrix:
-    def test_shapes_and_values(self):
-        _, funcs = random_functions(5, seed=7)
-        q = FunctionalKernel(base=BaseKernel.gaussian(1.0))
-        K = cross_matrix(q, funcs[:2], funcs[2:])
-        assert K.shape == (2, 3)
-        assert K[1, 2] == pytest.approx(kernel_eval(q, funcs[1], funcs[4]), abs=1e-12)
 
 
 class TestSerialization:

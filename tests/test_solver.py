@@ -12,7 +12,7 @@ from funcsvm import (
     solve_dual,
     train_svm,
 )
-from funcsvm.errors import ConvergenceError, DegenerateTrainingError
+from funcsvm.errors import ConvergenceError, DataError, DegenerateTrainingError
 from funcsvm.solver import decision_values, predict_batch
 
 from conftest import dual_objective, qp_oracle, random_tiny_problem
@@ -113,6 +113,17 @@ class TestDegenerateInputs:
         K, y = random_tiny_problem(np.random.default_rng(5))
         with pytest.raises(DegenerateTrainingError):
             solve_dual(K, y, C=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gram_raises_before_iterating(self, bad):
+        # A NaN violation compares false against tol both ways, so the loop
+        # would spend its whole budget; the check must come first, which a
+        # DataError (not a ConvergenceError or a result) shows.
+        K, y = random_tiny_problem(np.random.default_rng(7))
+        K = K.copy()
+        K[1, 2] = K[2, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            solve_dual(K, y, C=1.0, max_iter=20_000)
 
     def test_budget_exhaustion_carries_best_iterate(self):
         K, y = random_tiny_problem(np.random.default_rng(6), "gaussian")
