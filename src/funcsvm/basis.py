@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .errors import ConfigurationError
 from .functions import LabeledDataset, SampledFunction, SamplingGrid
@@ -36,6 +37,7 @@ __all__ = [
     "BasisSpec",
     "CoefficientVector",
     "project",
+    "project_rows",
     "reconstruct",
     "basis_matrix",
     "coefficient_gram",
@@ -107,42 +109,37 @@ def _fourier_columns(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     return cols
 
 
-def _fourier_fft_coefficients(spec: BasisSpec, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
+def _fourier_fft_rows(spec: BasisSpec, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
     # Trapezoid quadrature of v * Psi_j on a uniform closed grid equals a
     # length (n-1) DFT of the weighted samples plus the endpoint term.
     a, b = grid.interval
-    v = grid.weights * values
-    F = np.fft.rfft(v[:-1])
-    end = v[-1]
+    v = values * grid.weights
+    F = np.fft.rfft(v[:, :-1], axis=1)
+    end = v[:, -1:]
+    if spec.dimension // 2 >= F.shape[1]:
+        raise ConfigurationError("fourier dimension too large for the FFT fast path")
     scale = 1.0 / np.sqrt(b - a)
-    out = np.empty(spec.dimension)
-    for j in range(spec.dimension):
-        if j == 0:
-            out[j] = scale * (F[0].real + end)
-        else:
-            k = (j + 1) // 2
-            if k >= F.size:
-                raise ConfigurationError(
-                    "fourier dimension too large for the FFT fast path"
-                )
-            if j % 2 == 1:
-                out[j] = np.sqrt(2.0) * scale * (F[k].real + end)
-            else:
-                out[j] = np.sqrt(2.0) * scale * (-F[k].imag)
+    # Odd columns are cosines, even columns after the first are sines, of
+    # frequency 1, 2, ...
+    n_cos, n_sin = spec.dimension // 2, (spec.dimension - 1) // 2
+    out = np.empty((values.shape[0], spec.dimension))
+    out[:, :1] = scale * (F[:, :1].real + end)
+    out[:, 1::2] = np.sqrt(2.0) * scale * (F[:, 1 : n_cos + 1].real + end)
+    out[:, 2::2] = np.sqrt(2.0) * scale * (-F[:, 1 : n_sin + 1].imag)
     return out
 
 
 # -- Haar ------------------------------------------------------------------
 
 def _haar_forward(y: np.ndarray) -> np.ndarray:
-    """Full orthonormal Haar transform of a power-of-two signal."""
-    s = y.copy()
+    """Full orthonormal Haar transform of each power-of-two-length row."""
+    s = y
     details = []
-    while s.size > 1:
-        d = (s[0::2] - s[1::2]) / np.sqrt(2.0)
-        s = (s[0::2] + s[1::2]) / np.sqrt(2.0)
+    while s.shape[1] > 1:
+        d = (s[:, 0::2] - s[:, 1::2]) / np.sqrt(2.0)
+        s = (s[:, 0::2] + s[:, 1::2]) / np.sqrt(2.0)
         details.append(d)
-    return np.concatenate([s] + details[::-1])
+    return np.concatenate([s] + details[::-1], axis=1)
 
 
 def _haar_inverse(c: np.ndarray) -> np.ndarray:
@@ -165,26 +162,23 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def _haar_project(spec: BasisSpec, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
+def _haar_rows(spec: BasisSpec, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
     n = len(grid)
-    if spec.dimension > n:
-        raise ConfigurationError("haar dimension exceeds grid length")
     w = grid.weights
     sw = np.sqrt(w)
     p = _next_pow2(n)
     if p == n:
-        return _haar_forward(sw * values)[: spec.dimension]
+        return _haar_forward(values * sw)[:, : spec.dimension]
     # Padded fallback: remove the quadrature mean, pad symmetrically, fold
     # the mean back into the scaling coefficient.
     mass = grid.total_mass
-    m = float(np.dot(w, values) / mass)
-    y = sw * (values - m)
+    m = values @ w / mass
     left = (p - n) // 2
-    padded = np.zeros(p)
-    padded[left : left + n] = y
+    padded = np.zeros((values.shape[0], p))
+    padded[:, left : left + n] = (values - m[:, None]) * sw
     c = _haar_forward(padded)
-    c[0] += m * np.sqrt(mass)
-    return c[: spec.dimension]
+    c[:, 0] += m * np.sqrt(mass)
+    return c[:, : spec.dimension]
 
 
 def _haar_reconstruct(spec: BasisSpec, grid: SamplingGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -212,8 +206,8 @@ def _bspline_tables(spec: BasisSpec, grid: SamplingGrid):
     B, _ = splines.design_matrix(grid.abscissae, spec.dimension, spec.spline_degree)
     W = grid.weights
     G = B.T @ (W[:, None] * B)
-    solve = np.linalg.cholesky(G)
-    return B, G, solve
+    chol = np.linalg.cholesky(G)
+    return B, G, chol
 
 
 # -- Public API ------------------------------------------------------------
@@ -253,15 +247,15 @@ def coefficient_gram(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     return g
 
 
-def project(
-    u: SampledFunction, spec: BasisSpec, use_fft: bool | None = None
-) -> CoefficientVector:
-    """Coefficients of the orthogonal projection of ``u`` onto the basis span.
+def project_rows(
+    spec: BasisSpec, grid: SamplingGrid, values: np.ndarray, use_fft: bool | None = None
+) -> np.ndarray:
+    """Projection coefficients of each row of an (N, n) value matrix, as an
+    (N, d) matrix.
 
     ``use_fft`` forces or forbids the FFT fast path for Fourier bases on
     uniform grids; by default it is used whenever applicable.
     """
-    grid = u.grid
     _check_compatible(spec, grid)
     if spec.family == "fourier":
         if use_fft is None:
@@ -269,17 +263,21 @@ def project(
         if use_fft:
             if not grid.is_uniform:
                 raise ConfigurationError("FFT projection requires a uniform grid")
-            coeffs = _fourier_fft_coefficients(spec, grid, u.values)
-        else:
-            cols = basis_matrix(spec, grid)
-            coeffs = cols.T @ (grid.weights * u.values)
-    elif spec.family == "haar_wavelet":
-        coeffs = _haar_project(spec, grid, u.values)
-    else:
-        B, _, chol = _bspline_tables(spec, grid)
-        rhs = B.T @ (grid.weights * u.values)
-        coeffs = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-    return CoefficientVector(coeffs, spec)
+            return _fourier_fft_rows(spec, grid, values)
+        return (values * grid.weights) @ basis_matrix(spec, grid)
+    if spec.family == "haar_wavelet":
+        return _haar_rows(spec, grid, values)
+    B, _, chol = _bspline_tables(spec, grid)
+    rhs = (values * grid.weights) @ B
+    return cho_solve((chol, True), rhs.T).T
+
+
+def project(
+    u: SampledFunction, spec: BasisSpec, use_fft: bool | None = None
+) -> CoefficientVector:
+    """Coefficients of the orthogonal projection of ``u`` onto the basis span
+    (a one-row :func:`project_rows`)."""
+    return CoefficientVector(project_rows(spec, u.grid, u.values[None], use_fft)[0], spec)
 
 
 def reconstruct(c: CoefficientVector, grid: SamplingGrid) -> SampledFunction:

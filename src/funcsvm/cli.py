@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_config
-from .datasets import _parse_float, _read_rows, load_dataset, write_csv
+from .datasets import _parse_row, _read_rows, load_dataset, write_csv
 from .errors import (
     ConvergenceError,
     DataError,
@@ -166,7 +166,7 @@ def _load_predict_curves(path: str, model) -> list[SampledFunction]:
             raise GridMismatchError(
                 f"line {line}: row has {len(row)} values, model grid expects {n}"
             )
-        values = np.array([_parse_float(c, line) for c in row])
+        values = _parse_row(row, line)
         curves.append(SampledFunction(model.grid, values))
     return curves
 

@@ -56,6 +56,15 @@ def _parse_float(cell: str, line: int) -> float:
         raise ParseError(f"non-numeric cell {cell!r}", line=line) from None
 
 
+def _parse_row(cells, line: int) -> np.ndarray:
+    """Numeric cells of one row.  NumPy converts each string with ``float``;
+    a cell it rejects is found by the per-cell path, which names the line."""
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        return np.array([_parse_float(c, line) for c in cells])
+
+
 def _read_rows(path: str):
     # Stream the file: an in-memory copy of the text would raise peak memory.
     try:
@@ -117,9 +126,7 @@ def _load_csv_rows(desc: DatasetDescriptor, rows) -> LabeledDataset:
     first_line, first_row = rows[0]
     # Header row: abscissae for the value columns, then a 'label' column name.
     if first_row[-1].strip().lower() == "label":
-        abscissae = tuple(
-            _parse_float(c, first_line) for c in first_row[:-1]
-        )
+        abscissae = _parse_row(first_row[:-1], first_line)
         rows = rows[1:]
         if not rows:
             raise ParseError("no data rows after the header")
@@ -134,7 +141,7 @@ def _load_csv_rows(desc: DatasetDescriptor, rows) -> LabeledDataset:
             raise ParseError(
                 f"row has {len(row)} cells, expected {n_cols + 1}", line=line
             )
-        values[i] = [_parse_float(c, line) for c in row[:-1]]
+        values[i] = _parse_row(row[:-1], line)
         labels[i] = _map_label(row[-1], desc.label_map, line)
     grid = (
         SamplingGrid.from_abscissae(np.asarray(abscissae, dtype=float))
@@ -156,7 +163,7 @@ def _load_tecator(desc: DatasetDescriptor, rows) -> LabeledDataset:
                 f"tecator row has {len(row)} cells, expected {expected} "
                 "(100 absorbances + fat)", line=line,
             )
-        values[i] = [_parse_float(c, line) for c in row[:-1]]
+        values[i] = _parse_row(row[:-1], line)
         fat = _parse_float(row[-1], line)
         labels[i] = 1 if fat > desc.fat_threshold else -1
     grid = _grid_for(desc, TECATOR_CHANNELS, default_interval=TECATOR_RANGE)
@@ -176,7 +183,7 @@ def _load_phoneme(desc: DatasetDescriptor, rows) -> LabeledDataset:
                 f"phoneme row has {len(row)} cells, expected {expected} "
                 "(256 values + class)", line=line,
             )
-        values[i] = [_parse_float(c, line) for c in row[:-1]]
+        values[i] = _parse_row(row[:-1], line)
         labels[i] = _map_label(row[-1], mapping, line)
     grid = _grid_for(desc, PHONEME_LENGTH)
     return LabeledDataset.from_matrix(grid, values, labels)

@@ -9,7 +9,8 @@ accurate on smooth integrands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +32,9 @@ __all__ = [
     "center",
     "normalize",
     "spline_derivative",
+    "center_rows",
+    "normalize_rows",
+    "spline_derivative_rows",
 ]
 
 
@@ -202,38 +206,73 @@ def quadrature_mean(u: SampledFunction) -> float:
     return float(np.dot(u.grid.weights, u.values) / mass)
 
 
+def center_rows(grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
+    """Subtract from each row of an (N, n) value matrix its quadrature mean."""
+    w = grid.weights
+    return values - (values @ w / grid.total_mass)[:, None]
+
+
+def normalize_rows(grid: SamplingGrid, values: np.ndarray, indices=None) -> np.ndarray:
+    """Center each row, then scale it to unit quadrature norm.
+
+    Constant rows are a hard error: silently mapping them to the zero
+    function would corrupt Gram matrices downstream.  The error names the
+    first such row by its entry in ``indices`` (default: its row number).
+    """
+    w = grid.weights
+    c = center_rows(grid, values)
+    n = np.sqrt((c * c) @ w)
+    bad = np.flatnonzero(n <= 1e-12 * np.maximum(np.sqrt((values * values) @ w), 1.0))
+    if bad.size:
+        k = int(bad[0])
+        raise DegenerateFunctionError(
+            "cannot normalize a (near-)constant function",
+            index=k if indices is None else indices[k],
+        )
+    return c / n[:, None]
+
+
+@lru_cache(maxsize=64)
+def _derivative_operator(grid: SamplingGrid, order: int, dimension: int) -> np.ndarray:
+    """Cached :func:`splines.derivative_operator` on the grid's abscissae."""
+    if order not in (1, 2):
+        raise ConfigurationError("derivative order must be 1 or 2")
+    D = splines.derivative_operator(grid.abscissae, dimension, order)
+    D.setflags(write=False)
+    return D
+
+
+def spline_derivative_rows(
+    grid: SamplingGrid, values: np.ndarray, order: int, dimension: int
+) -> np.ndarray:
+    """Derivative of a least-squares cubic B-spline fit of each row.
+
+    The spline basis has ``dimension`` functions on uniform interior knots
+    with clamped boundary knots; the fitted spline is differentiated
+    analytically and re-evaluated on the grid.  Fit and derivative are one
+    fixed linear map, applied to all rows in one product.
+    """
+    return values @ _derivative_operator(grid, order, dimension).T
+
+
+# Single-curve forms: one-row calls into the batched functions above.
+
 def center(u: SampledFunction) -> SampledFunction:
     """Subtract the quadrature mean; idempotent."""
-    return u.with_values(u.values - quadrature_mean(u))
+    return u.with_values(center_rows(u.grid, u.values[None])[0])
 
 
 def normalize(u: SampledFunction, index: int | None = None) -> SampledFunction:
-    """Center then scale to unit quadrature norm.
+    """Center then scale to unit quadrature norm (see :func:`normalize_rows`).
 
-    Constant inputs are a hard error: silently mapping them to the zero
-    function would corrupt Gram matrices downstream.  ``index`` labels the
-    offending curve when applied over a batch.
+    ``index`` labels the offending curve in the error.
     """
-    c = center(u)
-    n = norm(c)
-    if n <= 1e-12 * max(norm(u), 1.0):
-        raise DegenerateFunctionError(
-            "cannot normalize a (near-)constant function", index=index
-        )
-    return c.with_values(c.values / n)
+    return u.with_values(normalize_rows(u.grid, u.values[None], indices=(index,))[0])
 
 
 def spline_derivative(
     u: SampledFunction, order: int, dimension: int
 ) -> SampledFunction:
-    """Derivative of a least-squares cubic B-spline fit of ``u``.
-
-    The spline basis has ``dimension`` functions on uniform interior knots
-    with clamped boundary knots; the fitted spline is differentiated
-    analytically and re-evaluated on the original grid.
-    """
-    if order not in (1, 2):
-        raise ConfigurationError("derivative order must be 1 or 2")
-    spline = splines.fit_spline(u.grid.abscissae, u.values, dimension)
-    deriv = spline.derivative(order)
-    return u.with_values(deriv(u.grid.abscissae))
+    """Derivative of a least-squares cubic B-spline fit of ``u``
+    (see :func:`spline_derivative_rows`)."""
+    return u.with_values(spline_derivative_rows(u.grid, u.values[None], order, dimension)[0])

@@ -16,8 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import basis as basis_mod
-from .errors import ConfigurationError
-from .functions import SampledFunction, center, normalize, spline_derivative
+from .errors import ConfigurationError, DataError, GridMismatchError
+from .functions import (
+    SampledFunction,
+    SamplingGrid,
+    center,
+    center_rows,
+    normalize,
+    normalize_rows,
+    spline_derivative,
+    spline_derivative_rows,
+)
 
 __all__ = [
     "BaseKernel",
@@ -104,11 +113,20 @@ class Transform:
         raise ConfigurationError(f"unknown transform {self.kind!r}")
 
     def apply(self, u: SampledFunction, index: int | None = None) -> SampledFunction:
+        """The transform of one curve; ``index`` labels it in errors."""
         if self.kind == "center":
             return center(u)
         if self.kind == "normalize":
             return normalize(u, index=index)
         return spline_derivative(u, self.order, self.spline_dimension)
+
+    def apply_rows(self, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
+        """The transform of each row of an (N, n) value matrix."""
+        if self.kind == "center":
+            return center_rows(grid, values)
+        if self.kind == "normalize":
+            return normalize_rows(grid, values)
+        return spline_derivative_rows(grid, values, self.order, self.spline_dimension)
 
 
 @dataclass(frozen=True)
@@ -154,23 +172,28 @@ class PreparedBatch:
 
 
 def prepare_batch(kernel: FunctionalKernel, functions) -> PreparedBatch:
-    """Apply the kernel's transforms and projection to a batch of curves."""
+    """Apply the kernel's transforms and projection to a batch of curves.
+
+    The curves are stacked once into an (N, n) value matrix, and each step
+    maps the whole matrix at once.
+    """
     funcs = list(functions)
     if not funcs:
         raise ConfigurationError("cannot prepare an empty batch")
-    for t in kernel.transforms:
-        funcs = [t.apply(f, index=i) for i, f in enumerate(funcs)]
     grid = funcs[0].grid
-    if kernel.projection is not None:
-        spec = kernel.projection
-        vectors = np.stack(
-            [basis_mod.project(f, spec).coefficients for f in funcs]
-        )
-        gram = basis_mod.coefficient_gram(spec, grid)
-        metric = np.ones(spec.dimension) if spec.orthonormal else gram
-    else:
-        vectors = np.stack([f.values for f in funcs])
-        metric = grid.weights
+    if any(f.grid is not grid and f.grid != grid for f in funcs):
+        raise GridMismatchError("functions are sampled on different grids")
+    values = np.stack([f.values for f in funcs])
+    for t in kernel.transforms:
+        values = t.apply_rows(grid, values)
+        if not np.isfinite(values).all():
+            raise DataError("function values must all be finite")
+    if kernel.projection is None:
+        return PreparedBatch(values, grid.weights)
+    spec = kernel.projection
+    vectors = basis_mod.project_rows(spec, grid, values)
+    gram = basis_mod.coefficient_gram(spec, grid)
+    metric = np.ones(spec.dimension) if spec.orthonormal else gram
     return PreparedBatch(vectors, metric)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrityError
+from .errors import ConfigurationError, IntegrityError
 from .functions import SamplingGrid
 from .kernels import PreparedBatch, kernel_from_dict, kernel_to_dict
 from .solver import SvmModel
@@ -78,27 +78,64 @@ def load_model(path: str) -> SvmModel:
         doc = json.loads(blob[5:].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"model file {path} is corrupt or truncated: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise IntegrityError(f"model file {path} does not hold a JSON object")
     try:
-        grid = SamplingGrid(
-            np.asarray(doc["grid"]["abscissae"], dtype=float),
-            np.asarray(doc["grid"]["weights"], dtype=float),
-        )
-        vectors = np.asarray(doc["support_vectors"], dtype=float)
-        if vectors.size == 0:
-            vectors = vectors.reshape(0, 0)
-        model = SvmModel(
-            kernel=kernel_from_dict(doc["kernel"]),
-            grid=grid,
-            support=PreparedBatch(vectors, np.asarray(doc["metric"], dtype=float)),
-            support_coeffs=np.asarray(doc["support_coeffs"], dtype=float),
-            support_labels=np.asarray(doc["support_labels"], dtype=int),
-            support_alphas=np.asarray(doc["support_alphas"], dtype=float),
-            bias=float(doc["bias"]),
-            meta=doc.get("meta", {}),
-        )
+        model = _model_from_doc(doc)
     except KeyError as exc:
         raise IntegrityError(f"model file {path} is missing field {exc}") from exc
+    except (ConfigurationError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise IntegrityError(f"model file {path} is inconsistent: {exc}") from exc
     return model
+
+
+def _model_from_doc(doc: dict) -> SvmModel:
+    """The model a parsed model file describes; ``ValueError`` when its
+    arrays disagree in shape."""
+    kernel = kernel_from_dict(doc["kernel"])
+    grid = SamplingGrid(
+        np.asarray(doc["grid"]["abscissae"], dtype=float),
+        np.asarray(doc["grid"]["weights"], dtype=float),
+    )
+    metric = np.asarray(doc["metric"], dtype=float)
+    vectors = np.asarray(doc["support_vectors"], dtype=float)
+    if vectors.size == 0 and metric.ndim > 0:
+        vectors = vectors.reshape(0, metric.shape[0])
+    coeffs = np.asarray(doc["support_coeffs"], dtype=float)
+    labels = np.asarray(doc["support_labels"], dtype=int)
+    alphas = np.asarray(doc["support_alphas"], dtype=float)
+    spec = kernel.projection
+    width = len(grid) if spec is None else spec.dimension
+    if vectors.ndim != 2 or vectors.shape[1] != width:
+        raise ValueError(
+            f"support vectors have shape {vectors.shape}, the kernel needs rows of {width}"
+        )
+    # A diagonal metric (weights) unless coefficients live in a non-orthonormal basis.
+    metric_shape = (width,) if spec is None or spec.orthonormal else (width, width)
+    if metric.shape != metric_shape:
+        raise ValueError(f"metric has shape {metric.shape}, the kernel needs {metric_shape}")
+    for name, arr in (("coeffs", coeffs), ("labels", labels), ("alphas", alphas)):
+        if arr.shape != (vectors.shape[0],):
+            raise ValueError(
+                f"support {name} have shape {arr.shape}, "
+                f"expected one per support vector ({vectors.shape[0]})"
+            )
+    bias = float(doc["bias"])
+    if not all(np.isfinite(a).all() for a in (vectors, metric, coeffs, alphas, bias)):
+        raise ValueError("support data or bias hold a non-finite number")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("meta is not an object")
+    return SvmModel(
+        kernel=kernel,
+        grid=grid,
+        support=PreparedBatch(vectors, metric),
+        support_coeffs=coeffs,
+        support_labels=labels,
+        support_alphas=alphas,
+        bias=bias,
+        meta=meta,
+    )
 
 
 def write_report(payload: dict, path: str, meta: dict | None = None) -> None:

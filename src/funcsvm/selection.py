@@ -25,6 +25,7 @@ from .functions import LabeledDataset
 from .kernels import FunctionalKernel, kernel_from_statistic, pairwise_statistic, \
     prepare_batch
 from .solver import (
+    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     DualSolution,
     SvmModel,
@@ -273,7 +274,7 @@ def select(
     policy: str = "first_l",
     seed: int | None = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 1_000_000,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SelectionResult:
     """Run the full split-sample search and return the winning model.
 

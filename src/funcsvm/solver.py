@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-3
-DEFAULT_MAX_ITER = 10_000_000
+DEFAULT_MAX_ITER = 1_000_000  # SMO updates per solve, for train and select alike
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Least-squares cubic B-spline fitting on clamped uniform knots."""
+"""Least-squares cubic B-spline smoothing on clamped uniform knots."""
 
 from __future__ import annotations
 
@@ -32,16 +32,23 @@ def design_matrix(x: np.ndarray, dimension: int, degree: int = SPLINE_DEGREE) ->
     return BSpline.design_matrix(x, t, degree).toarray(), t
 
 
-def fit_spline(x: np.ndarray, y: np.ndarray, dimension: int, degree: int = SPLINE_DEGREE) -> BSpline:
-    """Least-squares fit of ``y`` sampled at ``x`` onto the spline basis."""
+def derivative_operator(x: np.ndarray, dimension: int, order: int,
+                        degree: int = SPLINE_DEGREE) -> np.ndarray:
+    """The (n, n) matrix that maps samples at ``x`` to the ``order``-th
+    derivative, at ``x``, of their least-squares spline fit.
+
+    The fit is the linear smoother ``pinv(B)``, so the derivative of the
+    fit is ``B_order @ pinv(B)`` with ``B_order`` the differentiated
+    design matrix.
+    """
     x = np.asarray(x, dtype=float)
     if dimension > x.size:
         raise ConfigurationError(
             f"spline dimension {dimension} exceeds the number of samples {x.size}"
         )
     B, t = design_matrix(x, dimension, degree)
-    coeffs, *_ = np.linalg.lstsq(B, np.asarray(y, dtype=float), rcond=None)
-    return BSpline(t, coeffs, degree)
+    B_order = BSpline(t, np.eye(dimension), degree).derivative(order)(x)
+    return B_order @ np.linalg.pinv(B)
 
 
 def loo_reconstruction_error(x: np.ndarray, rows: np.ndarray, dimension: int) -> float:

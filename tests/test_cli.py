@@ -121,6 +121,47 @@ class TestSelectPredictPipeline:
         assert err[0].startswith("FSVM-ERROR code=data msg=line 3:")
 
 
+def _truncate_coeffs(doc):
+    doc["support_coeffs"] = doc["support_coeffs"][:-1]
+    return doc
+
+
+def _widen_vectors(doc):
+    doc["support_vectors"] = [row + [0.0] for row in doc["support_vectors"]]
+    return doc
+
+
+def _unknown_kernel_kind(doc):
+    doc["kernel"]["base"]["kind"] = "sigmoid"
+    return doc
+
+
+class TestCorruptModelFile:
+    """A model file that parses as JSON but does not describe a model exits 2
+    with one data error, never a traceback or a usage error."""
+
+    @pytest.mark.parametrize("mutate", [
+        _truncate_coeffs,
+        _widen_vectors,
+        lambda doc: [doc],
+        _unknown_kernel_kind,
+    ], ids=["truncated-coeffs", "wrong-vector-width", "json-list", "unknown-kernel-kind"])
+    def test_predict_exits_2_with_a_data_error(self, tmp_path, synth_csv, capsys, mutate):
+        cfg = write_config(tmp_path, synth_csv)
+        out = tmp_path / "run"
+        assert main(["select", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        model_path = out / "model.fsvm"
+        blob = model_path.read_bytes()
+        doc = mutate(json.loads(blob[5:].decode("utf-8")))
+        model_path.write_bytes(blob[:5] + json.dumps(doc).encode("utf-8"))
+        rc = main(["predict", "--model", str(model_path), "--data", str(synth_csv)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=data msg=")
+
+
 class TestTrain:
     def test_single_candidate_goes_direct(self, tmp_path, synth_csv):
         cfg = write_config(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from funcsvm import DatasetDescriptor, load_dataset, write_csv
-from funcsvm.datasets import TECATOR_RANGE
+from funcsvm.datasets import TECATOR_RANGE, _parse_row
 from funcsvm.errors import ParseError, UsageError
 
 
@@ -56,6 +56,24 @@ class TestCsvRows:
         with pytest.raises(ParseError) as info:
             load_dataset(DatasetDescriptor(path))
         assert info.value.line == 2
+
+    def test_row_parse_matches_float_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        magnitudes = 10.0 ** rng.integers(-300, 300, 50)
+        cells = [repr(float(x)) for x in rng.standard_normal(50) * magnitudes]
+        cells += [" 1.25 ", "\t-3e-7", "2.5\n", "-0.0", "0.0", "5e-324",
+                  "2.2250738585072009e-308", "1.7976931348623157e+308", "+.5"]
+        parsed = _parse_row(cells, line=1)
+        expected = [float(c) for c in cells]
+        assert parsed.dtype == np.float64
+        assert parsed.tobytes() == np.array(expected).tobytes()  # signs of zeros too
+
+    def test_bad_cell_mid_row_cites_the_line(self, tmp_path):
+        rows = ["0.0,1.0,2.0,3.0,1"] * 4 + ["0.0,1.0,2..0,3.0,-1", "0.0,1.0,2.0,3.0,1"]
+        path = write(tmp_path, "g.csv", "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match="line 5: non-numeric cell '2..0'") as info:
+            load_dataset(DatasetDescriptor(path))
+        assert info.value.line == 5
 
     def test_bad_numeric_label_rejected(self, tmp_path):
         path = write(tmp_path, "g.csv", "0.0,1.0,2\n")

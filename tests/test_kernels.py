@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 
 from funcsvm import (
     BasisSpec,
@@ -13,7 +14,9 @@ from funcsvm import (
     kernel_eval,
 )
 from funcsvm.errors import ConfigurationError, DegenerateFunctionError
-from funcsvm.kernels import kernel_from_dict, kernel_to_dict
+from funcsvm.basis import basis_matrix
+from funcsvm.kernels import kernel_from_dict, kernel_to_dict, prepare_batch
+from funcsvm.splines import SPLINE_DEGREE, design_matrix
 
 
 def random_functions(n_funcs, grid_len=64, seed=0, interval=(0.0, 1.0)):
@@ -154,6 +157,81 @@ class TestProjectionConsistency:
         assert kernel_eval(q_coeff, funcs[0], funcs[1]) == pytest.approx(
             inner_product(recon[0], recon[1]), rel=1e-8
         )
+
+
+# -- Per-curve reference preparation ------------------------------------------
+# Written independently of the batched code in funcsvm: one curve at a time,
+# through a spline fit, quadrature sums and a plain Haar recursion.
+
+def _ref_center(g, v):
+    return v - np.dot(g.weights, v) / g.weights.sum()
+
+
+def _ref_normalize(g, v):
+    c = _ref_center(g, v)
+    return c / np.sqrt(np.dot(g.weights, c * c))
+
+
+def _ref_derivative(g, v, order, dimension):
+    B, knots = design_matrix(g.abscissae, dimension)
+    coeffs, *_ = np.linalg.lstsq(B, v, rcond=None)
+    return BSpline(knots, coeffs, SPLINE_DEGREE).derivative(order)(g.abscissae)
+
+
+def _ref_haar(y):
+    coeffs = []
+    while y.size > 1:
+        coeffs = list((y[0::2] - y[1::2]) / np.sqrt(2.0)) + coeffs
+        y = (y[0::2] + y[1::2]) / np.sqrt(2.0)
+    return np.array([y[0]] + coeffs)
+
+
+def _ref_project(g, v, spec):
+    wv = g.weights * v
+    if spec.family == "haar_wavelet":  # power-of-two grid: no padding
+        return _ref_haar(np.sqrt(g.weights) * v)[: spec.dimension]
+    cols = basis_matrix(spec, g)
+    if spec.family == "fourier":
+        return cols.T @ wv
+    return np.linalg.solve(cols.T @ (g.weights[:, None] * cols), cols.T @ wv)
+
+
+REF_TRANSFORMS = {
+    "none": ((), lambda g, v: v),
+    "center": ((Transform("center"),), _ref_center),
+    "derivative+normalize": (
+        (Transform("derivative", order=2, spline_dimension=20), Transform("normalize")),
+        lambda g, v: _ref_normalize(g, _ref_derivative(g, v, 2, 20)),
+    ),
+}
+
+
+class TestPrepareBatchAgainstPerCurveReference:
+    @pytest.mark.parametrize("chain", sorted(REF_TRANSFORMS))
+    @pytest.mark.parametrize("projection", [
+        None, BasisSpec("fourier", 15), BasisSpec("haar_wavelet", 32), BasisSpec("bspline", 16),
+    ], ids=["raw", "fourier", "haar", "bspline"])
+    def test_matches_to_1e_12(self, chain, projection):
+        g = SamplingGrid.uniform(0.0, 1.0, 128)
+        rng = np.random.default_rng(11)
+        rows = np.cumsum(rng.standard_normal((60, 128)), axis=1) \
+            + 3.0 * np.sin(2 * np.pi * rng.uniform(1, 4, (60, 1)) * g.abscissae)
+        funcs = [SampledFunction(g, r) for r in rows]
+        transforms, ref_transform = REF_TRANSFORMS[chain]
+        kernel = FunctionalKernel(transforms=transforms, projection=projection)
+        got = prepare_batch(kernel, funcs).vectors
+        ref = np.array([ref_transform(g, r) for r in rows])
+        if projection is not None:
+            ref = np.array([_ref_project(g, r, projection) for r in ref])
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_constant_curve_is_named_by_its_row(self):
+        g, funcs = random_functions(6)
+        funcs[3] = SampledFunction(g, np.full(len(g), 2.5))
+        kernel = FunctionalKernel(transforms=(Transform("normalize"),))
+        with pytest.raises(DegenerateFunctionError, match="function 3"):
+            prepare_batch(kernel, funcs)
 
 
 class TestSerialization:

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from funcsvm.config import build_grid
 from funcsvm.errors import DegenerateTrainingError, UsageError
 from funcsvm.kernels import Transform
 from funcsvm.selection import step_penalty
+from funcsvm.solver import DEFAULT_MAX_ITER
 
 
 GRID = SamplingGrid.uniform(0.0, 1.0, 64)
@@ -285,6 +288,16 @@ class TestSelect:
         assert errs == {0.0}
         assert res.chosen.dimension == 5
         assert res.chosen.C == 2.0
+
+    def test_select_and_train_share_one_iteration_budget(self):
+        # A candidate that cannot converge gets the same budget whether
+        # `funcsvm train` solves it directly or `select` solves it in a grid.
+        def default(fn):
+            return inspect.signature(fn).parameters["max_iter"].default
+
+        assert default(select) is DEFAULT_MAX_ITER
+        assert default(train_svm) is DEFAULT_MAX_ITER
+        assert DEFAULT_MAX_ITER == 1_000_000
 
 
 class TestValidateGrid:
