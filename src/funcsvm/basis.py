@@ -58,6 +58,11 @@ class BasisSpec:
             raise ConfigurationError(f"unknown basis family {self.family!r}")
         if self.dimension < 1:
             raise ConfigurationError("basis dimension must be >= 1")
+        degree = self.spline_degree
+        if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 0:
+            raise ConfigurationError(
+                f"spline degree must be a non-negative integer, got {degree!r}"
+            )
         if self.family == "bspline" and self.dimension < self.spline_degree + 1:
             raise ConfigurationError(
                 "bspline basis dimension must be >= spline degree + 1"
@@ -206,7 +211,13 @@ def _bspline_tables(spec: BasisSpec, grid: SamplingGrid):
     B, _ = splines.design_matrix(grid.abscissae, spec.dimension, spec.spline_degree)
     W = grid.weights
     G = B.T @ (W[:, None] * B)
-    chol = np.linalg.cholesky(G)
+    try:
+        chol = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigurationError(
+            f"bspline basis of dimension {spec.dimension} is singular on a grid of "
+            f"{len(grid)} points: too few samples under some basis function"
+        ) from exc
     return B, G, chol
 
 

@@ -94,7 +94,7 @@ def cmd_train(args) -> int:
                           meta={"seed": cfg.seed, "dimension": cand.dimension})
         payload = {
             "mode": "direct",
-            "candidate": _candidate_doc(cand),
+            "candidate": cand.as_dict(),
             "n_support": model.n_support,
             "grid_warnings": warnings,
         }
@@ -107,7 +107,7 @@ def cmd_train(args) -> int:
         model = result.model
         payload = {
             "mode": "select",
-            "chosen": _candidate_doc(result.chosen),
+            "chosen": result.chosen.as_dict(),
             "table": [r.as_row() for r in result.table],
             "split": {"train": result.train_size, "validation": result.validation_size,
                       "warnings": result.split_warnings},
@@ -120,13 +120,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _candidate_doc(cand) -> dict:
-    from .kernels import kernel_to_dict
-
-    return {"dimension": cand.dimension, "kernel": kernel_to_dict(cand.kernel),
-            "C": cand.C}
-
-
 def cmd_select(args) -> int:
     cfg, data = _load_config_and_data(args)
     out = _out_dir(args)
@@ -136,7 +129,7 @@ def cmd_select(args) -> int:
         seed=cfg.seed, tol=cfg.tol,
     )
     payload = {
-        "chosen": _candidate_doc(result.chosen),
+        "chosen": result.chosen.as_dict(),
         "table": [r.as_row() for r in result.table],
         "split": {"train": result.train_size, "validation": result.validation_size,
                   "warnings": result.split_warnings},

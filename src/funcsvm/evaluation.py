@@ -14,7 +14,6 @@ from scipy import stats
 
 from .errors import DataError, FuncSvmError, UsageError
 from .functions import LabeledDataset, SamplingGrid
-from .kernels import kernel_to_dict
 from .selection import CandidateGrid, select
 from .solver import predict_batch
 
@@ -53,13 +52,9 @@ class EvaluationReport:
 
 
 def _chosen_summary(result) -> dict:
-    return {
-        "dimension": result.chosen.dimension,
-        "kernel": kernel_to_dict(result.chosen.kernel),
-        "C": result.chosen.C,
-        "validation_error": result.chosen_record.validation_error,
-        "score": result.chosen_record.score,
-    }
+    record = result.chosen_record
+    return {**record.candidate.as_dict(), "validation_error": record.validation_error,
+            "score": record.score}
 
 
 def run_leave_one_out(

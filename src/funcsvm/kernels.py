@@ -34,6 +34,7 @@ __all__ = [
     "FunctionalKernel",
     "PreparedBatch",
     "prepare_batch",
+    "prepared_metric",
     "kernel_eval",
     "gram_matrix",
     "pairwise_statistic",
@@ -188,13 +189,20 @@ def prepare_batch(kernel: FunctionalKernel, functions) -> PreparedBatch:
         values = t.apply_rows(grid, values)
         if not np.isfinite(values).all():
             raise DataError("function values must all be finite")
-    if kernel.projection is None:
-        return PreparedBatch(values, grid.weights)
-    spec = kernel.projection
-    vectors = basis_mod.project_rows(spec, grid, values)
-    gram = basis_mod.coefficient_gram(spec, grid)
-    metric = np.ones(spec.dimension) if spec.orthonormal else gram
-    return PreparedBatch(vectors, metric)
+    if kernel.projection is not None:
+        values = basis_mod.project_rows(kernel.projection, grid, values)
+    return PreparedBatch(values, prepared_metric(kernel.projection, grid))
+
+
+def prepared_metric(projection: basis_mod.BasisSpec | None, grid: SamplingGrid) -> np.ndarray:
+    """The metric of curves on ``grid`` prepared under ``projection``: the
+    quadrature weights for raw curves, ones for orthonormal coefficients,
+    the basis Gram matrix for B-spline coefficients."""
+    if projection is None:
+        return grid.weights
+    if projection.orthonormal:
+        return np.ones(projection.dimension)
+    return basis_mod.coefficient_gram(projection, grid)
 
 
 def inner_product_matrix(a: PreparedBatch, b: PreparedBatch) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Model files and report files.
 
 Model format: the four magic bytes ``FSVM``, one version byte, then a
-UTF-8 JSON document.  Floats are serialized with ``repr`` round-tripping,
-so a loaded model reproduces decision values bit for bit.  Reports are
-written as two JSON files: a deterministic payload and a separate
-metadata file holding timestamps.  All writes are atomic
+UTF-8 JSON document holding the kernel, the grid, the prepared support
+vectors, their coefficients ``alpha_i * y_i`` and the bias.  The metric of
+the support vectors is rebuilt from the kernel and the grid.  Version 1
+files also stored the metric, the labels and the alphas; they still load,
+and those keys are not read.  Floats are serialized with ``repr``
+round-tripping, so a loaded model reproduces decision values bit for
+bit.  Reports are written as two JSON files: a deterministic payload and
+a separate metadata file holding timestamps.  All writes are atomic
 (write-then-rename).
 """
 
@@ -20,13 +24,13 @@ import numpy as np
 
 from .errors import ConfigurationError, IntegrityError
 from .functions import SamplingGrid
-from .kernels import PreparedBatch, kernel_from_dict, kernel_to_dict
+from .kernels import PreparedBatch, kernel_from_dict, kernel_to_dict, prepared_metric
 from .solver import SvmModel
 
 __all__ = ["save_model", "load_model", "write_report", "MODEL_MAGIC", "MODEL_VERSION"]
 
 MODEL_MAGIC = b"FSVM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def _atomic_write_bytes(path: str, payload: bytes) -> None:
@@ -54,10 +58,7 @@ def save_model(model: SvmModel, path: str) -> None:
             "weights": model.grid.weights.tolist(),
         },
         "support_vectors": model.support.vectors.tolist(),
-        "metric": model.support.metric.tolist(),
         "support_coeffs": model.support_coeffs.tolist(),
-        "support_labels": model.support_labels.tolist(),
-        "support_alphas": model.support_alphas.tolist(),
         "bias": model.bias,
         "meta": model.meta,
     }
@@ -72,7 +73,7 @@ def load_model(path: str) -> SvmModel:
     if len(blob) < 5 or blob[:4] != MODEL_MAGIC:
         raise IntegrityError(f"{path} is not a model file (bad magic header)")
     version = blob[4]
-    if version != MODEL_VERSION:
+    if version not in (1, MODEL_VERSION):
         raise IntegrityError(f"unsupported model file version {version}")
     try:
         doc = json.loads(blob[5:].decode("utf-8"))
@@ -97,32 +98,24 @@ def _model_from_doc(doc: dict) -> SvmModel:
         np.asarray(doc["grid"]["abscissae"], dtype=float),
         np.asarray(doc["grid"]["weights"], dtype=float),
     )
-    metric = np.asarray(doc["metric"], dtype=float)
+    metric = prepared_metric(kernel.projection, grid)
+    width = metric.shape[0]
     vectors = np.asarray(doc["support_vectors"], dtype=float)
-    if vectors.size == 0 and metric.ndim > 0:
-        vectors = vectors.reshape(0, metric.shape[0])
-    coeffs = np.asarray(doc["support_coeffs"], dtype=float)
-    labels = np.asarray(doc["support_labels"], dtype=int)
-    alphas = np.asarray(doc["support_alphas"], dtype=float)
-    spec = kernel.projection
-    width = len(grid) if spec is None else spec.dimension
+    if vectors.size == 0:
+        vectors = vectors.reshape(0, width)
     if vectors.ndim != 2 or vectors.shape[1] != width:
         raise ValueError(
             f"support vectors have shape {vectors.shape}, the kernel needs rows of {width}"
         )
-    # A diagonal metric (weights) unless coefficients live in a non-orthonormal basis.
-    metric_shape = (width,) if spec is None or spec.orthonormal else (width, width)
-    if metric.shape != metric_shape:
-        raise ValueError(f"metric has shape {metric.shape}, the kernel needs {metric_shape}")
-    for name, arr in (("coeffs", coeffs), ("labels", labels), ("alphas", alphas)):
-        if arr.shape != (vectors.shape[0],):
-            raise ValueError(
-                f"support {name} have shape {arr.shape}, "
-                f"expected one per support vector ({vectors.shape[0]})"
-            )
+    coeffs = np.asarray(doc["support_coeffs"], dtype=float)
+    if coeffs.shape != (vectors.shape[0],):
+        raise ValueError(
+            f"support coeffs have shape {coeffs.shape}, "
+            f"expected one per support vector ({vectors.shape[0]})"
+        )
     bias = float(doc["bias"])
-    if not all(np.isfinite(a).all() for a in (vectors, metric, coeffs, alphas, bias)):
-        raise ValueError("support data or bias hold a non-finite number")
+    if not all(np.isfinite(a).all() for a in (vectors, metric, coeffs, bias)):
+        raise ValueError("support data, metric or bias hold a non-finite number")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("meta is not an object")
@@ -131,8 +124,6 @@ def _model_from_doc(doc: dict) -> SvmModel:
         grid=grid,
         support=PreparedBatch(vectors, metric),
         support_coeffs=coeffs,
-        support_labels=labels,
-        support_alphas=alphas,
         bias=bias,
         meta=meta,
     )

@@ -22,8 +22,8 @@ from .errors import (
     UsageError,
 )
 from .functions import LabeledDataset
-from .kernels import FunctionalKernel, kernel_from_statistic, pairwise_statistic, \
-    prepare_batch
+from .kernels import FunctionalKernel, kernel_from_statistic, kernel_to_dict, \
+    pairwise_statistic, prepare_batch
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -58,6 +58,10 @@ class Candidate:
             raise ConfigurationError("projection dimension must be >= 0")
         if self.C <= 0:
             raise ConfigurationError("C must be positive")
+
+    def as_dict(self) -> dict:
+        return {"dimension": self.dimension, "kernel": kernel_to_dict(self.kernel),
+                "C": self.C}
 
 
 @dataclass(frozen=True)
@@ -180,13 +184,9 @@ class CandidateRecord:
     solution: DualSolution | None = None
 
     def as_row(self) -> dict:
-        from .kernels import kernel_to_dict
-
         return {
             "index": self.index,
-            "dimension": self.candidate.dimension,
-            "kernel": kernel_to_dict(self.candidate.kernel),
-            "C": self.candidate.C,
+            **self.candidate.as_dict(),
             "validation_error": self.validation_error,
             "score": self.score,
             "error": self.error,
@@ -195,7 +195,7 @@ class CandidateRecord:
 
 @dataclass
 class SelectionResult:
-    chosen: Candidate
+    chosen_record: CandidateRecord
     model: SvmModel
     table: list  # of CandidateRecord
     train_size: int
@@ -203,11 +203,8 @@ class SelectionResult:
     split_warnings: list = field(default_factory=list)
 
     @property
-    def chosen_record(self) -> CandidateRecord:
-        return min(
-            (r for r in self.table if r.score is not None),
-            key=_tie_break_key,
-        )
+    def chosen(self) -> Candidate:
+        return self.chosen_record.candidate
 
 
 def _tie_break_key(record: CandidateRecord):
@@ -312,7 +309,7 @@ def select(
               "split_policy": policy, "l": l},
     )
     return SelectionResult(
-        chosen=best.candidate,
+        chosen_record=best,
         model=model,
         table=table,
         train_size=len(split.train),

@@ -127,14 +127,11 @@ def _compute_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> 
     free = (alpha > eps) & (alpha < C - eps)
     if np.any(free):
         return float(np.mean(y[free] - f[free]))
-    lo, hi = -np.inf, np.inf
-    for i in range(y.size):
-        slack_val = y[i] - f[i]  # b = slack_val makes i sit exactly on the margin
-        at_zero = alpha[i] <= eps
-        if (at_zero and y[i] > 0) or (not at_zero and y[i] < 0):
-            lo = max(lo, slack_val)
-        else:
-            hi = min(hi, slack_val)
+    margin_bias = y - f  # b = margin_bias[i] puts i exactly on the margin
+    at_zero = alpha <= eps
+    lower = (at_zero & (y > 0)) | (~at_zero & (y < 0))
+    lo = np.max(margin_bias[lower], initial=-np.inf)
+    hi = np.min(margin_bias[~lower], initial=np.inf)
     if not np.isfinite(lo):
         return float(hi) if np.isfinite(hi) else 0.0
     if not np.isfinite(hi):
@@ -153,9 +150,7 @@ class SvmModel:
     kernel: FunctionalKernel
     grid: SamplingGrid
     support: PreparedBatch
-    support_coeffs: np.ndarray  # alpha_i * y_i per support vector
-    support_labels: np.ndarray
-    support_alphas: np.ndarray
+    support_coeffs: np.ndarray  # alpha_i * y_i per support vector, alpha_i > 0
     bias: float
     meta: dict = field(default_factory=dict)
 
@@ -194,8 +189,6 @@ def model_from_solution(
     keep = sol.alphas > 1e-10 * C
     idx = np.flatnonzero(keep)
     support = PreparedBatch(prep.vectors[idx], prep.metric)
-    y = data.labels[idx].astype(float)
-    alphas = sol.alphas[idx]
     info = {"C": C, "tol": tol, "objective": sol.objective,
             "iterations": sol.iterations, "kkt_violation": sol.kkt_violation}
     if meta:
@@ -204,9 +197,7 @@ def model_from_solution(
         kernel=kernel,
         grid=data.grid,
         support=support,
-        support_coeffs=alphas * y,
-        support_labels=data.labels[idx],
-        support_alphas=alphas,
+        support_coeffs=sol.alphas[idx] * data.labels[idx].astype(float),
         bias=sol.bias,
         meta=info,
     )

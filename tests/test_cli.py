@@ -13,6 +13,7 @@ from funcsvm import (
     load_model,
 )
 from funcsvm.cli import main
+from funcsvm.persistence import MODEL_VERSION
 from funcsvm.solver import decision_values
 
 
@@ -136,6 +137,26 @@ def _unknown_kernel_kind(doc):
     return doc
 
 
+def _as_bspline(doc, spline_degree=3, dimension=None):
+    """The document with a B-spline projection and zero support vectors of
+    the matching width."""
+    proj = doc["kernel"]["projection"]
+    proj["family"] = "bspline"
+    proj["spline_degree"] = spline_degree
+    if dimension is not None:
+        proj["dimension"] = dimension
+    doc["support_vectors"] = [[0.0] * proj["dimension"] for _ in doc["support_vectors"]]
+    return doc
+
+
+def _gap_abscissae(doc):
+    # All samples but the last in [0, 0.1]: three of the eight basis functions
+    # on [0, 1] have no sample where they are nonzero.
+    n = len(doc["grid"]["abscissae"])
+    doc["grid"]["abscissae"] = np.linspace(0.0, 0.1, n - 1).tolist() + [1.0]
+    return _as_bspline(doc, dimension=8)
+
+
 class TestCorruptModelFile:
     """A model file that parses as JSON but does not describe a model exits 2
     with one data error, never a traceback or a usage error."""
@@ -145,7 +166,11 @@ class TestCorruptModelFile:
         _widen_vectors,
         lambda doc: [doc],
         _unknown_kernel_kind,
-    ], ids=["truncated-coeffs", "wrong-vector-width", "json-list", "unknown-kernel-kind"])
+        lambda doc: _as_bspline(doc, spline_degree=2.5),
+        lambda doc: _as_bspline(doc, spline_degree=-1),
+        _gap_abscissae,
+    ], ids=["truncated-coeffs", "wrong-vector-width", "json-list", "unknown-kernel-kind",
+            "bspline-degree-2.5", "bspline-degree-negative", "bspline-gap-grid"])
     def test_predict_exits_2_with_a_data_error(self, tmp_path, synth_csv, capsys, mutate):
         cfg = write_config(tmp_path, synth_csv)
         out = tmp_path / "run"
@@ -160,6 +185,46 @@ class TestCorruptModelFile:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("FSVM-ERROR code=data msg=")
+
+
+class TestBsplineFaults:
+    def test_gap_grid_fails_every_candidate_with_one_data_error(self, tmp_path, capsys):
+        t = np.concatenate([np.linspace(0.0, 0.1, 30), [1.0]])
+        rng = np.random.default_rng(0)
+        rows = [",".join(repr(float(x)) for x in t) + ",label"]
+        for i in range(20):
+            label = 1 if i % 2 else -1
+            values = np.sin(2.0 * np.pi * (2 + i % 2) * t) + 0.1 * rng.standard_normal(t.size)
+            rows.append(",".join(repr(float(v)) for v in values) + f",{label}")
+        data = tmp_path / "gap.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_config(
+            tmp_path, data,
+            grid={"basis": "bspline", "dimensions": [8],
+                  "kernels": [{"kind": "gaussian", "sigma": 1.0}], "C": [1.0]},
+            split={"policy": "first_l", "l": 10},
+        )
+        rc = main(["select", "--config", cfg, "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=data msg=")
+        assert "dimension 8" in err[0] and "31 points" in err[0]
+
+    @pytest.mark.parametrize("degree", [2.5, -1, "3"])
+    def test_invalid_config_spline_degree_is_a_usage_error(
+        self, tmp_path, synth_csv, capsys, degree
+    ):
+        cfg = write_config(
+            tmp_path, synth_csv,
+            grid={"basis": "bspline", "spline_degree": degree, "dimensions": [8],
+                  "kernels": [{"kind": "gaussian", "sigma": 1.0}], "C": [1.0]},
+        )
+        rc = main(["select", "--config", cfg, "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=usage msg=")
 
 
 class TestTrain:
@@ -231,7 +296,7 @@ class TestOverridesAndInspect:
         capsys.readouterr()
         assert main(["inspect", str(out / "model.fsvm")]) == 0
         text = capsys.readouterr().out
-        assert "model file version 1" in text
+        assert f"model file version {MODEL_VERSION}" in text
         assert "support vectors:" in text
         assert main(["inspect", str(out / "selection_report.json")]) == 0
         json.loads(capsys.readouterr().out)

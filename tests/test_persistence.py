@@ -14,6 +14,7 @@ from funcsvm import (
     train_svm,
 )
 from funcsvm.errors import IntegrityError
+from funcsvm.kernels import prepare_batch
 from funcsvm.persistence import MODEL_MAGIC, MODEL_VERSION, write_report
 from funcsvm.solver import decision_values
 
@@ -48,7 +49,7 @@ class TestModelRoundTrip:
         assert loaded.bias == model.bias
         assert loaded.meta["C"] == model.meta["C"]
         assert np.array_equal(loaded.grid.abscissae, model.grid.abscissae)
-        assert np.array_equal(loaded.support_alphas, model.support_alphas)
+        assert np.array_equal(loaded.support_coeffs, model.support_coeffs)
 
     def test_save_is_idempotent_bytes(self, tmp_path):
         _, model = trained_model()
@@ -63,14 +64,70 @@ class TestModelRoundTrip:
             model.support.vectors[:0], model.support.metric
         )
         model.support_coeffs = model.support_coeffs[:0]
-        model.support_labels = model.support_labels[:0]
-        model.support_alphas = model.support_alphas[:0]
         model.bias = 0.75
         path = str(tmp_path / "empty.fsvm")
         save_model(model, path)
         loaded = load_model(path)
         probe = generate_synthetic(3, seed=1)
         assert np.all(decision_values(loaded, probe.functions) == 0.75)
+
+
+# One kernel per kind of metric: quadrature weights, ones, and a B-spline Gram matrix.
+KERNELS_BY_METRIC = {
+    "raw": FunctionalKernel(base=BaseKernel.gaussian(2.0)),
+    "fourier": FunctionalKernel(projection=BasisSpec("fourier", 7), base=BaseKernel.linear()),
+    "haar": FunctionalKernel(
+        transforms=(Transform("derivative", order=1, spline_dimension=12),
+                    Transform("normalize")),
+        projection=BasisSpec("haar_wavelet", 8),
+        base=BaseKernel.polynomial(2),
+    ),
+    "bspline": FunctionalKernel(
+        transforms=(Transform("center"),),
+        projection=BasisSpec("bspline", 10),
+        base=BaseKernel.gaussian(1.0),
+    ),
+}
+
+
+def _saved_doc(model, path) -> dict:
+    save_model(model, str(path))
+    return json.loads(path.read_bytes()[5:].decode("utf-8"))
+
+
+class TestModelFileContents:
+    @pytest.mark.parametrize("name", list(KERNELS_BY_METRIC))
+    def test_round_trip_rebuilds_the_metric(self, tmp_path, name):
+        kernel = KERNELS_BY_METRIC[name]
+        data, model = trained_model(kernel)
+        probe = generate_synthetic(50, noise=1.0, seed=98)
+        path = str(tmp_path / "model.fsvm")
+        save_model(model, path)
+        loaded = load_model(path)
+        assert np.array_equal(decision_values(loaded, probe.functions),
+                              decision_values(model, probe.functions))
+        assert np.array_equal(loaded.support.metric,
+                              prepare_batch(kernel, data.functions).metric)
+
+    def test_saved_document_holds_each_fact_once(self, tmp_path):
+        _, model = trained_model(KERNELS_BY_METRIC["bspline"])
+        doc = _saved_doc(model, tmp_path / "model.fsvm")
+        assert set(doc) == {"kernel", "grid", "support_vectors", "support_coeffs",
+                            "bias", "meta"}
+
+    @pytest.mark.parametrize("name", list(KERNELS_BY_METRIC))
+    def test_version_1_file_loads(self, tmp_path, name):
+        # Version 1 also stored the metric, the labels and the alphas.
+        _, model = trained_model(KERNELS_BY_METRIC[name])
+        path = tmp_path / "v1.fsvm"
+        doc = _saved_doc(model, path)
+        doc["metric"] = model.support.metric.tolist()
+        doc["support_labels"] = np.sign(model.support_coeffs).astype(int).tolist()
+        doc["support_alphas"] = np.abs(model.support_coeffs).tolist()
+        path.write_bytes(MODEL_MAGIC + bytes([1]) + json.dumps(doc).encode("utf-8"))
+        probe = generate_synthetic(50, noise=1.0, seed=97)
+        assert np.array_equal(decision_values(load_model(str(path)), probe.functions),
+                              decision_values(model, probe.functions))
 
 
 class TestModelFileFormat:

@@ -205,7 +205,7 @@ class TestSelect:
         res = select(g, data, l=20)
         ref = train_svm(res.chosen.kernel, split_sample(data, 20).train, res.chosen.C)
         assert res.model.bias == ref.bias
-        assert np.array_equal(res.model.support_alphas, ref.support_alphas)
+        assert np.array_equal(res.model.support_coeffs, ref.support_coeffs)
 
     @pytest.mark.parametrize(
         "kernel",

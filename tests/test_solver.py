@@ -13,7 +13,7 @@ from funcsvm import (
     train_svm,
 )
 from funcsvm.errors import ConvergenceError, DataError, DegenerateTrainingError
-from funcsvm.solver import decision_values, predict_batch
+from funcsvm.solver import _compute_bias, decision_values, predict_batch
 
 from conftest import dual_objective, qp_oracle, random_tiny_problem
 
@@ -97,6 +97,38 @@ class TestFeasibilityAndKkt:
         free = (sol.alphas > 1e-6 * C) & (sol.alphas < C * (1 - 1e-6))
         if np.any(free):
             assert np.max(np.abs(y[free] * f[free] - 1.0)) < 1e-4
+
+    @pytest.mark.parametrize(
+        "pattern", ["mixed", "all_zero", "all_at_c", "positives_at_c", "negatives_at_c"]
+    )
+    def test_bias_without_free_support_vectors_matches_a_loop(self, pattern):
+        rng = np.random.default_rng(11)
+        K, y = random_tiny_problem(rng, "gaussian")
+        y = y.astype(float)
+        C = 2.0
+        alpha = {
+            "mixed": rng.choice([0.0, C], size=y.size),
+            "all_zero": np.zeros(y.size),
+            "all_at_c": np.full(y.size, C),
+            "positives_at_c": np.where(y > 0, C, 0.0),
+            "negatives_at_c": np.where(y < 0, C, 0.0),
+        }[pattern]
+        # The interval of biases that satisfy the KKT conditions, one index at a time.
+        f = K @ (y * alpha)
+        lo, hi = -np.inf, np.inf
+        for i in range(y.size):
+            at_zero = alpha[i] <= 1e-8 * C
+            if (at_zero and y[i] > 0) or (not at_zero and y[i] < 0):
+                lo = max(lo, y[i] - f[i])
+            else:
+                hi = min(hi, y[i] - f[i])
+        if not np.isfinite(lo):
+            expected = float(hi) if np.isfinite(hi) else 0.0
+        elif not np.isfinite(hi):
+            expected = float(lo)
+        else:
+            expected = float((lo + hi) / 2.0)
+        assert _compute_bias(K, y, alpha, C) == expected
 
 
 class TestDegenerateInputs:
@@ -231,7 +263,7 @@ class TestTrainedModel:
         data = self.make_data(n=40, seed=2)
         model = train_svm(FunctionalKernel(base=BaseKernel.gaussian(2.0)), data, C=1.0)
         assert 0 < model.n_support <= len(data)
-        assert np.all(model.support_alphas > 0.0)
+        assert np.all(model.support_coeffs != 0.0)
 
     def test_sign_zero_maps_to_plus_one(self):
         data = self.make_data(seed=3)
