@@ -14,7 +14,7 @@ Three families are supported:
 * ``bspline`` -- L2-orthogonal projection onto a clamped cubic spline
   space; the stored coefficients are the (non-orthonormal) B-spline
   coordinates, so coefficient inner products must be taken through the
-  basis Gram matrix (see :func:`coefficient_gram`).
+  basis Gram matrix (see :func:`coefficient_gram` and :func:`gram_factor`).
 
 Fourier coefficients on uniform grids can optionally go through an FFT;
 correctness is defined by direct quadrature and the FFT path must agree
@@ -41,6 +41,7 @@ __all__ = [
     "reconstruct",
     "basis_matrix",
     "coefficient_gram",
+    "gram_factor",
     "select_spline_dimension",
 ]
 
@@ -56,10 +57,12 @@ class BasisSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown basis family {self.family!r}")
-        if self.dimension < 1:
-            raise ConfigurationError("basis dimension must be >= 1")
+        if not _is_integer(self.dimension) or self.dimension < 1:
+            raise ConfigurationError(
+                f"basis dimension must be an integer >= 1, got {self.dimension!r}"
+            )
         degree = self.spline_degree
-        if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 0:
+        if not _is_integer(degree) or degree < 0:
             raise ConfigurationError(
                 f"spline degree must be a non-negative integer, got {degree!r}"
             )
@@ -71,6 +74,10 @@ class BasisSpec:
     @property
     def orthonormal(self) -> bool:
         return self.family in ("fourier", "haar_wavelet")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -218,6 +225,8 @@ def _bspline_tables(spec: BasisSpec, grid: SamplingGrid):
             f"bspline basis of dimension {spec.dimension} is singular on a grid of "
             f"{len(grid)} points: too few samples under some basis function"
         ) from exc
+    for table in (B, G, chol):
+        table.setflags(write=False)
     return B, G, chol
 
 
@@ -238,8 +247,7 @@ def basis_matrix(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
             axis=1,
         )
     else:
-        B, _, _ = _bspline_tables(spec, grid)
-        cols = B
+        cols = _bspline_tables(spec, grid)[0]
     cols = np.ascontiguousarray(cols)
     cols.setflags(write=False)
     return cols
@@ -248,14 +256,18 @@ def basis_matrix(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
 @lru_cache(maxsize=64)
 def coefficient_gram(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     """Metric for coefficient inner products: identity except for B-splines."""
-    if spec.orthonormal:
-        g = np.eye(spec.dimension)
-    else:
-        _, G, _ = _bspline_tables(spec, grid)
-        g = G
-    g = np.ascontiguousarray(g)
+    if not spec.orthonormal:
+        return _bspline_tables(spec, grid)[1]
+    g = np.eye(spec.dimension)
     g.setflags(write=False)
     return g
+
+
+def gram_factor(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
+    """Lower Cholesky factor ``L`` of the B-spline coefficient Gram matrix,
+    ``G = L @ L.T`` (cached with it): coefficient rows times ``L`` have the
+    L2 inner product as their dot product."""
+    return _bspline_tables(spec, grid)[2]
 
 
 def project_rows(

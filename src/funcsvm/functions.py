@@ -66,6 +66,8 @@ class SamplingGrid:
         w = np.ascontiguousarray(self.weights, dtype=float)
         if t.ndim != 1 or w.shape != t.shape:
             raise ConfigurationError("abscissae and weights must be 1-d and equal length")
+        if not (np.isfinite(t).all() and np.isfinite(w).all()):
+            raise ConfigurationError("abscissae and weights must all be finite")
         if not np.all(np.diff(t) > 0):
             raise ConfigurationError("abscissae must be strictly increasing")
         if not np.all(w > 0):

@@ -4,9 +4,11 @@ A :class:`FunctionalKernel` evaluates ``K(P(u), P(v))`` where ``P`` is an
 optional pipeline of functional transforms (center, normalize, spline
 derivative) followed by an optional basis projection, and ``K`` is a
 linear, Gaussian or polynomial base kernel.  All inner products respect
-the underlying L2 geometry: quadrature weights for raw curves, the
-identity for orthonormal coefficient vectors, and the basis Gram matrix
-for B-spline coefficients.
+the underlying L2 geometry: :func:`isometric_rows` maps each prepared
+curve to a row whose dot product is the L2 inner product (raw curves
+times the square roots of the quadrature weights, orthonormal
+coefficients as they are, B-spline coefficients times the Cholesky
+factor of the basis Gram matrix).
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ __all__ = [
     "BaseKernel",
     "Transform",
     "FunctionalKernel",
-    "PreparedBatch",
     "prepare_batch",
-    "prepared_metric",
+    "isometric_rows",
     "kernel_eval",
     "gram_matrix",
     "pairwise_statistic",
@@ -152,28 +153,9 @@ class FunctionalKernel:
         return " -> ".join(parts)
 
 
-@dataclass(frozen=True)
-class PreparedBatch:
-    """Transformed/projected inputs as row vectors plus their metric.
-
-    ``metric`` is a weight vector (diagonal metric) for raw curves and
-    orthonormal coefficients, or a dense Gram matrix for B-spline
-    coefficients.
-    """
-
-    vectors: np.ndarray
-    metric: np.ndarray
-
-    @property
-    def diagonal_metric(self) -> bool:
-        return self.metric.ndim == 1
-
-    def row(self, i: int) -> "PreparedBatch":
-        return PreparedBatch(self.vectors[i : i + 1], self.metric)
-
-
-def prepare_batch(kernel: FunctionalKernel, functions) -> PreparedBatch:
-    """Apply the kernel's transforms and projection to a batch of curves.
+def prepare_batch(kernel: FunctionalKernel, functions) -> np.ndarray:
+    """Apply the kernel's transforms and projection to a batch of curves,
+    as the (N, width) matrix of their :func:`isometric_rows`.
 
     The curves are stacked once into an (N, n) value matrix, and each step
     maps the whole matrix at once.
@@ -191,39 +173,37 @@ def prepare_batch(kernel: FunctionalKernel, functions) -> PreparedBatch:
             raise DataError("function values must all be finite")
     if kernel.projection is not None:
         values = basis_mod.project_rows(kernel.projection, grid, values)
-    return PreparedBatch(values, prepared_metric(kernel.projection, grid))
+    return isometric_rows(kernel.projection, grid, values)
 
 
-def prepared_metric(projection: basis_mod.BasisSpec | None, grid: SamplingGrid) -> np.ndarray:
-    """The metric of curves on ``grid`` prepared under ``projection``: the
-    quadrature weights for raw curves, ones for orthonormal coefficients,
-    the basis Gram matrix for B-spline coefficients."""
+def isometric_rows(
+    projection: basis_mod.BasisSpec | None, grid: SamplingGrid, rows: np.ndarray
+) -> np.ndarray:
+    """Rows of curves on ``grid`` prepared under ``projection``, mapped so
+    that their dot product is the L2 inner product: raw curves times the
+    square roots of the quadrature weights, orthonormal coefficients
+    unchanged, B-spline coefficients times the lower Cholesky factor of
+    the basis Gram matrix."""
     if projection is None:
-        return grid.weights
+        return rows * np.sqrt(grid.weights)
     if projection.orthonormal:
-        return np.ones(projection.dimension)
-    return basis_mod.coefficient_gram(projection, grid)
+        return rows
+    return rows @ basis_mod.gram_factor(projection, grid)
 
 
-def inner_product_matrix(a: PreparedBatch, b: PreparedBatch) -> np.ndarray:
-    """Pairwise metric inner products between two prepared batches."""
-    if a.diagonal_metric:
-        return (a.vectors * a.metric) @ b.vectors.T
-    return a.vectors @ a.metric @ b.vectors.T
+def inner_product_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise inner products between two prepared batches."""
+    return a @ b.T
 
 
-def squared_distance_matrix(a: PreparedBatch, b: PreparedBatch) -> np.ndarray:
-    ab = inner_product_matrix(a, b)
-    if a.diagonal_metric:
-        na = np.einsum("ij,j,ij->i", a.vectors, a.metric, a.vectors)
-        nb = np.einsum("ij,j,ij->i", b.vectors, b.metric, b.vectors)
-    else:
-        na = np.einsum("ij,jk,ik->i", a.vectors, a.metric, a.vectors)
-        nb = np.einsum("ij,jk,ik->i", b.vectors, b.metric, b.vectors)
-    return np.maximum(na[:, None] + nb[None, :] - 2.0 * ab, 0.0)
+def squared_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances between two prepared batches."""
+    na = np.einsum("ij,ij->i", a, a)
+    nb = np.einsum("ij,ij->i", b, b)
+    return np.maximum(na[:, None] + nb[None, :] - 2.0 * inner_product_matrix(a, b), 0.0)
 
 
-def pairwise_statistic(base: BaseKernel, a: PreparedBatch, b: PreparedBatch) -> np.ndarray:
+def pairwise_statistic(base: BaseKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The pairwise statistic the base kernel is a function of: squared
     distances for the Gaussian kernel, inner products otherwise."""
     if base.statistic == "squared_distance":
@@ -240,7 +220,7 @@ def kernel_from_statistic(base: BaseKernel, stat: np.ndarray) -> np.ndarray:
     return np.exp(np.maximum(-base.sigma * stat, EXP_FLOOR))
 
 
-def apply_base(base: BaseKernel, a: PreparedBatch, b: PreparedBatch) -> np.ndarray:
+def apply_base(base: BaseKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Base kernel matrix between two prepared batches."""
     return kernel_from_statistic(base, pairwise_statistic(base, a, b))
 
@@ -250,7 +230,7 @@ def kernel_eval(
 ) -> float:
     """Evaluate the composed kernel on a single pair of curves."""
     prep = prepare_batch(kernel, [u, v])
-    k = apply_base(kernel.base, prep.row(0), prep.row(1))
+    k = apply_base(kernel.base, prep[:1], prep[1:])
     return float(k[0, 0])
 
 

@@ -2,10 +2,11 @@
 
 Model format: the four magic bytes ``FSVM``, one version byte, then a
 UTF-8 JSON document holding the kernel, the grid, the prepared support
-vectors, their coefficients ``alpha_i * y_i`` and the bias.  The metric of
-the support vectors is rebuilt from the kernel and the grid.  Version 1
-files also stored the metric, the labels and the alphas; they still load,
-and those keys are not read.  Floats are serialized with ``repr``
+vectors, their coefficients ``alpha_i * y_i`` and the bias.  The support
+vectors are rows of :func:`kernels.isometric_rows`: their dot product is
+the L2 inner product.  Versions 1 and 2 stored them before that map; they
+still load through it, and the metric, labels and alphas of version 1 are
+not read.  Floats are serialized with ``repr``
 round-tripping, so a loaded model reproduces decision values bit for
 bit.  Reports are written as two JSON files: a deterministic payload and
 a separate metadata file holding timestamps.  All writes are atomic
@@ -24,13 +25,14 @@ import numpy as np
 
 from .errors import ConfigurationError, IntegrityError
 from .functions import SamplingGrid
-from .kernels import PreparedBatch, kernel_from_dict, kernel_to_dict, prepared_metric
+from .basis import basis_matrix
+from .kernels import isometric_rows, kernel_from_dict, kernel_to_dict
 from .solver import SvmModel
 
 __all__ = ["save_model", "load_model", "write_report", "MODEL_MAGIC", "MODEL_VERSION"]
 
 MODEL_MAGIC = b"FSVM"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 def _atomic_write_bytes(path: str, payload: bytes) -> None:
@@ -57,7 +59,7 @@ def save_model(model: SvmModel, path: str) -> None:
             "abscissae": model.grid.abscissae.tolist(),
             "weights": model.grid.weights.tolist(),
         },
-        "support_vectors": model.support.vectors.tolist(),
+        "support_vectors": model.support_vectors.tolist(),
         "support_coeffs": model.support_coeffs.tolist(),
         "bias": model.bias,
         "meta": model.meta,
@@ -73,7 +75,7 @@ def load_model(path: str) -> SvmModel:
     if len(blob) < 5 or blob[:4] != MODEL_MAGIC:
         raise IntegrityError(f"{path} is not a model file (bad magic header)")
     version = blob[4]
-    if version not in (1, MODEL_VERSION):
+    if version not in (1, 2, MODEL_VERSION):
         raise IntegrityError(f"unsupported model file version {version}")
     try:
         doc = json.loads(blob[5:].decode("utf-8"))
@@ -82,7 +84,7 @@ def load_model(path: str) -> SvmModel:
     if not isinstance(doc, dict):
         raise IntegrityError(f"model file {path} does not hold a JSON object")
     try:
-        model = _model_from_doc(doc)
+        model = _model_from_doc(doc, version)
     except KeyError as exc:
         raise IntegrityError(f"model file {path} is missing field {exc}") from exc
     except (ConfigurationError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -90,16 +92,17 @@ def load_model(path: str) -> SvmModel:
     return model
 
 
-def _model_from_doc(doc: dict) -> SvmModel:
-    """The model a parsed model file describes; ``ValueError`` when its
-    arrays disagree in shape."""
+def _model_from_doc(doc: dict, version: int) -> SvmModel:
+    """The model a parsed model file of ``version`` describes; ``ValueError``
+    when its arrays disagree in shape."""
     kernel = kernel_from_dict(doc["kernel"])
     grid = SamplingGrid(
         np.asarray(doc["grid"]["abscissae"], dtype=float),
         np.asarray(doc["grid"]["weights"], dtype=float),
     )
-    metric = prepared_metric(kernel.projection, grid)
-    width = metric.shape[0]
+    proj = kernel.projection
+    # Building the basis checks that it fits the grid, for every version.
+    width = len(grid) if proj is None else basis_matrix(proj, grid).shape[1]
     vectors = np.asarray(doc["support_vectors"], dtype=float)
     if vectors.size == 0:
         vectors = vectors.reshape(0, width)
@@ -114,15 +117,17 @@ def _model_from_doc(doc: dict) -> SvmModel:
             f"expected one per support vector ({vectors.shape[0]})"
         )
     bias = float(doc["bias"])
-    if not all(np.isfinite(a).all() for a in (vectors, metric, coeffs, bias)):
-        raise ValueError("support data, metric or bias hold a non-finite number")
+    if version < MODEL_VERSION:
+        vectors = isometric_rows(proj, grid, vectors)
+    if not all(np.isfinite(a).all() for a in (vectors, coeffs, bias)):
+        raise ValueError("support data or bias hold a non-finite number")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("meta is not an object")
     return SvmModel(
         kernel=kernel,
         grid=grid,
-        support=PreparedBatch(vectors, metric),
+        support_vectors=vectors,
         support_coeffs=coeffs,
         bias=bias,
         meta=meta,

@@ -56,8 +56,8 @@ class Candidate:
     def __post_init__(self):
         if self.dimension < 0:
             raise ConfigurationError("projection dimension must be >= 0")
-        if self.C <= 0:
-            raise ConfigurationError("C must be positive")
+        if not 0 < self.C < np.inf:
+            raise ConfigurationError(f"C must be positive and finite, got {self.C!r}")
 
     def as_dict(self) -> dict:
         return {"dimension": self.dimension, "kernel": kernel_to_dict(self.kernel),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError, DegenerateTrainingError
 from .functions import LabeledDataset, SampledFunction, SamplingGrid
-from .kernels import FunctionalKernel, PreparedBatch, apply_base, prepare_batch
+from .kernels import FunctionalKernel, apply_base, prepare_batch
 
 __all__ = [
     "DualSolution", "SvmModel", "solve_dual", "train_svm", "model_from_solution",
@@ -143,13 +143,13 @@ def _compute_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> 
 class SvmModel:
     """Trained classifier: kernel spec, retained support data and bias.
 
-    ``support`` holds the *prepared* (transformed/projected) representations
-    of the support vectors, so prediction only has to prepare the query.
+    ``support_vectors`` holds the *prepared* rows of the support vectors,
+    so prediction only has to prepare the query.
     """
 
     kernel: FunctionalKernel
     grid: SamplingGrid
-    support: PreparedBatch
+    support_vectors: np.ndarray
     support_coeffs: np.ndarray  # alpha_i * y_i per support vector, alpha_i > 0
     bias: float
     meta: dict = field(default_factory=dict)
@@ -177,7 +177,7 @@ def train_svm(
 
 def model_from_solution(
     kernel: FunctionalKernel,
-    prep: PreparedBatch,
+    prep: np.ndarray,
     data: LabeledDataset,
     sol: DualSolution,
     C: float,
@@ -188,7 +188,6 @@ def model_from_solution(
     ``kernel``, and ``sol`` solves it with box constraint ``C``."""
     keep = sol.alphas > 1e-10 * C
     idx = np.flatnonzero(keep)
-    support = PreparedBatch(prep.vectors[idx], prep.metric)
     info = {"C": C, "tol": tol, "objective": sol.objective,
             "iterations": sol.iterations, "kkt_violation": sol.kkt_violation}
     if meta:
@@ -196,7 +195,7 @@ def model_from_solution(
     return SvmModel(
         kernel=kernel,
         grid=data.grid,
-        support=support,
+        support_vectors=prep[idx],
         support_coeffs=sol.alphas[idx] * data.labels[idx].astype(float),
         bias=sol.bias,
         meta=info,
@@ -214,7 +213,7 @@ def decision_values(model: SvmModel, functions) -> np.ndarray:
     if model.n_support == 0:
         return np.full(len(funcs), model.bias)
     query = prepare_batch(model.kernel, funcs)
-    k = apply_base(model.kernel.base, query, model.support)
+    k = apply_base(model.kernel.base, query, model.support_vectors)
     return k @ model.support_coeffs + model.bias
 
 

@@ -157,6 +157,28 @@ def _gap_abscissae(doc):
     return _as_bspline(doc, dimension=8)
 
 
+def _infinite_weight(doc):
+    doc["grid"]["weights"][0] = float("inf")  # what JSON 1e400 and Infinity read as
+    return doc
+
+
+def _as_raw(doc):
+    """The document without a projection, with support vectors of the
+    grid's length."""
+    doc["kernel"]["projection"] = None
+    n = len(doc["grid"]["abscissae"])
+    doc["support_vectors"] = [[0.1] * n for _ in doc["support_vectors"]]
+    return doc
+
+
+def _wider_than_grid(doc):
+    # A Fourier projection of two more functions than the grid has points.
+    width = len(doc["grid"]["abscissae"]) + 2
+    doc["kernel"]["projection"]["dimension"] = width
+    doc["support_vectors"] = [[0.1] * width for _ in doc["support_vectors"]]
+    return doc
+
+
 class TestCorruptModelFile:
     """A model file that parses as JSON but does not describe a model exits 2
     with one data error, never a traceback or a usage error."""
@@ -169,8 +191,12 @@ class TestCorruptModelFile:
         lambda doc: _as_bspline(doc, spline_degree=2.5),
         lambda doc: _as_bspline(doc, spline_degree=-1),
         _gap_abscissae,
+        _infinite_weight,
+        lambda doc: _infinite_weight(_as_raw(doc)),
+        _wider_than_grid,
     ], ids=["truncated-coeffs", "wrong-vector-width", "json-list", "unknown-kernel-kind",
-            "bspline-degree-2.5", "bspline-degree-negative", "bspline-gap-grid"])
+            "bspline-degree-2.5", "bspline-degree-negative", "bspline-gap-grid",
+            "fourier-infinite-weight", "raw-infinite-weight", "projection-wider-than-grid"])
     def test_predict_exits_2_with_a_data_error(self, tmp_path, synth_csv, capsys, mutate):
         cfg = write_config(tmp_path, synth_csv)
         out = tmp_path / "run"
@@ -225,6 +251,22 @@ class TestBsplineFaults:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("FSVM-ERROR code=usage msg=")
+
+
+class TestInvalidGridValues:
+    @pytest.mark.parametrize("key, value", [
+        ("dimensions", 2.5), ("C", float("inf")), ("C", float("nan")),
+    ], ids=["dimension-2.5", "C-Infinity", "C-NaN"])
+    def test_is_a_usage_error(self, tmp_path, synth_csv, capsys, key, value):
+        grid = {"dimensions": [3], "kernels": [{"kind": "gaussian", "sigma": 1.0}],
+                "C": [1.0], key: [value]}
+        cfg = write_config(tmp_path, synth_csv, grid=grid)
+        rc = main(["select", "--config", cfg, "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=usage msg=")
+        assert repr(value) in err[0]
 
 
 class TestTrain:

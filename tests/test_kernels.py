@@ -14,7 +14,7 @@ from funcsvm import (
     kernel_eval,
 )
 from funcsvm.errors import ConfigurationError, DegenerateFunctionError
-from funcsvm.basis import basis_matrix
+from funcsvm.basis import basis_matrix, coefficient_gram, project
 from funcsvm.kernels import kernel_from_dict, kernel_to_dict, prepare_batch
 from funcsvm.splines import SPLINE_DEGREE, design_matrix
 
@@ -219,10 +219,15 @@ class TestPrepareBatchAgainstPerCurveReference:
         funcs = [SampledFunction(g, r) for r in rows]
         transforms, ref_transform = REF_TRANSFORMS[chain]
         kernel = FunctionalKernel(transforms=transforms, projection=projection)
-        got = prepare_batch(kernel, funcs).vectors
+        got = prepare_batch(kernel, funcs)
         ref = np.array([ref_transform(g, r) for r in rows])
-        if projection is not None:
+        if projection is None:
+            ref = ref * np.sqrt(g.weights)
+        else:
             ref = np.array([_ref_project(g, r, projection) for r in ref])
+            if projection.family == "bspline":
+                cols = basis_matrix(projection, g)
+                ref = ref @ np.linalg.cholesky(cols.T @ (g.weights[:, None] * cols))
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -232,6 +237,30 @@ class TestPrepareBatchAgainstPerCurveReference:
         kernel = FunctionalKernel(transforms=(Transform("normalize"),))
         with pytest.raises(DegenerateFunctionError, match="function 3"):
             prepare_batch(kernel, funcs)
+
+
+class TestIsometricRows:
+    """Prepared rows have the L2 inner product as their dot product."""
+
+    def curves(self):
+        rng = np.random.default_rng(21)
+        g = SamplingGrid.from_abscissae(np.sort(rng.uniform(0.0, 2.0, 90)))
+        return g, [SampledFunction(g, np.sin(3.0 * g.abscissae + k) + rng.standard_normal(90))
+                   for k in range(5)]
+
+    def test_raw_rows_give_the_quadrature_inner_product(self):
+        g, funcs = self.curves()
+        rows = prepare_batch(FunctionalKernel(), funcs)
+        ref = np.array([[inner_product(u, v) for v in funcs] for u in funcs])
+        assert np.max(np.abs(rows @ rows.T - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_bspline_rows_give_the_coefficient_gram_inner_product(self):
+        g, funcs = self.curves()
+        spec = BasisSpec("bspline", 12)
+        rows = prepare_batch(FunctionalKernel(projection=spec), funcs)
+        c = np.array([project(u, spec).coefficients for u in funcs])
+        ref = c @ coefficient_gram(spec, g) @ c.T
+        assert np.max(np.abs(rows @ rows.T - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,9 +61,7 @@ class TestModelRoundTrip:
 
     def test_zero_support_model_round_trips(self, tmp_path):
         _, model = trained_model()
-        model.support = model.support.__class__(
-            model.support.vectors[:0], model.support.metric
-        )
+        model.support_vectors = model.support_vectors[:0]
         model.support_coeffs = model.support_coeffs[:0]
         model.bias = 0.75
         path = str(tmp_path / "empty.fsvm")
@@ -106,8 +105,9 @@ class TestModelFileContents:
         loaded = load_model(path)
         assert np.array_equal(decision_values(loaded, probe.functions),
                               decision_values(model, probe.functions))
-        assert np.array_equal(loaded.support.metric,
-                              prepare_batch(kernel, data.functions).metric)
+        assert np.array_equal(loaded.support_vectors, model.support_vectors)
+        rows = prepare_batch(kernel, data.functions)
+        assert all((rows == v).all(axis=1).any() for v in loaded.support_vectors)
 
     def test_saved_document_holds_each_fact_once(self, tmp_path):
         _, model = trained_model(KERNELS_BY_METRIC["bspline"])
@@ -116,18 +116,29 @@ class TestModelFileContents:
                             "bias", "meta"}
 
     @pytest.mark.parametrize("name", list(KERNELS_BY_METRIC))
-    def test_version_1_file_loads(self, tmp_path, name):
+    def test_version_1_file_loads(self, name):
         # Version 1 also stored the metric, the labels and the alphas.
-        _, model = trained_model(KERNELS_BY_METRIC[name])
-        path = tmp_path / "v1.fsvm"
-        doc = _saved_doc(model, path)
-        doc["metric"] = model.support.metric.tolist()
-        doc["support_labels"] = np.sign(model.support_coeffs).astype(int).tolist()
-        doc["support_alphas"] = np.abs(model.support_coeffs).tolist()
-        path.write_bytes(MODEL_MAGIC + bytes([1]) + json.dumps(doc).encode("utf-8"))
-        probe = generate_synthetic(50, noise=1.0, seed=97)
-        assert np.array_equal(decision_values(load_model(str(path)), probe.functions),
-                              decision_values(model, probe.functions))
+        _assert_predicts_as_written(f"v1_{name}")
+
+    @pytest.mark.parametrize("name", list(KERNELS_BY_METRIC))
+    def test_version_2_file_loads(self, name):
+        _assert_predicts_as_written(f"v2_{name}")
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _assert_predicts_as_written(name):
+    """The model file ``tests/data/<name>.fsvm``, written by an earlier
+    format, gives the decision values its writer recorded (see
+    ``tests/data/README.md``)."""
+    blob = (DATA / f"{name}.fsvm").read_bytes()
+    assert blob[4] == int(name[1]) < MODEL_VERSION
+    want = np.array(json.loads((DATA / "decisions.json").read_text())[name])
+    probe = generate_synthetic(12, noise=1.0, seed=97, grid_length=32)
+    got = decision_values(load_model(str(DATA / f"{name}.fsvm")), probe.functions)
+    assert np.array_equal(np.where(got >= 0.0, 1, -1), np.where(want >= 0.0, 1, -1))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestModelFileFormat:

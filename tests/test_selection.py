@@ -231,8 +231,7 @@ class TestSelect:
         ref = train_svm(kernel, split_sample(data, 20).train, 1.0, meta=selection_meta)
         assert res.model.bias == ref.bias
         assert np.array_equal(res.model.support_coeffs, ref.support_coeffs)
-        assert np.array_equal(res.model.support.vectors, ref.support.vectors)
-        assert np.array_equal(res.model.support.metric, ref.support.metric)
+        assert np.array_equal(res.model.support_vectors, ref.support_vectors)
         assert res.model.meta == ref.meta
 
     def test_non_finite_kernel_candidate_is_recorded_as_failed(self):

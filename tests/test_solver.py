@@ -275,9 +275,7 @@ class TestTrainedModel:
     def test_empty_support_predicts_from_bias(self):
         data = self.make_data(seed=4)
         model = train_svm(FunctionalKernel(), data, C=1.0)
-        model.support = model.support.__class__(
-            model.support.vectors[:0], model.support.metric
-        )
+        model.support_vectors = model.support_vectors[:0]
         model.support_coeffs = model.support_coeffs[:0]
         model.bias = -0.25
         vals = decision_values(model, data.functions[:3])
