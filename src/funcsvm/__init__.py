@@ -12,7 +12,7 @@ from .functions import (
     normalize,
     spline_derivative,
 )
-from .basis import BasisSpec, CoefficientVector, project, reconstruct, select_spline_dimension
+from .basis import BasisSpec, CoefficientVector, project, reconstruct
 from .kernels import BaseKernel, FunctionalKernel, Transform, gram_matrix, kernel_eval
 from .solver import DualSolution, SvmModel, decision_value, predict, solve_dual, train_svm
 from .selection import Candidate, CandidateGrid, empirical_error, select, split_sample, validate_grid
@@ -31,7 +31,6 @@ __all__ = [
     "SamplingGrid", "SampledFunction", "LabeledDataset",
     "inner_product", "norm", "center", "normalize", "spline_derivative",
     "BasisSpec", "CoefficientVector", "project", "reconstruct",
-    "select_spline_dimension",
     "BaseKernel", "Transform", "FunctionalKernel", "kernel_eval", "gram_matrix",
     "DualSolution", "SvmModel", "solve_dual", "train_svm", "decision_value", "predict",
     "Candidate", "CandidateGrid", "split_sample", "empirical_error", "select",

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import ConfigurationError
-from .functions import LabeledDataset, SampledFunction, SamplingGrid
+from .functions import SampledFunction, SamplingGrid
 from . import splines
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "basis_matrix",
     "coefficient_gram",
     "gram_factor",
-    "select_spline_dimension",
 ]
 
 FAMILIES = ("fourier", "haar_wavelet", "bspline")
@@ -290,6 +288,8 @@ def project_rows(
         return (values * grid.weights) @ basis_matrix(spec, grid)
     if spec.family == "haar_wavelet":
         return _haar_rows(spec, grid, values)
+    from scipy.linalg import cho_solve  # here, to keep scipy off the import path
+
     B, _, chol = _bspline_tables(spec, grid)
     rhs = (values * grid.weights) @ B
     return cho_solve((chol, True), rhs.T).T
@@ -313,28 +313,3 @@ def reconstruct(c: CoefficientVector, grid: SamplingGrid) -> SampledFunction:
         values = basis_matrix(spec, grid) @ c.coefficients
     return SampledFunction(grid, values)
 
-
-def select_spline_dimension(dataset: LabeledDataset, candidates) -> int:
-    """Spline dimension minimizing mean leave-one-point-out reconstruction error.
-
-    The criterion ignores class labels; ties go to the smaller dimension.
-    """
-    cands = list(candidates)
-    if not cands:
-        raise ConfigurationError("no candidate dimensions given")
-    x = dataset.grid.abscissae
-    rows = dataset.value_matrix()
-    errors = {}
-    for d in cands:
-        try:
-            errors[d] = splines.loo_reconstruction_error(x, rows, d)
-        except ConfigurationError:
-            continue
-    if not errors:
-        raise ConfigurationError("no candidate spline dimension is feasible")
-    best_err = min(errors.values())
-    # Errors indistinguishable from the best (e.g. several exact fits) count
-    # as ties, which go to the smaller dimension.
-    atol = 1e-12 * max(float(np.mean(rows**2)), 1e-300)
-    best = min(d for d, e in errors.items() if e <= best_err + atol)
-    return int(best)

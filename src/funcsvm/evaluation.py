@@ -10,7 +10,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import DataError, FuncSvmError, UsageError
 from .functions import LabeledDataset, SamplingGrid
@@ -186,6 +185,8 @@ def paired_t_test(errors_a, errors_b) -> float:
     b = np.asarray(errors_b, dtype=float)
     if a.shape != b.shape or a.size < 2:
         raise UsageError("paired test needs two equal-length vectors of size >= 2")
+    from scipy import stats  # here, to keep scipy off the import path
+
     d = a - b
     var = float(np.var(d, ddof=1))
     var = max(var, VARIANCE_FLOOR)

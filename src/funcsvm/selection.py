@@ -248,8 +248,7 @@ class _PrepCache:
                 pairwise_statistic(base, va, tr),
             )
         s_tt, s_vt = self._stats[key]
-        K = kernel_from_statistic(base, s_tt)
-        return (K + K.T) / 2.0, kernel_from_statistic(base, s_vt)
+        return kernel_from_statistic(base, s_tt), kernel_from_statistic(base, s_vt)
 
 
 def _evaluate_candidate(

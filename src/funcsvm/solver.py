@@ -9,6 +9,12 @@ by repeated analytic updates of the maximal violating pair, and exposes
 the resulting sign classifier.  Ties in working-set selection go to the
 lowest index, which makes the solve deterministic and permutation
 equivariant.
+
+The loop keeps y*alpha and y*g (g the gradient of the dual objective) as
+its state, updates the gradient from two rows of K, and keeps the box
+constraints as additive penalty vectors of which a step changes two
+entries.  Multiplying by y = +-1 is exact, so a solve is the same float
+arithmetic as updating alpha and g directly, and is bitwise repeatable.
 """
 
 from __future__ import annotations
@@ -48,58 +54,72 @@ def solve_dual(
 ) -> DualSolution:
     """Maximal-violating-pair SMO on the dual problem.
 
-    Raises :class:`DegenerateTrainingError` if only one class is present,
-    :class:`DataError` if the kernel matrix holds a NaN or infinite entry
-    (no violation could ever be compared with ``tol``), and
-    :class:`ConvergenceError` (carrying the best iterate) if the
-    iteration budget runs out.
+    Solves with the symmetric part ``(K + K') / 2`` of ``gram``, which is
+    ``gram`` itself, bit for bit, when it is symmetric.  Raises
+    :class:`DegenerateTrainingError` if only one class is present or ``C``
+    is not a positive finite number, :class:`DataError` if the kernel
+    matrix holds a NaN or infinite entry (no violation could ever be
+    compared with ``tol``), and :class:`ConvergenceError` (carrying the
+    best iterate) if the iteration budget runs out.
     """
     K = np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
     n = y.size
     if n < 2 or K.shape != (n, n):
         raise DegenerateTrainingError("need at least two labeled examples")
+    K = (K + K.T) / 2.0  # the loop reads row K[i] as the column K[:, i]
     if not np.isfinite(K).all():
         raise DataError("kernel matrix has non-finite entries")
     if np.all(y > 0) or np.all(y < 0):
         raise DegenerateTrainingError("training data contains a single class")
-    if C <= 0:
-        raise DegenerateTrainingError("C must be positive")
+    if not 0.0 < C < np.inf:
+        raise DegenerateTrainingError("C must be positive and finite")
 
-    alpha = np.zeros(n)
-    # g = gradient of the dual objective: 1 - (yy'K a)_i
-    g = np.ones(n)
-    pos = y > 0
-    # y_i * alpha_i ranges over [lo_i, hi_i]
-    lo = np.where(pos, 0.0, -C)
-    hi = np.where(pos, C, 0.0)
+    # The state is ya = y*alpha and yg = y*g, where g = 1 - (yy'K alpha) is
+    # the gradient of the dual objective.  Scalars are Python floats: the
+    # same IEEE doubles as numpy's, without the overhead of numpy scalars.
+    C = float(C)
+    pos = (y > 0).tolist()
+    # y_i * alpha_i ranges over [lo_i, hi_i]; it can still rise while below
+    # hi_i - slack and fall while above lo_i + slack.
+    lo = [0.0 if p else -C for p in pos]
+    hi = [C if p else 0.0 for p in pos]
     slack = 1e-12 * C
+    lo_in = [v + slack for v in lo]
+    hi_in = [v - slack for v in hi]
+    ya = [0.0] * n
+    yg = y.copy()
+    # Feasibility as additive penalties, 0 where a coordinate can move up
+    # (down) and -inf (+inf) where it cannot, so that each half of the
+    # working-set choice is one add and one arg-extremum.
+    pen_up = np.where(y > 0, 0.0, -np.inf)
+    pen_down = np.where(y > 0, np.inf, 0.0)
+    buf_up = np.empty(n)
+    buf_down = np.empty(n)
+    step = np.empty(n)
+    diag = K.diagonal().tolist()
 
     it = 0
     violation = np.inf
     while it < max_iter:
-        ya = y * alpha
-        yg = y * g
-        up = ya < hi - slack
-        down = ya > lo + slack
-        yg_up = np.where(up, yg, -np.inf)
-        yg_down = np.where(down, yg, np.inf)
-        i = int(np.argmax(yg_up))
-        j = int(np.argmin(yg_down))
-        violation = yg_up[i] - yg_down[j]
+        i = int(np.add(yg, pen_up, out=buf_up).argmax())
+        j = int(np.add(yg, pen_down, out=buf_down).argmin())
+        violation = buf_up.item(i) - buf_down.item(j)
         if violation < tol:
             break
-        quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
-        lam = min(
-            hi[i] - ya[i],
-            ya[j] - lo[j],
-            violation / quad,
-        )
-        alpha[i] += y[i] * lam
-        alpha[j] -= y[j] * lam
-        g += lam * y * (K[:, j] - K[:, i])
+        quad = max(diag[i] + diag[j] - 2.0 * K.item(i, j), 1e-12)
+        lam = min(hi[i] - ya[i], ya[j] - lo[j], violation / quad)
+        ya[i] += lam
+        ya[j] -= lam
+        for k in (i, j):
+            pen_up[k] = 0.0 if ya[k] < hi_in[k] else -np.inf
+            pen_down[k] = 0.0 if ya[k] > lo_in[k] else np.inf
+        np.subtract(K[j], K[i], out=step)
+        step *= lam
+        yg += step  # y times the update g += lam*y*(K[:, j] - K[:, i])
         it += 1
 
+    alpha = y * np.array(ya) + 0.0  # + 0.0: an alpha at zero is +0.0, not -0.0
     np.clip(alpha, 0.0, C, out=alpha)
     objective = float(alpha.sum() - 0.5 * np.dot(y * alpha, K @ (y * alpha)))
     bias = _compute_bias(K, y, alpha, C)
@@ -170,7 +190,6 @@ def train_svm(
     """Prepare the data under the kernel, solve the dual, keep the support set."""
     prep = prepare_batch(kernel, data.functions)
     K = apply_base(kernel.base, prep, prep)
-    K = (K + K.T) / 2.0
     sol = solve_dual(K, data.labels, C, tol=tol, max_iter=max_iter)
     return model_from_solution(kernel, prep, data, sol, C, tol, meta)
 

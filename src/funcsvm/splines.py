@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import ConfigurationError
 
@@ -27,6 +26,8 @@ def knot_vector(a: float, b: float, dimension: int, degree: int = SPLINE_DEGREE)
 
 def design_matrix(x: np.ndarray, dimension: int, degree: int = SPLINE_DEGREE) -> np.ndarray:
     """Dense B-spline design matrix evaluated at the sample points."""
+    from scipy.interpolate import BSpline  # here, to keep scipy off the import path
+
     x = np.asarray(x, dtype=float)
     t = knot_vector(x[0], x[-1], dimension, degree)
     return BSpline.design_matrix(x, t, degree).toarray(), t
@@ -46,28 +47,9 @@ def derivative_operator(x: np.ndarray, dimension: int, order: int,
         raise ConfigurationError(
             f"spline dimension {dimension} exceeds the number of samples {x.size}"
         )
+    from scipy.interpolate import BSpline
+
     B, t = design_matrix(x, dimension, degree)
     B_order = BSpline(t, np.eye(dimension), degree).derivative(order)(x)
     return B_order @ np.linalg.pinv(B)
 
-
-def loo_reconstruction_error(x: np.ndarray, rows: np.ndarray, dimension: int) -> float:
-    """Mean squared leave-one-point-out residual of the spline fit.
-
-    ``rows`` holds one curve per row.  Uses the linear-smoother identity
-    r_i / (1 - h_ii), which equals refitting with point i removed.
-    """
-    x = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if dimension > x.size - 1:
-        raise ConfigurationError(
-            f"spline dimension {dimension} leaves no point to hold out on {x.size} samples"
-        )
-    B, _ = design_matrix(x, dimension)
-    # Hat matrix H = B (B'B)^-1 B'
-    G = B.T @ B
-    H = B @ np.linalg.solve(G, B.T)
-    h = np.clip(np.diag(H), None, 1.0 - 1e-12)
-    fitted = rows @ H.T
-    resid = (rows - fitted) / (1.0 - h)
-    return float(np.mean(resid**2))

@@ -4,17 +4,14 @@ import pytest
 from funcsvm import (
     BasisSpec,
     CoefficientVector,
-    LabeledDataset,
     SampledFunction,
     SamplingGrid,
     norm,
     project,
     reconstruct,
-    select_spline_dimension,
 )
 from funcsvm.basis import basis_matrix, coefficient_gram
 from funcsvm.errors import ConfigurationError
-from funcsvm.splines import design_matrix
 
 
 def random_function(grid, seed):
@@ -139,54 +136,3 @@ class TestInvariantsAndProperties:
         proj_norm = float(c.coefficients @ G @ c.coefficients)
         assert proj_norm <= norm(u) ** 2 + 1e-6
 
-
-class TestSelectSplineDimension:
-    def test_exact_cubics_pick_the_smallest_dimension(self):
-        g = SamplingGrid.uniform(0.0, 1.0, 80)
-        t = g.abscissae
-        data = LabeledDataset.from_matrix(
-            g, np.stack([t**3 - t, 2.0 * t**3 + t**2]), [1, -1]
-        )
-        assert select_spline_dimension(data, [4, 8, 16]) == 4
-
-    def test_sin_needs_the_larger_dimension(self):
-        g = SamplingGrid.uniform(0.0, 1.0, 80)
-        data = LabeledDataset.from_matrix(
-            g, np.sin(2 * np.pi * g.abscissae)[None, :], [1]
-        )
-        assert select_spline_dimension(data, [4, 12]) == 12
-
-    def test_singleton_candidate(self):
-        g = SamplingGrid.uniform(0.0, 1.0, 80)
-        data = LabeledDataset.from_matrix(g, g.abscissae[None, :], [1])
-        assert select_spline_dimension(data, [6]) == 6
-
-    def test_matches_explicit_refit_oracle(self):
-        # The production path uses the hat-matrix identity; the oracle here
-        # refits with each point removed.
-        g = SamplingGrid.uniform(0.0, 1.0, 40)
-        rng = np.random.default_rng(8)
-        row = np.sin(2 * np.pi * g.abscissae) + 0.1 * rng.standard_normal(40)
-        data = LabeledDataset.from_matrix(g, row[None, :], [1])
-
-        def explicit_loo(dimension):
-            t = g.abscissae
-            B, _ = design_matrix(t, dimension)
-            total = 0.0
-            for i in range(t.size):
-                keep = np.arange(t.size) != i
-                coeffs, *_ = np.linalg.lstsq(B[keep], row[keep], rcond=None)
-                total += (B[i] @ coeffs - row[i]) ** 2
-            return total / t.size
-
-        from funcsvm.splines import loo_reconstruction_error
-
-        for d in (5, 9):
-            fast = loo_reconstruction_error(g.abscissae, row[None, :], d)
-            assert fast == pytest.approx(explicit_loo(d), rel=1e-6)
-
-    def test_all_infeasible_raises(self):
-        g = SamplingGrid.uniform(0.0, 1.0, 10)
-        data = LabeledDataset.from_matrix(g, g.abscissae[None, :], [1])
-        with pytest.raises(ConfigurationError):
-            select_spline_dimension(data, [50])

@@ -363,3 +363,14 @@ def test_version_ignores_the_environment():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0.1.0"
     assert proc.stderr == ""
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = "import sys, funcsvm.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

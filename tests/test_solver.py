@@ -13,7 +13,7 @@ from funcsvm import (
     train_svm,
 )
 from funcsvm.errors import ConvergenceError, DataError, DegenerateTrainingError
-from funcsvm.solver import _compute_bias, decision_values, predict_batch
+from funcsvm.solver import DualSolution, _compute_bias, decision_values, predict_batch
 
 from conftest import dual_objective, qp_oracle, random_tiny_problem
 
@@ -157,6 +157,16 @@ class TestDegenerateInputs:
         with pytest.raises(DataError, match="non-finite"):
             solve_dual(K, y, C=1.0, max_iter=20_000)
 
+    @pytest.mark.parametrize("C", [np.nan, np.inf])
+    def test_non_finite_c_raises(self, C):
+        K, y = random_tiny_problem(np.random.default_rng(5))
+        with pytest.raises(DegenerateTrainingError, match="C must be positive and finite"):
+            solve_dual(K, y, C=C)
+        g = SamplingGrid.uniform(0.0, 1.0, 8)
+        data = LabeledDataset.from_matrix(g, np.vstack([np.ones(8), -np.ones(8)]), [1, -1])
+        with pytest.raises(DegenerateTrainingError, match="C must be positive and finite"):
+            train_svm(FunctionalKernel(), data, C=C)
+
     def test_budget_exhaustion_carries_best_iterate(self):
         K, y = random_tiny_problem(np.random.default_rng(6), "gaussian")
         with pytest.raises(ConvergenceError) as info:
@@ -184,6 +194,120 @@ class TestDeterminismAndEquivariance:
         sol_p = solve_dual(K[np.ix_(perm, perm)], y[perm], C=2.0, tol=1e-10)
         assert np.max(np.abs(sol_p.alphas - sol.alphas[perm])) < 1e-6
         assert sol_p.bias == pytest.approx(sol.bias, abs=1e-6)
+
+
+def _reference_solve_dual(K, y, C, tol, max_iter):
+    """The SMO loop as it was before ``y*alpha`` and ``y*g`` became its state,
+    kept verbatim (input checks aside) as the reference for bit identity.
+    It reads columns of K, so it needs a symmetric K to match."""
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = y.size
+
+    alpha = np.zeros(n)
+    # g = gradient of the dual objective: 1 - (yy'K a)_i
+    g = np.ones(n)
+    pos = y > 0
+    # y_i * alpha_i ranges over [lo_i, hi_i]
+    lo = np.where(pos, 0.0, -C)
+    hi = np.where(pos, C, 0.0)
+    slack = 1e-12 * C
+
+    it = 0
+    violation = np.inf
+    while it < max_iter:
+        ya = y * alpha
+        yg = y * g
+        up = ya < hi - slack
+        down = ya > lo + slack
+        yg_up = np.where(up, yg, -np.inf)
+        yg_down = np.where(down, yg, np.inf)
+        i = int(np.argmax(yg_up))
+        j = int(np.argmin(yg_down))
+        violation = yg_up[i] - yg_down[j]
+        if violation < tol:
+            break
+        quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        lam = min(
+            hi[i] - ya[i],
+            ya[j] - lo[j],
+            violation / quad,
+        )
+        alpha[i] += y[i] * lam
+        alpha[j] -= y[j] * lam
+        g += lam * y * (K[:, j] - K[:, i])
+        it += 1
+
+    np.clip(alpha, 0.0, C, out=alpha)
+    objective = float(alpha.sum() - 0.5 * np.dot(y * alpha, K @ (y * alpha)))
+    bias = _compute_bias(K, y, alpha, C)
+    solution = DualSolution(
+        alphas=alpha,
+        bias=bias,
+        objective=objective,
+        iterations=it,
+        kkt_violation=float(max(violation, 0.0)),
+    )
+    if it >= max_iter and violation >= tol:
+        raise ConvergenceError("reference budget exhausted", solution=solution)
+    return solution
+
+
+def _seeded_problem(n, kind, seed):
+    """An exactly symmetric Gram matrix on n points with both classes present.
+
+    ``duplicated`` is a rank-deficient linear Gram matrix in which every
+    point appears twice, so working-set selection meets exact ties."""
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(n) < 0.5, 1, -1)
+    y[:2] = (1, -1)
+    if kind == "duplicated":
+        X = rng.standard_normal(((n + 1) // 2, 2))
+        X = np.repeat(X, 2, axis=0)[:n]
+        y = np.repeat(y[: (n + 1) // 2], 2)[:n]
+        y[:2] = (1, -1)  # one duplicate pair with conflicting labels
+    else:
+        X = rng.standard_normal((n, 3))
+    if kind == "gaussian":
+        K = np.exp(-0.5 * np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1))
+    else:
+        K = X @ X.T
+    return (K + K.T) / 2.0, y
+
+
+def _assert_bitwise_equal(got, ref):
+    assert np.array_equal(got.alphas, ref.alphas)
+    assert got.alphas.tobytes() == ref.alphas.tobytes()
+    assert got.bias == ref.bias
+    assert got.objective == ref.objective
+    assert got.iterations == ref.iterations
+    assert got.kkt_violation == ref.kkt_violation
+
+
+class TestBitIdentityWithReferenceLoop:
+    @pytest.mark.parametrize("n", [2, 3, 17, 80])
+    @pytest.mark.parametrize("kind", ["gaussian", "linear", "duplicated"])
+    @pytest.mark.parametrize("C", [0.1, 1.0, 100.0])
+    def test_solution_is_bitwise_the_reference(self, n, kind, C):
+        K, y = _seeded_problem(n, kind, seed=n)
+        _assert_bitwise_equal(solve_dual(K, y, C), _reference_solve_dual(K, y, C, 1e-3, 10**6))
+
+    def test_budget_exhaustion_carries_the_reference_iterate(self):
+        K, y = _seeded_problem(80, "gaussian", seed=1)
+        with pytest.raises(ConvergenceError) as ref:
+            _reference_solve_dual(K, y, 100.0, 1e-3, 25)
+        with pytest.raises(ConvergenceError) as got:
+            solve_dual(K, y, 100.0, max_iter=25)
+        assert got.value.solution.iterations == 25
+        _assert_bitwise_equal(got.value.solution, ref.value.solution)
+
+    def test_non_symmetric_gram_solves_as_its_symmetric_part(self):
+        K, y = _seeded_problem(17, "gaussian", seed=3)
+        skew = np.random.default_rng(4).standard_normal(K.shape) * 1e-3
+        K_ns = K + (skew - skew.T)
+        assert not np.array_equal(K_ns, K_ns.T)
+        _assert_bitwise_equal(solve_dual(K_ns, y, 1.0),
+                              solve_dual((K_ns + K_ns.T) / 2.0, y, 1.0))
 
 
 class TestObjectiveStructure:
