@@ -69,9 +69,25 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         grid=build_grid(grid_doc),
         protocol=doc.get("protocol", {}),
         split=doc.get("split", {"policy": "first_l"}),
-        seed=int(seed),
-        tol=float(doc.get("tol", 1e-3)),
+        seed=_seed(seed),
+        tol=_tol(doc.get("tol", 1e-3)),
     )
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _seed(value) -> int:
+    if not (_is_number(value) and float(value).is_integer() and value >= 0):
+        raise UsageError(f"seed must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def _tol(value) -> float:
+    if not (_is_number(value) and 0 < value < float("inf")):
+        raise UsageError(f"tol must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 def _expand_kernels(entries, transforms) -> list[FunctionalKernel]:

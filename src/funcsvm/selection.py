@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    ConvergenceError,
     DataError,
     DegenerateTrainingError,
     FuncSvmError,
@@ -32,6 +33,7 @@ from .solver import (
     model_from_solution,
     predict_batch,
     solve_dual,
+    support_mask,
 )
 
 __all__ = [
@@ -184,12 +186,20 @@ class CandidateRecord:
     solution: DualSolution | None = None
 
     def as_row(self) -> dict:
+        """Report row; the solver facts are None when no solve ran."""
+        sol = self.solution
         return {
             "index": self.index,
             **self.candidate.as_dict(),
             "validation_error": self.validation_error,
             "score": self.score,
             "error": self.error,
+            "iterations": sol.iterations if sol else None,
+            "kkt_violation": sol.kkt_violation if sol else None,
+            "n_support": int(support_mask(sol.alphas, self.candidate.C).sum())
+            if sol else None,
+            # A failed candidate keeps a solution only when the budget ran out.
+            "budget_exhausted": self.score is None if sol else None,
         }
 
 
@@ -252,11 +262,11 @@ class _PrepCache:
 
 
 def _evaluate_candidate(
-    cache: _PrepCache, candidate: Candidate, tol: float, max_iter: int
+    cache: _PrepCache, candidate: Candidate, tol: float, max_iter: int, alpha0
 ):
     K, Kv = cache.matrices(candidate.kernel)
     y = cache.train.labels
-    sol = solve_dual(K, y, candidate.C, tol=tol, max_iter=max_iter)
+    sol = solve_dual(K, y, candidate.C, tol=tol, max_iter=max_iter, alpha0=alpha0)
     decisions = Kv @ (sol.alphas * y) + sol.bias
     pred = np.where(decisions >= 0.0, 1, -1)
     err = float(np.mean(pred != cache.validation.labels))
@@ -275,7 +285,10 @@ def select(
     """Run the full split-sample search and return the winning model.
 
     Each candidate is solved once; the returned model is the winner's
-    solve, kept with the training half's prepared curves.
+    solve, kept with the training half's prepared curves.  A candidate
+    whose Gram matrix an earlier candidate already solved (same
+    preparation and base kernel, another C) starts from that solution
+    scaled by the ratio of the C values, which is feasible.
     """
     if len(grid) == 0:
         raise UsageError("the candidate grid is empty")
@@ -285,13 +298,22 @@ def select(
 
     kernel_orders = _kernel_declaration_order(grid)
     table = []
+    seeds: dict = {}  # (prep_signature, base) -> (alphas, C) of its last solve
     for idx, cand in enumerate(grid.candidates):
+        gram_key = (cand.kernel.prep_signature, cand.kernel.base)
+        alpha0 = None
+        if gram_key in seeds:
+            alphas, C_prev = seeds[gram_key]
+            alpha0 = np.minimum(alphas * (cand.C / C_prev), cand.C)
         try:
-            sol, err = _evaluate_candidate(cache, cand, tol, max_iter)
+            sol, err = _evaluate_candidate(cache, cand, tol, max_iter, alpha0)
         except FuncSvmError as exc:
-            table.append(CandidateRecord(cand, idx, kernel_orders[idx], None, None,
-                                         error=f"{type(exc).__name__}: {exc}"))
+            table.append(CandidateRecord(
+                cand, idx, kernel_orders[idx], None, None,
+                error=f"{type(exc).__name__}: {exc}",
+                solution=exc.solution if isinstance(exc, ConvergenceError) else None))
             continue
+        seeds[gram_key] = (sol.alphas, cand.C)
         score = err + grid.penalty(cand.dimension) / np.sqrt(m)
         table.append(CandidateRecord(cand, idx, kernel_orders[idx], err, float(score),
                                      solution=sol))

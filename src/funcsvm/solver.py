@@ -5,8 +5,12 @@ Solves, for a precomputed kernel matrix K and labels y in {-1, +1},
     max_a  sum(a) - 0.5 * a' (yy' * K) a
     s.t.   sum(a * y) = 0,  0 <= a_i <= C,
 
-by repeated analytic updates of the maximal violating pair, and exposes
-the resulting sign classifier.  Ties in working-set selection go to the
+by repeated analytic updates of a working pair chosen with second-order
+information (Fan, Chen & Lin, JMLR 2005): ``i`` is the maximal violator
+and ``j`` the partner whose pair step gains the most, and exposes the
+resulting sign classifier.  A solve can start from any feasible point,
+which lets a search along C seed each solve from the previous one
+(DeCoste & Wagstaff, KDD 2000).  Ties in working-set selection go to the
 lowest index, which makes the solve deterministic and permutation
 equivariant.
 
@@ -51,16 +55,25 @@ def solve_dual(
     C: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    alpha0=None,
 ) -> DualSolution:
-    """Maximal-violating-pair SMO on the dual problem.
+    """Second-order SMO on the dual problem.
+
+    Each step moves the pair (i, j) where ``i`` maximises ``y*g`` over the
+    coordinates that can move up and ``j`` maximises ``b_t^2 / a_t`` over
+    those that can move down, with ``b_t = (y*g)_i - (y*g)_t > 0`` and
+    ``a_t = K_ii + K_tt - 2 K_it``: the pair whose unclipped step gains the
+    most objective.  The solve starts from ``alpha0`` if given (a feasible
+    point: ``0 <= alpha0 <= C`` and ``y'alpha0 = 0``), else from zero.
 
     Solves with the symmetric part ``(K + K') / 2`` of ``gram``, which is
     ``gram`` itself, bit for bit, when it is symmetric.  Raises
     :class:`DegenerateTrainingError` if only one class is present or ``C``
-    is not a positive finite number, :class:`DataError` if the kernel
-    matrix holds a NaN or infinite entry (no violation could ever be
-    compared with ``tol``), and :class:`ConvergenceError` (carrying the
-    best iterate) if the iteration budget runs out.
+    or ``tol`` is not a positive finite number, :class:`DataError` if the
+    kernel matrix holds a NaN or infinite entry (no violation could ever be
+    compared with ``tol``) or ``alpha0`` is not feasible, and
+    :class:`ConvergenceError` (carrying the best iterate) if the iteration
+    budget runs out.
     """
     K = np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -74,11 +87,27 @@ def solve_dual(
         raise DegenerateTrainingError("training data contains a single class")
     if not 0.0 < C < np.inf:
         raise DegenerateTrainingError("C must be positive and finite")
+    if not 0.0 < tol < np.inf:
+        raise DegenerateTrainingError("tol must be positive and finite")
 
     # The state is ya = y*alpha and yg = y*g, where g = 1 - (yy'K alpha) is
     # the gradient of the dual objective.  Scalars are Python floats: the
     # same IEEE doubles as numpy's, without the overhead of numpy scalars.
     C = float(C)
+    if alpha0 is None:
+        ya = [0.0] * n
+        yg = y.copy()
+    else:
+        a0 = np.asarray(alpha0, dtype=float)
+        if a0.shape != (n,) or not np.isfinite(a0).all():
+            raise DataError(f"alpha0 must hold {n} finite values")
+        if np.any(a0 < 0.0) or np.any(a0 > C):
+            raise DataError("alpha0 must lie in the box [0, C]")
+        if abs(np.dot(y, a0)) > 1e-8 * C * n:
+            raise DataError("alpha0 must satisfy sum(alpha0 * y) = 0")
+        ya_arr = y * a0
+        ya = ya_arr.tolist()
+        yg = y - K @ ya_arr
     pos = (y > 0).tolist()
     # y_i * alpha_i ranges over [lo_i, hi_i]; it can still rise while below
     # hi_i - slack and fall while above lo_i + slack.
@@ -87,28 +116,33 @@ def solve_dual(
     slack = 1e-12 * C
     lo_in = [v + slack for v in lo]
     hi_in = [v - slack for v in hi]
-    ya = [0.0] * n
-    yg = y.copy()
     # Feasibility as additive penalties, 0 where a coordinate can move up
-    # (down) and -inf (+inf) where it cannot, so that each half of the
-    # working-set choice is one add and one arg-extremum.
-    pen_up = np.where(y > 0, 0.0, -np.inf)
-    pen_down = np.where(y > 0, np.inf, 0.0)
+    # (down) and -inf (+inf) where it cannot, so that choosing i is one add
+    # and one argmax, and b below is -inf wherever j cannot be.
+    pen_up = np.where(np.less(ya, hi_in), 0.0, -np.inf)
+    pen_down = np.where(np.greater(ya, lo_in), 0.0, np.inf)
     buf_up = np.empty(n)
-    buf_down = np.empty(n)
+    gain = np.empty(n)
     step = np.empty(n)
-    diag = K.diagonal().tolist()
+    diag = K.diagonal()
+    # R_it = 1/sqrt(a_it); for b > 0, b * R_it orders the partners t as the
+    # second-order gain b^2 / a_it does.
+    R = 1.0 / np.sqrt(np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, 1e-12))
+    diag = diag.tolist()
 
     it = 0
     violation = np.inf
     while it < max_iter:
         i = int(np.add(yg, pen_up, out=buf_up).argmax())
-        j = int(np.add(yg, pen_down, out=buf_down).argmin())
-        violation = buf_up.item(i) - buf_down.item(j)
+        # b_t = yg_i - yg_t over the down set, -inf elsewhere.
+        b = np.subtract(buf_up.item(i), yg, out=gain)
+        b -= pen_down
+        violation = b.item(b.argmax())  # b.max(), without its Python wrapper
         if violation < tol:
             break
+        j = int(np.multiply(b, R[i], out=step).argmax())
         quad = max(diag[i] + diag[j] - 2.0 * K.item(i, j), 1e-12)
-        lam = min(hi[i] - ya[i], ya[j] - lo[j], violation / quad)
+        lam = min(hi[i] - ya[i], ya[j] - lo[j], b.item(j) / quad)
         ya[i] += lam
         ya[j] -= lam
         for k in (i, j):
@@ -194,6 +228,11 @@ def train_svm(
     return model_from_solution(kernel, prep, data, sol, C, tol, meta)
 
 
+def support_mask(alphas: np.ndarray, C: float) -> np.ndarray:
+    """The support vectors of a solve with box constraint ``C``."""
+    return alphas > 1e-10 * C
+
+
 def model_from_solution(
     kernel: FunctionalKernel,
     prep: np.ndarray,
@@ -205,8 +244,7 @@ def model_from_solution(
 ) -> SvmModel:
     """Classifier from a solved dual: ``prep`` is ``data`` prepared under
     ``kernel``, and ``sol`` solves it with box constraint ``C``."""
-    keep = sol.alphas > 1e-10 * C
-    idx = np.flatnonzero(keep)
+    idx = np.flatnonzero(support_mask(sol.alphas, C))
     info = {"C": C, "tol": tol, "objective": sol.objective,
             "iterations": sol.iterations, "kkt_violation": sol.kkt_violation}
     if meta:

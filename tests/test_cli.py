@@ -13,6 +13,7 @@ from funcsvm import (
     load_model,
 )
 from funcsvm.cli import main
+from funcsvm.config import parse_config
 from funcsvm.persistence import MODEL_VERSION
 from funcsvm.solver import decision_values
 
@@ -83,6 +84,16 @@ class TestSelectPredictPipeline:
             label, decision = line.split(",")
             assert float(decision) == v
             assert int(label) == (1 if v >= 0 else -1)
+
+    def test_report_rows_carry_the_solver_facts(self, tmp_path, synth_csv):
+        cfg = write_config(tmp_path, synth_csv)
+        out = tmp_path / "run"
+        assert main(["select", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "selection_report.json").read_text())
+        for row in report["table"]:
+            assert isinstance(row["iterations"], int) and row["n_support"] > 0
+            assert row["kkt_violation"] < 1e-3 and row["budget_exhausted"] is False
+        assert sum(row["iterations"] for row in report["table"]) > 0
 
     def test_predict_to_stdout(self, tmp_path, synth_csv, capsys):
         cfg = write_config(tmp_path, synth_csv)
@@ -267,6 +278,28 @@ class TestInvalidGridValues:
         assert len(err) == 1
         assert err[0].startswith("FSVM-ERROR code=usage msg=")
         assert repr(value) in err[0]
+
+
+class TestInvalidTolAndSeed:
+    @pytest.mark.parametrize("key, value", [
+        ("tol", float("nan")), ("tol", float("inf")), ("tol", 0), ("tol", -1),
+        ("tol", "abc"), ("tol", True), ("seed", "abc"), ("seed", None), ("seed", [1]),
+        ("seed", 2.5), ("seed", -1),
+    ], ids=["tol-NaN", "tol-Infinity", "tol-0", "tol-negative", "tol-string", "tol-bool",
+            "seed-string", "seed-null", "seed-list", "seed-fraction", "seed-negative"])
+    def test_is_a_usage_error(self, tmp_path, synth_csv, capsys, key, value):
+        cfg = write_config(tmp_path, synth_csv, **{key: value})
+        rc = main(["select", "--config", cfg, "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"FSVM-ERROR code=usage msg={key} must be")
+        assert not (tmp_path / "run" / "model.fsvm").exists()
+
+    def test_integral_numbers_are_accepted(self):
+        cfg = parse_config({"seed": 3.0, "tol": 1})
+        assert (cfg.seed, cfg.tol) == (3, 1.0)
+        assert type(cfg.seed) is int and type(cfg.tol) is float
 
 
 class TestTrain:

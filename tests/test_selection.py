@@ -18,10 +18,11 @@ from funcsvm import (
 )
 from funcsvm.basis import BasisSpec
 from funcsvm.config import build_grid
+from funcsvm import selection
 from funcsvm.errors import DegenerateTrainingError, UsageError
 from funcsvm.kernels import Transform
 from funcsvm.selection import step_penalty
-from funcsvm.solver import DEFAULT_MAX_ITER
+from funcsvm.solver import DEFAULT_MAX_ITER, solve_dual
 
 
 GRID = SamplingGrid.uniform(0.0, 1.0, 64)
@@ -297,6 +298,105 @@ class TestSelect:
         assert default(select) is DEFAULT_MAX_ITER
         assert default(train_svm) is DEFAULT_MAX_ITER
         assert DEFAULT_MAX_ITER == 1_000_000
+
+
+class TestSeedingAlongC:
+    GRID = CandidateGrid.from_axes(
+        gaussian_kernels([0.5, 2.0]) + [FunctionalKernel(base=BaseKernel.linear())],
+        [0.5, 5.0, 50.0], dimensions=(3, 6),
+    )
+
+    def test_each_solve_starts_from_the_previous_c_on_its_gram(self, monkeypatch):
+        calls = []
+
+        def recording(K, y, C, **kwargs):
+            sol = solve_dual(K, y, C, **kwargs)
+            calls.append((K, C, kwargs["alpha0"], sol))
+            return sol
+
+        monkeypatch.setattr(selection, "solve_dual", recording)
+        select(self.GRID, two_frequency_data(40, noise=0.5, seed=13), l=20)
+        for k, (K, C, alpha0, _) in enumerate(calls):
+            if k % 3 == 0:  # the first C of each (dimension, kernel)
+                assert alpha0 is None
+                continue
+            K_prev, C_prev, _, prev = calls[k - 1]
+            assert np.array_equal(K_prev, K)
+            assert np.array_equal(alpha0, np.minimum(prev.alphas * (C / C_prev), C))
+
+    def test_validation_errors_match_unseeded_solves(self):
+        data = two_frequency_data(40, noise=0.5, seed=13)
+        res = select(self.GRID, data, l=20, tol=1e-6)
+        split = split_sample(data, 20)
+        for record in res.table:
+            model = train_svm(record.candidate.kernel, split.train, record.candidate.C,
+                              tol=1e-6)
+            assert empirical_error(model, split.validation) == record.validation_error
+
+    def test_bitwise_repeatable(self):
+        data = two_frequency_data(40, noise=0.5, seed=13)
+        a = select(self.GRID, data, l=20)
+        b = select(self.GRID, data, l=20)
+        assert [r.as_row() for r in a.table] == [r.as_row() for r in b.table]
+        for ra, rb in zip(a.table, b.table):
+            assert ra.solution.alphas.tobytes() == rb.solution.alphas.tobytes()
+            assert ra.solution.bias == rb.solution.bias
+
+    def test_permutation_equivariant(self):
+        # Reordering curves within each side of the first_l split permutes
+        # every candidate's solution and leaves its validation error alone.
+        data = two_frequency_data(40, noise=0.5, seed=13)
+        rng = np.random.default_rng(3)
+        perm = np.concatenate([rng.permutation(20), 20 + rng.permutation(20)])
+        a = select(self.GRID, data, l=20, tol=1e-8)
+        b = select(self.GRID, data.subset(perm), l=20, tol=1e-8)
+        for ra, rb in zip(a.table, b.table):
+            assert ra.validation_error == rb.validation_error
+            C = ra.candidate.C
+            assert np.max(np.abs(rb.solution.alphas - ra.solution.alphas[perm[:20]])) < 1e-6 * C
+
+
+class TestCandidateRows:
+    GRID = CandidateGrid.from_axes(gaussian_kernels([1.0]), [1.0, 100.0], dimensions=(5,))
+
+    def test_rows_carry_the_solver_facts(self):
+        res = select(self.GRID, two_frequency_data(40, noise=0.5, seed=14), l=20)
+        for record in res.table:
+            row, sol = record.as_row(), record.solution
+            assert row["iterations"] == sol.iterations > 0
+            assert row["kkt_violation"] == sol.kkt_violation < 1e-3
+            assert row["n_support"] == int(np.sum(sol.alphas > 1e-10 * record.candidate.C))
+            assert row["n_support"] > 0
+            assert row["budget_exhausted"] is False
+        assert res.chosen_record.as_row()["n_support"] == res.model.n_support
+
+    def test_budget_failure_keeps_its_best_iterate(self):
+        # A budget that C=1 meets and C=100, seeded from it, does not.
+        data = two_frequency_data(40, noise=0.5, seed=14)
+        first, second = select(self.GRID, data, l=20).table
+        budget = first.solution.iterations + 1
+        assert second.solution.iterations > budget
+        record = select(self.GRID, data, l=20, max_iter=budget).table[1]
+        row = record.as_row()
+        assert row["score"] is None and row["error"].startswith("ConvergenceError")
+        assert row["iterations"] == budget
+        assert row["kkt_violation"] >= 1e-3
+        assert row["n_support"] == int(np.sum(record.solution.alphas > 1e-8))
+        assert row["budget_exhausted"] is True
+
+    def test_rows_without_a_solve_report_none(self):
+        data = two_frequency_data(30, noise=0.3, seed=12)
+        data = LabeledDataset.from_matrix(GRID, 10.0 * data.value_matrix(), data.labels)
+        g = CandidateGrid.from_axes(
+            [FunctionalKernel(base=BaseKernel.polynomial(400)),
+             FunctionalKernel(base=BaseKernel.gaussian(0.01))],
+            [1.0],
+        )
+        with np.errstate(over="ignore"):
+            row = select(g, data, l=15).table[0].as_row()
+        assert row["error"].startswith("DataError")
+        assert [row[k] for k in ("iterations", "kkt_violation", "n_support",
+                                 "budget_exhausted")] == [None] * 4
 
 
 class TestValidateGrid:

@@ -167,6 +167,14 @@ class TestDegenerateInputs:
         with pytest.raises(DegenerateTrainingError, match="C must be positive and finite"):
             train_svm(FunctionalKernel(), data, C=C)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_tol_raises(self, tol):
+        # A NaN tol compares false against every violation, so the loop would
+        # spend its whole budget and return; zero or less can never be met.
+        K, y = random_tiny_problem(np.random.default_rng(5))
+        with pytest.raises(DegenerateTrainingError, match="tol must be positive and finite"):
+            solve_dual(K, y, C=1.0, tol=tol, max_iter=2_000)
+
     def test_budget_exhaustion_carries_best_iterate(self):
         K, y = random_tiny_problem(np.random.default_rng(6), "gaussian")
         with pytest.raises(ConvergenceError) as info:
@@ -197,9 +205,9 @@ class TestDeterminismAndEquivariance:
 
 
 def _reference_solve_dual(K, y, C, tol, max_iter):
-    """The SMO loop as it was before ``y*alpha`` and ``y*g`` became its state,
-    kept verbatim (input checks aside) as the reference for bit identity.
-    It reads columns of K, so it needs a symmetric K to match."""
+    """The first-order (maximal violating pair) SMO loop, kept verbatim
+    (input checks aside) as an independent cross-check of the optimum.
+    It reads columns of K, so it needs a symmetric K."""
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -253,6 +261,62 @@ def _reference_solve_dual(K, y, C, tol, max_iter):
     return solution
 
 
+def _second_order_reference(K, y, C, tol, max_iter, alpha0=None):
+    """Plain second-order SMO: masks instead of penalty vectors, no buffers,
+    each gain row computed when it is needed, and alpha and g as the state.
+    It selects with the same expressions as ``solve_dual``, so it is the
+    reference for bit identity.  It reads columns of K, so it needs a
+    symmetric K."""
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = y.size
+
+    alpha = np.zeros(n) if alpha0 is None else np.array(alpha0, dtype=float)
+    # g = gradient of the dual objective: 1 - (yy'K a)_i
+    g = y * (y - K @ (y * alpha))
+    pos = y > 0
+    lo = np.where(pos, 0.0, -C)
+    hi = np.where(pos, C, 0.0)
+    slack = 1e-12 * C
+    diag = K.diagonal()
+
+    it = 0
+    violation = np.inf
+    while it < max_iter:
+        ya = y * alpha
+        yg = y * g
+        up = ya < hi - slack
+        down = ya > lo + slack
+        i = int(np.argmax(np.where(up, yg, -np.inf)))
+        b = np.where(down, yg[i] - yg, -np.inf)
+        violation = b.max()
+        if violation < tol:
+            break
+        # b^2 / a is largest where b / sqrt(a) is, for b > 0.
+        j = int(np.argmax(b * (1.0 / np.sqrt(np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)))))
+        quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        lam = min(hi[i] - ya[i], ya[j] - lo[j], (yg[i] - yg[j]) / quad)
+        alpha[i] += y[i] * lam
+        alpha[j] -= y[j] * lam
+        g += lam * y * (K[:, j] - K[:, i])
+        it += 1
+
+    alpha = alpha + 0.0
+    np.clip(alpha, 0.0, C, out=alpha)
+    objective = float(alpha.sum() - 0.5 * np.dot(y * alpha, K @ (y * alpha)))
+    bias = _compute_bias(K, y, alpha, C)
+    solution = DualSolution(
+        alphas=alpha,
+        bias=bias,
+        objective=objective,
+        iterations=it,
+        kkt_violation=float(max(violation, 0.0)),
+    )
+    if it >= max_iter and violation >= tol:
+        raise ConvergenceError("reference budget exhausted", solution=solution)
+    return solution
+
+
 def _seeded_problem(n, kind, seed):
     """An exactly symmetric Gram matrix on n points with both classes present.
 
@@ -284,18 +348,23 @@ def _assert_bitwise_equal(got, ref):
     assert got.kkt_violation == ref.kkt_violation
 
 
+def _feasible(sol, y, C):
+    return (np.all(sol.alphas >= 0.0) and np.all(sol.alphas <= C)
+            and abs(np.dot(sol.alphas, y)) < 1e-8 * max(C, 1.0) * y.size)
+
+
 class TestBitIdentityWithReferenceLoop:
     @pytest.mark.parametrize("n", [2, 3, 17, 80])
     @pytest.mark.parametrize("kind", ["gaussian", "linear", "duplicated"])
     @pytest.mark.parametrize("C", [0.1, 1.0, 100.0])
     def test_solution_is_bitwise_the_reference(self, n, kind, C):
         K, y = _seeded_problem(n, kind, seed=n)
-        _assert_bitwise_equal(solve_dual(K, y, C), _reference_solve_dual(K, y, C, 1e-3, 10**6))
+        _assert_bitwise_equal(solve_dual(K, y, C), _second_order_reference(K, y, C, 1e-3, 10**6))
 
     def test_budget_exhaustion_carries_the_reference_iterate(self):
         K, y = _seeded_problem(80, "gaussian", seed=1)
         with pytest.raises(ConvergenceError) as ref:
-            _reference_solve_dual(K, y, 100.0, 1e-3, 25)
+            _second_order_reference(K, y, 100.0, 1e-3, 25)
         with pytest.raises(ConvergenceError) as got:
             solve_dual(K, y, 100.0, max_iter=25)
         assert got.value.solution.iterations == 25
@@ -308,6 +377,76 @@ class TestBitIdentityWithReferenceLoop:
         assert not np.array_equal(K_ns, K_ns.T)
         _assert_bitwise_equal(solve_dual(K_ns, y, 1.0),
                               solve_dual((K_ns + K_ns.T) / 2.0, y, 1.0))
+
+
+class TestFirstOrderCrossCheck:
+    @pytest.mark.parametrize("n", [2, 3, 17, 80])
+    @pytest.mark.parametrize("kind", ["gaussian", "linear", "duplicated"])
+    @pytest.mark.parametrize("C", [0.1, 1.0, 100.0])
+    def test_objective_agrees_with_the_first_order_loop(self, n, kind, C):
+        K, y = _seeded_problem(n, kind, seed=n)
+        got = solve_dual(K, y, C)
+        ref = _reference_solve_dual(K, y, C, 1e-3, 10**6)
+        assert _feasible(got, y, C) and _feasible(ref, y, C)
+        assert got.objective == pytest.approx(ref.objective, rel=1e-5)
+
+    def test_second_order_halves_the_iterations(self):
+        K, y = _seeded_problem(80, "linear", seed=0)
+        first = _reference_solve_dual(K, y, 100.0, 1e-3, 10**6).iterations
+        assert solve_dual(K, y, 100.0).iterations <= first / 2
+
+
+class TestSeededSolve:
+    @staticmethod
+    def seed_from(K, y, C_prev, C):
+        return solve_dual(K, y, C_prev).alphas * (C / C_prev)
+
+    @pytest.mark.parametrize("n", [17, 80])
+    @pytest.mark.parametrize("kind", ["gaussian", "linear", "duplicated"])
+    def test_seeded_solution_is_bitwise_the_reference(self, n, kind):
+        K, y = _seeded_problem(n, kind, seed=n)
+        alpha0 = np.minimum(self.seed_from(K, y, 1.0, 100.0), 100.0)
+        _assert_bitwise_equal(solve_dual(K, y, 100.0, alpha0=alpha0),
+                              _second_order_reference(K, y, 100.0, 1e-3, 10**6, alpha0))
+
+    def test_seeded_solve_matches_the_qp_oracle(self):
+        # The tolerances of acceptance 1, on its problem family, seeded from
+        # the solve at the next C down (and at the next C up for the smallest).
+        rng = np.random.default_rng(2024)
+        for case in range(12):
+            kernel_kind = "linear" if case % 2 == 0 else "gaussian"
+            C = (0.1, 1.0, 10.0)[case % 3]
+            K, y = random_tiny_problem(rng, kernel_kind)
+            C_prev = 1.0 if C == 0.1 else C / 10.0
+            alpha0 = np.minimum(self.seed_from(K, y, C_prev, C), C)
+            sol = solve_dual(K, y, C, tol=1e-6, alpha0=alpha0)
+            _, ref = qp_oracle(K, y, C)
+            assert sol.kkt_violation < 1e-6
+            assert abs(sol.objective - ref) / max(abs(ref), 1.0) <= 1e-4
+
+    def test_starting_at_the_optimum_takes_no_step(self):
+        K, y = _seeded_problem(17, "gaussian", seed=17)
+        sol = solve_dual(K, y, 1.0)
+        again = solve_dual(K, y, 1.0, alpha0=sol.alphas)
+        assert again.iterations == 0
+        assert np.array_equal(again.alphas, sol.alphas)
+
+    @pytest.mark.parametrize("bad", ["shape", "nan", "negative", "above_c", "off_hyperplane"])
+    def test_infeasible_seed_raises(self, bad):
+        K, y = _seeded_problem(17, "gaussian", seed=17)
+        alpha0 = solve_dual(K, y, 1.0).alphas.copy()
+        if bad == "shape":
+            alpha0 = alpha0[:-1]
+        elif bad == "nan":
+            alpha0[3] = np.nan
+        elif bad == "negative":
+            alpha0[3] = -1e-3
+        elif bad == "above_c":
+            alpha0[3] = 1.0 + 1e-9
+        else:
+            alpha0[y > 0] *= 0.5
+        with pytest.raises(DataError, match="alpha0"):
+            solve_dual(K, y, 1.0, alpha0=alpha0)
 
 
 class TestObjectiveStructure:
