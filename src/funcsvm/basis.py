@@ -16,9 +16,9 @@ Three families are supported:
   coordinates, so coefficient inner products must be taken through the
   basis Gram matrix (see :func:`coefficient_gram` and :func:`gram_factor`).
 
-Fourier coefficients on uniform grids can optionally go through an FFT;
-correctness is defined by direct quadrature and the FFT path must agree
-with it.
+For a fixed grid each projection is one linear map from samples to
+coefficients: :func:`projector` builds it once as an (n, d) matrix, and
+:func:`project_rows` is one product with it, for every family.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "CoefficientVector",
     "project",
     "project_rows",
+    "projector",
     "reconstruct",
     "basis_matrix",
     "coefficient_gram",
@@ -119,26 +120,6 @@ def _fourier_columns(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     return cols
 
 
-def _fourier_fft_rows(spec: BasisSpec, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
-    # Trapezoid quadrature of v * Psi_j on a uniform closed grid equals a
-    # length (n-1) DFT of the weighted samples plus the endpoint term.
-    a, b = grid.interval
-    v = values * grid.weights
-    F = np.fft.rfft(v[:, :-1], axis=1)
-    end = v[:, -1:]
-    if spec.dimension // 2 >= F.shape[1]:
-        raise ConfigurationError("fourier dimension too large for the FFT fast path")
-    scale = 1.0 / np.sqrt(b - a)
-    # Odd columns are cosines, even columns after the first are sines, of
-    # frequency 1, 2, ...
-    n_cos, n_sin = spec.dimension // 2, (spec.dimension - 1) // 2
-    out = np.empty((values.shape[0], spec.dimension))
-    out[:, :1] = scale * (F[:, :1].real + end)
-    out[:, 1::2] = np.sqrt(2.0) * scale * (F[:, 1 : n_cos + 1].real + end)
-    out[:, 2::2] = np.sqrt(2.0) * scale * (-F[:, 1 : n_sin + 1].imag)
-    return out
-
-
 # -- Haar ------------------------------------------------------------------
 
 def _haar_forward(y: np.ndarray) -> np.ndarray:
@@ -153,15 +134,13 @@ def _haar_forward(y: np.ndarray) -> np.ndarray:
 
 
 def _haar_inverse(c: np.ndarray) -> np.ndarray:
-    s = c[:1].copy()
-    pos = 1
-    while pos < c.size:
-        d = c[pos : pos + s.size]
-        out = np.empty(2 * s.size)
-        out[0::2] = (s + d) / np.sqrt(2.0)
-        out[1::2] = (s - d) / np.sqrt(2.0)
-        s = out
-        pos += d.size
+    """Inverse of :func:`_haar_forward`, row by row."""
+    s = c[:, :1]
+    while s.shape[1] < c.shape[1]:
+        k = s.shape[1]
+        d = c[:, k : 2 * k]
+        s = np.stack([(s + d) / np.sqrt(2.0), (s - d) / np.sqrt(2.0)], axis=2)
+        s = s.reshape(c.shape[0], 2 * k)
     return s
 
 
@@ -191,22 +170,20 @@ def _haar_rows(spec: BasisSpec, grid: SamplingGrid, values: np.ndarray) -> np.nd
     return c[:, : spec.dimension]
 
 
-def _haar_reconstruct(spec: BasisSpec, grid: SamplingGrid, coeffs: np.ndarray) -> np.ndarray:
+def _haar_reconstruct(grid: SamplingGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Samples of the expansion with each row of ``coeffs`` as coefficients,
+    one row per curve (the inverse of :func:`_haar_rows` at full dimension)."""
     n = len(grid)
-    w = grid.weights
-    sw = np.sqrt(w)
+    sw = np.sqrt(grid.weights)
     p = _next_pow2(n)
-    full = np.zeros(p)
-    full[: coeffs.size] = coeffs
+    full = np.zeros((coeffs.shape[0], p))
+    full[:, : coeffs.shape[1]] = coeffs
     if p == n:
         return _haar_inverse(full) / sw
-    mass = grid.total_mass
-    m = full[0] / np.sqrt(mass)
-    full = full.copy()
-    full[0] = 0.0
-    y = _haar_inverse(full)
+    m = full[:, :1] / np.sqrt(grid.total_mass)
+    full[:, 0] = 0.0
     left = (p - n) // 2
-    return y[left : left + n] / sw + m
+    return _haar_inverse(full)[:, left : left + n] / sw + m
 
 
 # -- B-spline --------------------------------------------------------------
@@ -237,13 +214,7 @@ def basis_matrix(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     if spec.family == "fourier":
         cols = _fourier_columns(spec, grid)
     elif spec.family == "haar_wavelet":
-        cols = np.stack(
-            [
-                _haar_reconstruct(spec, grid, np.eye(spec.dimension)[j])
-                for j in range(spec.dimension)
-            ],
-            axis=1,
-        )
+        cols = _haar_reconstruct(grid, np.eye(spec.dimension)).T
     else:
         cols = _bspline_tables(spec, grid)[0]
     cols = np.ascontiguousarray(cols)
@@ -268,48 +239,38 @@ def gram_factor(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     return _bspline_tables(spec, grid)[2]
 
 
-def project_rows(
-    spec: BasisSpec, grid: SamplingGrid, values: np.ndarray, use_fft: bool | None = None
-) -> np.ndarray:
-    """Projection coefficients of each row of an (N, n) value matrix, as an
-    (N, d) matrix.
-
-    ``use_fft`` forces or forbids the FFT fast path for Fourier bases on
-    uniform grids; by default it is used whenever applicable.
-    """
+@lru_cache(maxsize=64)
+def projector(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
+    """The (n, d) matrix ``P`` that maps an (N, n) value matrix to its
+    projection coefficients, ``values @ P``: quadrature-weighted basis
+    columns for Fourier, the Haar transform of the identity, and
+    ``W B G^-1`` for B-splines (``B`` the design matrix, ``W`` the
+    weights, ``G`` the basis Gram matrix)."""
     _check_compatible(spec, grid)
     if spec.family == "fourier":
-        if use_fft is None:
-            use_fft = grid.is_uniform and spec.dimension // 2 <= (len(grid) - 2) // 2
-        if use_fft:
-            if not grid.is_uniform:
-                raise ConfigurationError("FFT projection requires a uniform grid")
-            return _fourier_fft_rows(spec, grid, values)
-        return (values * grid.weights) @ basis_matrix(spec, grid)
-    if spec.family == "haar_wavelet":
-        return _haar_rows(spec, grid, values)
-    from scipy.linalg import cho_solve  # here, to keep scipy off the import path
-
-    B, _, chol = _bspline_tables(spec, grid)
-    rhs = (values * grid.weights) @ B
-    return cho_solve((chol, True), rhs.T).T
+        P = grid.weights[:, None] * basis_matrix(spec, grid)
+    elif spec.family == "haar_wavelet":
+        P = _haar_rows(spec, grid, np.eye(len(grid)))
+    else:
+        B, G, _ = _bspline_tables(spec, grid)
+        P = np.linalg.solve(G, (grid.weights[:, None] * B).T).T
+    P = np.ascontiguousarray(P)
+    P.setflags(write=False)
+    return P
 
 
-def project(
-    u: SampledFunction, spec: BasisSpec, use_fft: bool | None = None
-) -> CoefficientVector:
+def project_rows(spec: BasisSpec, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
+    """Projection coefficients of each row of an (N, n) value matrix, as an
+    (N, d) matrix: one product with the cached :func:`projector`."""
+    return values @ projector(spec, grid)
+
+
+def project(u: SampledFunction, spec: BasisSpec) -> CoefficientVector:
     """Coefficients of the orthogonal projection of ``u`` onto the basis span
     (a one-row :func:`project_rows`)."""
-    return CoefficientVector(project_rows(spec, u.grid, u.values[None], use_fft)[0], spec)
+    return CoefficientVector(project_rows(spec, u.grid, u.values[None])[0], spec)
 
 
 def reconstruct(c: CoefficientVector, grid: SamplingGrid) -> SampledFunction:
     """Pointwise evaluation of the basis expansion on ``grid``."""
-    spec = c.basis
-    _check_compatible(spec, grid)
-    if spec.family == "haar_wavelet":
-        values = _haar_reconstruct(spec, grid, c.coefficients)
-    else:
-        values = basis_matrix(spec, grid) @ c.coefficients
-    return SampledFunction(grid, values)
-
+    return SampledFunction(grid, basis_matrix(c.basis, grid) @ c.coefficients)

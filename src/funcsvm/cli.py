@@ -58,19 +58,33 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+def _dimensions(text: str) -> list[int]:
+    if ":" in text:
+        lo, hi = text.split(":")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(x) for x in text.split(",")]
+
+
+def _flag(flag: str, text: str, parse):
+    """``parse(text)``; a value it cannot parse is a usage error."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise UsageError(f"{flag} cannot parse {text!r}") from None
+
+
 def _common_overrides(args) -> dict:
     overrides = {"seed": args.seed}
     if getattr(args, "c_grid", None):
-        overrides["C"] = [float(x) for x in args.c_grid.split(",")]
+        overrides["C"] = _flag("--c-grid", args.c_grid, _floats)
     if getattr(args, "sigma_grid", None):
-        overrides["sigma"] = [float(x) for x in args.sigma_grid.split(",")]
+        overrides["sigma"] = _flag("--sigma-grid", args.sigma_grid, _floats)
     if getattr(args, "d_range", None):
-        spec = args.d_range
-        if ":" in spec:
-            lo, hi = spec.split(":")
-            overrides["dimensions"] = list(range(int(lo), int(hi) + 1))
-        else:
-            overrides["dimensions"] = [int(x) for x in spec.split(",")]
+        overrides["dimensions"] = _flag("--d-range", args.d_range, _dimensions)
     return overrides
 
 
@@ -214,7 +228,7 @@ def cmd_synth(args) -> int:
     data = generate_synthetic(
         n=args.n, noise=args.noise, label_noise=args.label_noise,
         grid_length=args.grid_length,
-        frequencies=tuple(float(x) for x in args.frequencies.split(",")),
+        frequencies=tuple(_flag("--frequencies", args.frequencies, _floats)),
         seed=args.seed if args.seed is not None else 0,
     )
     write_csv(data, args.out)

@@ -10,6 +10,7 @@ from .datasets import DatasetDescriptor
 from .errors import UsageError
 from .kernels import BaseKernel, FunctionalKernel, transforms_from_dicts
 from .selection import STEP_PENALTY_CAP, STEP_PENALTY_HIGH, CandidateGrid, step_penalty
+from .solver import DEFAULT_TOL
 
 __all__ = ["RunConfig", "load_config", "build_grid"]
 
@@ -21,7 +22,7 @@ class RunConfig:
     protocol: dict = field(default_factory=dict)
     split: dict = field(default_factory=lambda: {"policy": "first_l"})
     seed: int = 0
-    tol: float = 1e-3
+    tol: float = DEFAULT_TOL
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -70,7 +71,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         protocol=doc.get("protocol", {}),
         split=doc.get("split", {"policy": "first_l"}),
         seed=_seed(seed),
-        tol=_tol(doc.get("tol", 1e-3)),
+        tol=_tol(doc.get("tol", DEFAULT_TOL)),
     )
 
 

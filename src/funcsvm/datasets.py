@@ -189,12 +189,10 @@ def _load_phoneme(desc: DatasetDescriptor, rows) -> LabeledDataset:
     return LabeledDataset.from_matrix(grid, values, labels)
 
 
-def write_csv(data: LabeledDataset, path: str, with_header: bool = True) -> None:
+def write_csv(data: LabeledDataset, path: str) -> None:
     """Write a dataset in the generic csv_rows layout (inverse of loading it)."""
-    lines = []
-    if with_header:
-        header = [repr(float(t)) for t in data.grid.abscissae] + ["label"]
-        lines.append(",".join(header))
+    header = [repr(float(t)) for t in data.grid.abscissae] + ["label"]
+    lines = [",".join(header)]
     for f, y in zip(data.functions, data.labels):
         lines.append(",".join([repr(float(v)) for v in f.values] + [str(int(y))]))
     Path(path).write_text("\n".join(lines) + "\n")

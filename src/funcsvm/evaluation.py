@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DataError, FuncSvmError, UsageError
 from .functions import LabeledDataset, SamplingGrid
 from .selection import CandidateGrid, select
-from .solver import predict_batch
+from .solver import DEFAULT_TOL, predict_batch
 
 __all__ = [
     "EvaluationReport",
@@ -60,7 +60,7 @@ def run_leave_one_out(
     data: LabeledDataset,
     grid: CandidateGrid,
     inner_l: int | None = None,
-    tol: float = 1e-3,
+    tol: float = DEFAULT_TOL,
 ) -> EvaluationReport:
     """Hold out each curve in turn; run the split-sample selection on the rest.
 
@@ -105,7 +105,7 @@ def run_fixed_split(
     inner_l: int,
     seed: int | None = None,
     policy: str = "first_l",
-    tol: float = 1e-3,
+    tol: float = DEFAULT_TOL,
 ) -> EvaluationReport:
     """One outer train/test split with an inner split-sample selection."""
     report = run_repeated_splits(
@@ -124,8 +124,7 @@ def run_repeated_splits(
     inner_l: int,
     seed: int | None = 0,
     outer_policy: str = "seeded_shuffle",
-    inner_policy: str = "seeded_shuffle",
-    tol: float = 1e-3,
+    tol: float = DEFAULT_TOL,
 ) -> EvaluationReport:
     """Repeat a random train/test split ``count`` times and average test error."""
     n = len(data)
@@ -149,7 +148,7 @@ def run_repeated_splits(
         test = data.subset(order[train_size:])
         try:
             result = select(
-                grid, train, inner_l, policy=inner_policy,
+                grid, train, inner_l, policy="seeded_shuffle",
                 seed=run_seed + 1, tol=tol,
             )
         except FuncSvmError as exc:
@@ -165,7 +164,7 @@ def run_repeated_splits(
         protocol={
             "kind": "repeated_splits", "count": count, "train_size": train_size,
             "inner_l": inner_l, "seed": seed, "outer_policy": outer_policy,
-            "inner_policy": inner_policy,
+            "inner_policy": "seeded_shuffle",
         },
         per_run_errors=errors,
         per_run_chosen=chosen,
@@ -209,8 +208,21 @@ def generate_synthetic(
     sin(2 pi f2 t), with i.i.d. Gaussian observation noise of the given
     standard deviation.  ``label_noise`` flips each label independently,
     so for separable prototypes the Bayes error equals the flip rate.
+    Each argument out of its range is a :class:`UsageError`.
     """
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise UsageError(f"n must be an integer >= 1, got {n!r}")
+    if not 0.0 <= noise < np.inf:
+        raise UsageError(f"noise must be a finite number >= 0, got {noise!r}")
+    if not 0.0 <= label_noise <= 1.0:
+        raise UsageError(f"label noise must be a rate in [0, 1], got {label_noise!r}")
+    if len(frequencies) != 2 or not np.isfinite(frequencies).all():
+        raise UsageError(f"frequencies must be two finite numbers, got {frequencies!r}")
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
     if grid is None:
+        if grid_length < 2:
+            raise UsageError(f"grid length must be at least 2, got {grid_length!r}")
         grid = SamplingGrid.uniform(0.0, 1.0, grid_length)
     rng = np.random.default_rng(seed)
     t = grid.abscissae

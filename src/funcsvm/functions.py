@@ -100,11 +100,6 @@ class SamplingGrid:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    @property
-    def is_uniform(self) -> bool:
-        d = np.diff(self.abscissae)
-        return bool(np.allclose(d, d[0], rtol=1e-9, atol=0.0))
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True

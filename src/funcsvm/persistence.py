@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IntegrityError
 from .functions import SamplingGrid
-from .basis import basis_matrix
+from .basis import projector
 from .kernels import isometric_rows, kernel_from_dict, kernel_to_dict
 from .solver import SvmModel
 
@@ -101,8 +101,9 @@ def _model_from_doc(doc: dict, version: int) -> SvmModel:
         np.asarray(doc["grid"]["weights"], dtype=float),
     )
     proj = kernel.projection
-    # Building the basis checks that it fits the grid, for every version.
-    width = len(grid) if proj is None else basis_matrix(proj, grid).shape[1]
+    # Building the projector checks that the basis fits the grid, for every
+    # version, and builds the matrix the model's predictions use.
+    width = len(grid) if proj is None else projector(proj, grid).shape[1]
     vectors = np.asarray(doc["support_vectors"], dtype=float)
     if vectors.size == 0:
         vectors = vectors.reshape(0, width)

@@ -55,6 +55,23 @@ def dual_objective(K, y, alphas):
     return float(alphas.sum() - 0.5 * alphas @ Q @ alphas)
 
 
+def fft_fourier_coefficients(u, d):
+    """First ``d`` Fourier coefficients of ``u`` on a uniform closed grid,
+    as an oracle independent of the library's projection: the trapezoid
+    rule for ``<u, Psi_j>`` equals a length-(n-1) real FFT of the weighted
+    samples plus the endpoint term.  Odd entries are cosines and even
+    entries after the first are sines, of frequency 1, 2, ..."""
+    a, b = u.grid.interval
+    v = u.values * u.grid.weights
+    F = np.fft.rfft(v[:-1])
+    scale = 1.0 / np.sqrt(b - a)
+    c = np.empty(d)
+    c[0] = scale * (F[0].real + v[-1])
+    c[1::2] = np.sqrt(2.0) * scale * (F[1 : d // 2 + 1].real + v[-1])
+    c[2::2] = np.sqrt(2.0) * scale * -F[1 : (d - 1) // 2 + 1].imag
+    return c
+
+
 def random_tiny_problem(rng, kernel_kind="linear"):
     """Small strictly-feasible two-class problem with a PSD kernel matrix."""
     n = int(rng.integers(4, 9))

@@ -36,7 +36,7 @@ from funcsvm import (
 )
 from funcsvm.solver import decision_values, predict_batch
 
-from conftest import qp_oracle, random_tiny_problem
+from conftest import fft_fourier_coefficients, qp_oracle, random_tiny_problem
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 TECATOR_PATH = DATA_DIR / "tecator.csv"
@@ -129,10 +129,10 @@ def test_acceptance_3_projection_invariants():
                 full**2, rel=1e-8
             )
             assert np.max(np.abs(reconstruct(c, grid).values - u.values)) < 1e-6
-            # FFT Fourier path vs direct quadrature
+            # Direct quadrature vs an FFT of the weighted samples
             fspec = BasisSpec("fourier", 17)
-            fast = project(u, fspec, use_fft=True).coefficients
-            direct = project(u, fspec, use_fft=False).coefficients
+            fast = fft_fourier_coefficients(u, 17)
+            direct = project(u, fspec).coefficients
             worst_fft = max(worst_fft, float(np.max(np.abs(fast - direct))))
             checked += 1
     elapsed = time.perf_counter() - start

@@ -302,6 +302,31 @@ class TestInvalidTolAndSeed:
         assert type(cfg.seed) is int and type(cfg.tol) is float
 
 
+class TestInvalidFlagValues:
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--seed", "-1"], ["synth", "--n", "-1"], ["synth", "--n", "0"],
+        ["synth", "--frequencies", "abc"], ["synth", "--frequencies", "2"],
+        ["synth", "--noise", "nan"], ["synth", "--noise", "-1"],
+        ["synth", "--label-noise", "nan"], ["synth", "--label-noise", "2"],
+        ["synth", "--grid-length", "-3"],
+        ["select", "--c-grid", "abc"], ["select", "--sigma-grid", "x"],
+        ["select", "--d-range", "1:x"], ["select", "--d-range", "1:2:3"],
+    ], ids=" ".join)
+    def test_is_one_usage_error(self, tmp_path, synth_csv, capsys, argv):
+        command, *flags = argv
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ["synth", "--out", str(out), *flags]
+        else:
+            argv = ["select", "--config", write_config(tmp_path, synth_csv),
+                    "--out", str(out), *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=usage msg=")
+        assert not out.exists()
+
+
 class TestTrain:
     def test_single_candidate_goes_direct(self, tmp_path, synth_csv):
         cfg = write_config(

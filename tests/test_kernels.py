@@ -186,10 +186,26 @@ def _ref_haar(y):
     return np.array([y[0]] + coeffs)
 
 
+def _ref_haar_project(g, v, d):
+    w = g.weights
+    p = 1 << (len(g) - 1).bit_length()
+    if p == len(g):  # power-of-two grid: no padding
+        return _ref_haar(np.sqrt(w) * v)[:d]
+    # Documented padding scheme: remove the quadrature mean, pad
+    # symmetrically, fold the mean into the scaling coefficient.
+    mean = np.dot(w, v) / w.sum()
+    left = (p - len(g)) // 2
+    y = np.zeros(p)
+    y[left : left + len(g)] = np.sqrt(w) * (v - mean)
+    c = _ref_haar(y)
+    c[0] += mean * np.sqrt(w.sum())
+    return c[:d]
+
+
 def _ref_project(g, v, spec):
     wv = g.weights * v
-    if spec.family == "haar_wavelet":  # power-of-two grid: no padding
-        return _ref_haar(np.sqrt(g.weights) * v)[: spec.dimension]
+    if spec.family == "haar_wavelet":
+        return _ref_haar_project(g, v, spec.dimension)
     cols = basis_matrix(spec, g)
     if spec.family == "fourier":
         return cols.T @ wv
@@ -206,15 +222,25 @@ REF_TRANSFORMS = {
 }
 
 
+REF_GRIDS = {
+    "uniform128": SamplingGrid.uniform(0.0, 1.0, 128),
+    "uniform100": SamplingGrid.uniform(0.0, 1.0, 100),  # padded Haar
+    "random90": SamplingGrid.from_abscissae(
+        np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 90))
+    ),
+}
+
+
 class TestPrepareBatchAgainstPerCurveReference:
+    @pytest.mark.parametrize("grid", sorted(REF_GRIDS))
     @pytest.mark.parametrize("chain", sorted(REF_TRANSFORMS))
     @pytest.mark.parametrize("projection", [
         None, BasisSpec("fourier", 15), BasisSpec("haar_wavelet", 32), BasisSpec("bspline", 16),
     ], ids=["raw", "fourier", "haar", "bspline"])
-    def test_matches_to_1e_12(self, chain, projection):
-        g = SamplingGrid.uniform(0.0, 1.0, 128)
+    def test_matches_to_1e_12(self, chain, projection, grid):
+        g = REF_GRIDS[grid]
         rng = np.random.default_rng(11)
-        rows = np.cumsum(rng.standard_normal((60, 128)), axis=1) \
+        rows = np.cumsum(rng.standard_normal((60, len(g))), axis=1) \
             + 3.0 * np.sin(2 * np.pi * rng.uniform(1, 4, (60, 1)) * g.abscissae)
         funcs = [SampledFunction(g, r) for r in rows]
         transforms, ref_transform = REF_TRANSFORMS[chain]
