@@ -79,6 +79,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class CoefficientVector:
     coefficients: np.ndarray

@@ -96,47 +96,8 @@ def _load_config_and_data(args):
     return cfg, data
 
 
-def cmd_train(args) -> int:
-    cfg, data = _load_config_and_data(args)
-    if len(cfg.grid) == 0:
-        raise UsageError("the candidate grid is empty")
-    out = _out_dir(args)
-    warnings = validate_grid(cfg.grid, N=len(data), l=cfg.split.get("l"))
-    if len(cfg.grid) == 1:
-        cand = cfg.grid.candidates[0]
-        model = train_svm(cand.kernel, data, cand.C, tol=cfg.tol,
-                          meta={"seed": cfg.seed, "dimension": cand.dimension})
-        payload = {
-            "mode": "direct",
-            "candidate": cand.as_dict(),
-            "n_support": model.n_support,
-            "grid_warnings": warnings,
-        }
-    else:
-        l = cfg.split.get("l") or len(data) // 2
-        result = select(
-            cfg.grid, data, l, policy=cfg.split.get("policy", "first_l"),
-            seed=cfg.seed, tol=cfg.tol,
-        )
-        model = result.model
-        payload = {
-            "mode": "select",
-            "chosen": result.chosen.as_dict(),
-            "table": [r.as_row() for r in result.table],
-            "split": {"train": result.train_size, "validation": result.validation_size,
-                      "warnings": result.split_warnings},
-            "n_support": model.n_support,
-            "grid_warnings": warnings,
-        }
-    save_model(model, out / "model.fsvm")
-    write_report(payload, out / "train_report.json")
-    print(f"model written to {out / 'model.fsvm'}")
-    return 0
-
-
-def cmd_select(args) -> int:
-    cfg, data = _load_config_and_data(args)
-    out = _out_dir(args)
+def _select(cfg, data):
+    """The config's split-sample search and its report payload."""
     l = cfg.split.get("l") or len(data) // 2
     result = select(
         cfg.grid, data, l, policy=cfg.split.get("policy", "first_l"),
@@ -149,6 +110,38 @@ def cmd_select(args) -> int:
                   "warnings": result.split_warnings},
         "grid_warnings": validate_grid(cfg.grid, N=len(data), l=l),
     }
+    return result, payload
+
+
+def cmd_train(args) -> int:
+    cfg, data = _load_config_and_data(args)
+    if len(cfg.grid) == 0:
+        raise UsageError("the candidate grid is empty")
+    out = _out_dir(args)
+    if len(cfg.grid) == 1:
+        cand = cfg.grid.candidates[0]
+        model = train_svm(cand.kernel, data, cand.C, tol=cfg.tol,
+                          meta={"seed": cfg.seed, "dimension": cand.dimension})
+        payload = {
+            "mode": "direct",
+            "candidate": cand.as_dict(),
+            "n_support": model.n_support,
+            "grid_warnings": validate_grid(cfg.grid, N=len(data), l=cfg.split.get("l")),
+        }
+    else:
+        result, selected = _select(cfg, data)
+        model = result.model
+        payload = {"mode": "select", **selected, "n_support": model.n_support}
+    save_model(model, out / "model.fsvm")
+    write_report(payload, out / "train_report.json")
+    print(f"model written to {out / 'model.fsvm'}")
+    return 0
+
+
+def cmd_select(args) -> int:
+    cfg, data = _load_config_and_data(args)
+    out = _out_dir(args)
+    result, payload = _select(cfg, data)
     save_model(result.model, out / "model.fsvm")
     write_report(payload, out / "selection_report.json")
     print(f"selected: d={result.chosen.dimension} "

@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .basis import _is_number
 from .datasets import DatasetDescriptor
 from .errors import UsageError
 from .kernels import BaseKernel, FunctionalKernel, transforms_from_dicts
@@ -36,7 +37,18 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 
 def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
-    overrides = overrides or {}
+    """The run a config document describes.
+
+    A value of the wrong JSON type or a missing required field is a
+    :class:`UsageError`, like every other invalid value.
+    """
+    try:
+        return _run_config(doc, overrides or {})
+    except (TypeError, ValueError, AttributeError, KeyError) as exc:
+        raise UsageError(f"config is malformed: {type(exc).__name__}: {exc}") from exc
+
+
+def _run_config(doc: dict, overrides: dict) -> RunConfig:
     grid_doc = dict(doc.get("grid", {}))
     for key in ("C", "sigma", "dimensions"):
         if overrides.get(key) is not None:
@@ -73,10 +85,6 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         seed=_seed(seed),
         tol=_tol(doc.get("tol", DEFAULT_TOL)),
     )
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _seed(value) -> int:

@@ -56,6 +56,51 @@ def _chosen_summary(result) -> dict:
             "score": record.score}
 
 
+def _run_folds(grid, folds, l, tol, key, what, protocol) -> EvaluationReport:
+    """Select on the training part of each fold, a (train, test, inner
+    policy, inner seed) tuple, and score the winner on its test part.
+
+    A fold where no candidate trains is excluded and recorded under
+    ``key``, never silently dropped.
+    """
+    start = time.perf_counter()
+    errors, chosen, excluded = [], [], 0
+    for i, (train, test, policy, seed) in enumerate(folds):
+        try:
+            result = select(grid, train, l, policy=policy, seed=seed, tol=tol)
+        except FuncSvmError as exc:
+            excluded += 1
+            chosen.append({key: i, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        pred = predict_batch(result.model, test.functions)
+        errors.append(float(np.mean(pred != test.labels)))
+        chosen.append(_chosen_summary(result))
+    if not errors:
+        raise DataError(f"every {what} failed")
+    return EvaluationReport(
+        protocol=protocol,
+        per_run_errors=errors,
+        per_run_chosen=chosen,
+        mean_error=float(np.mean(errors)),
+        excluded_runs=excluded,
+        wall_time=time.perf_counter() - start,
+    )
+
+
+def _random_splits(data: LabeledDataset, count, train_size, seed, outer_policy):
+    n = len(data)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        run_seed = int(rng.integers(0, 2**63 - 1))
+        order = (
+            np.random.default_rng(run_seed).permutation(n)
+            if outer_policy == "seeded_shuffle"
+            else np.arange(n)
+        )
+        yield (data.subset(order[:train_size]), data.subset(order[train_size:]),
+               "seeded_shuffle", run_seed + 1)
+
+
 def run_leave_one_out(
     data: LabeledDataset,
     grid: CandidateGrid,
@@ -72,30 +117,12 @@ def run_leave_one_out(
     if n < 3:
         raise UsageError("leave-one-out needs at least three examples")
     l = inner_l if inner_l is not None else (n - 1) // 2
-    start = time.perf_counter()
-    errors, chosen, excluded = [], [], 0
-    for i in range(n):
-        rest = [j for j in range(n) if j != i]
-        fold = data.subset(rest)
-        try:
-            result = select(grid, fold, l, policy="first_l", tol=tol)
-        except FuncSvmError as exc:
-            excluded += 1
-            chosen.append({"fold": i, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        pred = predict_batch(result.model, [data.functions[i]])[0]
-        errors.append(int(pred != data.labels[i]))
-        chosen.append(_chosen_summary(result))
-    if not errors:
-        raise DataError("every leave-one-out fold failed")
-    return EvaluationReport(
-        protocol={"kind": "leave_one_out", "inner_l": l, "n": n},
-        per_run_errors=[float(e) for e in errors],
-        per_run_chosen=chosen,
-        mean_error=float(np.mean(errors)),
-        excluded_runs=excluded,
-        wall_time=time.perf_counter() - start,
+    folds = (
+        (data.subset([j for j in range(n) if j != i]), data.subset([i]), "first_l", None)
+        for i in range(n)
     )
+    return _run_folds(grid, folds, l, tol, "fold", "leave-one-out fold",
+                      {"kind": "leave_one_out", "inner_l": l, "n": n})
 
 
 def run_fixed_split(
@@ -134,43 +161,14 @@ def run_repeated_splits(
         raise UsageError(f"train size {train_size} incompatible with N={n}")
     if not 1 <= inner_l < train_size:
         raise UsageError("inner split size must be below the train size")
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    errors, chosen, excluded = [], [], 0
-    for run in range(count):
-        run_seed = int(rng.integers(0, 2**63 - 1))
-        order = (
-            np.random.default_rng(run_seed).permutation(n)
-            if outer_policy == "seeded_shuffle"
-            else np.arange(n)
-        )
-        train = data.subset(order[:train_size])
-        test = data.subset(order[train_size:])
-        try:
-            result = select(
-                grid, train, inner_l, policy="seeded_shuffle",
-                seed=run_seed + 1, tol=tol,
-            )
-        except FuncSvmError as exc:
-            excluded += 1
-            chosen.append({"run": run, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        pred = predict_batch(result.model, test.functions)
-        errors.append(float(np.mean(pred != test.labels)))
-        chosen.append(_chosen_summary(result))
-    if not errors:
-        raise DataError("every repeated split failed")
-    return EvaluationReport(
-        protocol={
+    return _run_folds(
+        grid, _random_splits(data, count, train_size, seed, outer_policy),
+        inner_l, tol, "run", "repeated split",
+        {
             "kind": "repeated_splits", "count": count, "train_size": train_size,
             "inner_l": inner_l, "seed": seed, "outer_policy": outer_policy,
             "inner_policy": "seeded_shuffle",
         },
-        per_run_errors=errors,
-        per_run_chosen=chosen,
-        mean_error=float(np.mean(errors)),
-        excluded_runs=excluded,
-        wall_time=time.perf_counter() - start,
     )
 
 

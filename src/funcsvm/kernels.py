@@ -19,6 +19,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from .errors import ConfigurationError, DataError, GridMismatchError
+# bench/layers.py traces center, normalize and spline_derivative under these names.
 from .functions import (
     SampledFunction,
     SamplingGrid,
@@ -60,11 +61,17 @@ class BaseKernel:
         if self.kind == "linear":
             pass
         elif self.kind == "gaussian":
-            if self.sigma is None or self.sigma <= 0:
-                raise ConfigurationError("gaussian kernel needs sigma > 0")
+            if not (basis_mod._is_number(self.sigma) and 0 < self.sigma < np.inf):
+                raise ConfigurationError(
+                    f"gaussian kernel needs a finite sigma > 0, got {self.sigma!r}"
+                )
+            object.__setattr__(self, "sigma", float(self.sigma))
         elif self.kind == "polynomial":
-            if self.degree is None or self.degree < 1:
-                raise ConfigurationError("polynomial kernel needs degree >= 1")
+            if not (basis_mod._is_integer(self.degree) and self.degree >= 1):
+                raise ConfigurationError(
+                    f"polynomial kernel needs an integer degree >= 1, got {self.degree!r}"
+                )
+            object.__setattr__(self, "degree", int(self.degree))
         else:
             raise ConfigurationError(f"unknown base kernel {self.kind!r}")
 
@@ -74,11 +81,11 @@ class BaseKernel:
 
     @classmethod
     def gaussian(cls, sigma: float) -> "BaseKernel":
-        return cls("gaussian", sigma=float(sigma))
+        return cls("gaussian", sigma=sigma)
 
     @classmethod
     def polynomial(cls, degree: int) -> "BaseKernel":
-        return cls("polynomial", degree=int(degree))
+        return cls("polynomial", degree=degree)
 
     @property
     def statistic(self) -> str:
@@ -113,14 +120,6 @@ class Transform:
                 )
             return
         raise ConfigurationError(f"unknown transform {self.kind!r}")
-
-    def apply(self, u: SampledFunction, index: int | None = None) -> SampledFunction:
-        """The transform of one curve; ``index`` labels it in errors."""
-        if self.kind == "center":
-            return center(u)
-        if self.kind == "normalize":
-            return normalize(u, index=index)
-        return spline_derivative(u, self.order, self.spline_dimension)
 
     def apply_rows(self, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
         """The transform of each row of an (N, n) value matrix."""

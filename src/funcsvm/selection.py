@@ -3,7 +3,8 @@
 The sample is split into a training part and a validation part; one SVM
 is trained per candidate (projection dimension d, kernel, C); the winner
 minimizes ``validation error + lambda_d / sqrt(validation size)``.  Ties
-break toward smaller d, then smaller C, then kernel declaration order.
+break toward smaller d, then smaller C, then grid order (kernel
+declaration order on a ``from_axes`` grid).
 The returned model is built from the winning candidate's own solve on
 the training half (no refit, neither on that half nor on the full sample).
 """
@@ -96,12 +97,9 @@ class CandidateGrid:
     ) -> "CandidateGrid":
         """Cartesian product grid.
 
-        ``kernels`` is either a sequence of :class:`FunctionalKernel` used
-        for every dimension, or a mapping from dimension to such a
-        sequence.  The projection comes from the ``dimensions`` axis alone:
-        each kernel is combined with the ``family`` basis of dimension d,
-        or with no projection when d is 0; a projection the kernel already
-        carries is replaced.
+        Each of the ``kernels`` is combined with the ``family`` basis of
+        each dimension d on the ``dimensions`` axis, or with no projection
+        when d is 0; a projection the kernel already carries is replaced.
         """
         from .basis import BasisSpec
 
@@ -110,8 +108,7 @@ class CandidateGrid:
             projection = (
                 BasisSpec(family, d, spline_degree=spline_degree) if d > 0 else None
             )
-            kernel_list = kernels[d] if isinstance(kernels, dict) else kernels
-            for kernel in kernel_list:
+            for kernel in kernels:
                 kernel_d = FunctionalKernel(
                     transforms=kernel.transforms, projection=projection,
                     base=kernel.base,
@@ -179,7 +176,6 @@ def empirical_error(model: SvmModel, data: LabeledDataset) -> float:
 class CandidateRecord:
     candidate: Candidate
     index: int
-    kernel_order: int
     validation_error: float | None
     score: float | None
     error: str | None = None
@@ -215,15 +211,6 @@ class SelectionResult:
     @property
     def chosen(self) -> Candidate:
         return self.chosen_record.candidate
-
-
-def _tie_break_key(record: CandidateRecord):
-    return (
-        record.score,
-        record.candidate.dimension,
-        record.candidate.C,
-        record.kernel_order,
-    )
 
 
 class _PrepCache:
@@ -295,8 +282,6 @@ def select(
     split = split_sample(data, l, policy=policy, seed=seed)
     cache = _PrepCache(split.train, split.validation)
     m = len(split.validation)
-
-    kernel_orders = _kernel_declaration_order(grid)
     table = []
     seeds: dict = {}  # (prep_signature, base) -> (alphas, C) of its last solve
     for idx, cand in enumerate(grid.candidates):
@@ -309,20 +294,20 @@ def select(
             sol, err = _evaluate_candidate(cache, cand, tol, max_iter, alpha0)
         except FuncSvmError as exc:
             table.append(CandidateRecord(
-                cand, idx, kernel_orders[idx], None, None,
+                cand, idx, None, None,
                 error=f"{type(exc).__name__}: {exc}",
                 solution=exc.solution if isinstance(exc, ConvergenceError) else None))
             continue
         seeds[gram_key] = (sol.alphas, cand.C)
         score = err + grid.penalty(cand.dimension) / np.sqrt(m)
-        table.append(CandidateRecord(cand, idx, kernel_orders[idx], err, float(score),
-                                     solution=sol))
+        table.append(CandidateRecord(cand, idx, err, float(score), solution=sol))
 
     usable = [r for r in table if r.score is not None]
     if not usable:
         causes = "; ".join(f"[{r.index}] {r.error}" for r in table)
         raise DegenerateTrainingError(f"every candidate failed to train: {causes}")
-    best = min(usable, key=_tie_break_key)
+    # min keeps the first of equal keys, so grid order breaks the last ties.
+    best = min(usable, key=lambda r: (r.score, r.candidate.dimension, r.candidate.C))
     model = model_from_solution(
         best.candidate.kernel, cache.prepared(best.candidate.kernel)[0],
         split.train, best.solution, best.candidate.C, tol,
@@ -337,19 +322,6 @@ def select(
         validation_size=m,
         split_warnings=split.warnings,
     )
-
-
-def _kernel_declaration_order(grid: CandidateGrid) -> dict:
-    """Kernel declaration index per candidate, scoped to its dimension."""
-    orders = {}
-    seen: dict = {}
-    for idx, cand in enumerate(grid.candidates):
-        scope = seen.setdefault(cand.dimension, {})
-        key = cand.kernel
-        if key not in scope:
-            scope[key] = len(scope)
-        orders[idx] = scope[key]
-    return orders
 
 
 def validate_grid(

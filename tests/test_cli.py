@@ -182,6 +182,11 @@ def _as_raw(doc):
     return doc
 
 
+def _base_kernel(doc, **base):
+    doc["kernel"]["base"] = base
+    return doc
+
+
 def _wider_than_grid(doc):
     # A Fourier projection of two more functions than the grid has points.
     width = len(doc["grid"]["abscissae"]) + 2
@@ -205,9 +210,13 @@ class TestCorruptModelFile:
         _infinite_weight,
         lambda doc: _infinite_weight(_as_raw(doc)),
         _wider_than_grid,
+        lambda doc: _base_kernel(doc, kind="gaussian", sigma=float("nan")),
+        lambda doc: _base_kernel(doc, kind="polynomial", degree=2.5),
+        lambda doc: _base_kernel(doc, kind="polynomial", degree=True),
     ], ids=["truncated-coeffs", "wrong-vector-width", "json-list", "unknown-kernel-kind",
             "bspline-degree-2.5", "bspline-degree-negative", "bspline-gap-grid",
-            "fourier-infinite-weight", "raw-infinite-weight", "projection-wider-than-grid"])
+            "fourier-infinite-weight", "raw-infinite-weight", "projection-wider-than-grid",
+            "sigma-NaN", "polynomial-degree-2.5", "polynomial-degree-true"])
     def test_predict_exits_2_with_a_data_error(self, tmp_path, synth_csv, capsys, mutate):
         cfg = write_config(tmp_path, synth_csv)
         out = tmp_path / "run"
@@ -279,6 +288,52 @@ class TestInvalidGridValues:
         assert err[0].startswith("FSVM-ERROR code=usage msg=")
         assert repr(value) in err[0]
 
+    @pytest.mark.parametrize("kernel, value", [
+        ("gaussian", {"sigma": float("nan")}), ("gaussian", {"sigma": "2"}),
+        ("polynomial", {"degree": 2.5}), ("polynomial", {"degree": "3"}),
+        ("polynomial", {"degree": True}),
+    ], ids=["sigma-NaN", "sigma-string", "degree-2.5", "degree-string", "degree-true"])
+    def test_base_kernel_parameter_is_a_usage_error(
+        self, tmp_path, synth_csv, capsys, kernel, value
+    ):
+        grid = {"dimensions": [3], "kernels": [{"kind": kernel, **value}], "C": [1.0]}
+        cfg = write_config(tmp_path, synth_csv, grid=grid)
+        rc = main(["select", "--config", cfg, "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=usage msg=")
+        assert repr(*value.values()) in err[0]
+
+    def test_integral_sigma_is_stored_as_a_float(self):
+        grid = {"kernels": [{"kind": "gaussian", "sigma": 2}], "C": [1.0]}
+        (cand,) = parse_config({"grid": grid}).grid.candidates
+        assert cand.kernel.base.sigma == 2.0 and type(cand.kernel.base.sigma) is float
+
+
+class TestMalformedConfig:
+    """A config value of the wrong JSON type exits 1 with one usage error."""
+
+    @pytest.mark.parametrize("change", [
+        lambda doc: doc["grid"].update(dimensions="abc"),
+        lambda doc: doc["grid"].update(C="x"),
+        lambda doc: doc["grid"].update(kernels="linear"),
+        lambda doc: doc["grid"].update(penalty={"kind": "table", "table": {"x": 0}}),
+        lambda doc: doc.update(dataset="d.csv"),
+        lambda doc: doc.update(dataset={}),
+        lambda doc: [doc],
+    ], ids=["dimensions-string", "C-string", "kernels-string", "penalty-key-string",
+            "dataset-string", "dataset-without-path", "json-list"])
+    def test_is_one_usage_error(self, tmp_path, synth_csv, capsys, change):
+        path = Path(write_config(tmp_path, synth_csv))
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(change(doc) or doc))
+        rc = main(["select", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=usage msg=")
+
 
 class TestInvalidTolAndSeed:
     @pytest.mark.parametrize("key, value", [
@@ -348,6 +403,17 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "train_report.json").read_text())
         assert report["mode"] == "select"
+
+    def test_train_and_select_report_the_same_grid_warnings(self, tmp_path, synth_csv):
+        # Without split.l both split the 40 curves in half, which breaks the
+        # growth condition; both must say so.
+        cfg = write_config(tmp_path, synth_csv, split={"policy": "first_l"})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "train")]) == 0
+        assert main(["select", "--config", cfg, "--out", str(tmp_path / "select")]) == 0
+        train = json.loads((tmp_path / "train" / "train_report.json").read_text())
+        select = json.loads((tmp_path / "select" / "selection_report.json").read_text())
+        assert any("growth condition" in w for w in select["grid_warnings"])
+        assert train["grid_warnings"] == select["grid_warnings"]
 
     def test_empty_grid_exits_1(self, tmp_path, synth_csv, capsys):
         cfg = write_config(tmp_path, synth_csv, grid={})

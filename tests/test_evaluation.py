@@ -14,12 +14,35 @@ from funcsvm import (
     run_repeated_splits,
 )
 from funcsvm.basis import BasisSpec, project
-from funcsvm.errors import UsageError
+from funcsvm.errors import DataError, UsageError
 
 
 def small_grid(sigmas=(1.0,), Cs=(10.0,), dims=(5,)):
     kernels = [FunctionalKernel(base=BaseKernel.gaussian(s)) for s in sigmas]
     return CandidateGrid.from_axes(kernels, Cs, dimensions=dims)
+
+
+def labelled_sines(labels, seed=0):
+    """Curves sin(2 pi f t) plus a little noise, f in {2, 3} by label."""
+    g = SamplingGrid.uniform(0.0, 1.0, 32)
+    labels = np.asarray(labels)
+    freqs = np.where(labels > 0, 2.0, 3.0)
+    rows = np.sin(2 * np.pi * freqs[:, None] * g.abscissae) \
+        + 0.05 * np.random.default_rng(seed).standard_normal((labels.size, 32))
+    return LabeledDataset.from_matrix(g, rows, labels)
+
+
+def assert_excluded(report, key, excluded):
+    """The report excludes exactly the folds or runs ``excluded``, each
+    recorded under ``key`` with its error, and scores the others."""
+    assert report.excluded_runs == len(excluded)
+    assert len(report.per_run_errors) == len(report.per_run_chosen) - len(excluded)
+    for i, entry in enumerate(report.per_run_chosen):
+        if i in excluded:
+            assert set(entry) == {key, "error"} and entry[key] == i
+            assert entry["error"].startswith("DegenerateTrainingError: ")
+        else:
+            assert "dimension" in entry and "validation_error" in entry
 
 
 class TestGenerateSynthetic:
@@ -81,6 +104,19 @@ class TestLeaveOneOut:
         with pytest.raises(UsageError):
             run_leave_one_out(data, small_grid())
 
+    def test_a_fold_with_a_single_class_inner_split_is_excluded(self):
+        # The inner split trains on the first two remaining curves: without
+        # curve 1 those are curves 0 and 2, both +1; every other fold has both.
+        data = labelled_sines([1, -1, 1, 1, -1, 1, -1, -1, 1, -1])
+        report = run_leave_one_out(data, small_grid(), inner_l=2)
+        assert_excluded(report, "fold", {1})
+        assert report.mean_error == pytest.approx(np.mean(report.per_run_errors))
+
+    def test_every_fold_excluded_raises(self):
+        data = labelled_sines([1, -1] * 5)
+        with pytest.raises(DataError, match="^every leave-one-out fold failed$"):
+            run_leave_one_out(data, small_grid(), inner_l=1)
+
 
 class TestRepeatedSplits:
     def test_count_one_equals_fixed_split(self):
@@ -136,6 +172,19 @@ class TestRepeatedSplits:
             run_repeated_splits(data, grid, count=1, train_size=10, inner_l=3)
         with pytest.raises(UsageError):
             run_repeated_splits(data, grid, count=1, train_size=6, inner_l=6)
+
+    def test_runs_with_a_single_class_inner_split_are_excluded(self):
+        # Two inner training curves: at this seed runs 3 and 4 draw one class.
+        data = generate_synthetic(20, noise=0.1, seed=4)
+        report = run_repeated_splits(
+            data, small_grid(), count=6, train_size=12, inner_l=2, seed=2
+        )
+        assert_excluded(report, "run", {3, 4})
+
+    def test_every_run_excluded_raises(self):
+        data = generate_synthetic(20, seed=4)
+        with pytest.raises(DataError, match="^every repeated split failed$"):
+            run_repeated_splits(data, small_grid(), count=3, train_size=12, inner_l=1)
 
     def test_payload_excludes_wall_time(self):
         data = generate_synthetic(20, seed=12)

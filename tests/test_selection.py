@@ -289,6 +289,20 @@ class TestSelect:
         assert res.chosen.dimension == 5
         assert res.chosen.C == 2.0
 
+    @pytest.mark.parametrize("first", ["linear", "gaussian"])
+    def test_full_ties_go_to_the_kernel_declared_first(self, first):
+        # Every candidate scores 0 (see above); at the winning d=5, C=2 the
+        # two kernels tie on every key, so declaration order decides.
+        data = two_frequency_data(40, noise=0.02, seed=9)
+        kernels = [FunctionalKernel(base=BaseKernel.linear())] + gaussian_kernels([5.0])
+        if first == "gaussian":
+            kernels.reverse()
+        g = CandidateGrid.from_axes(kernels, [10.0, 2.0], dimensions=(10, 5))
+        res = select(g, data, l=20)
+        assert {r.score for r in res.table} == {0.0}
+        assert (res.chosen.dimension, res.chosen.C) == (5, 2.0)
+        assert res.chosen.kernel.base.kind == first
+
     def test_select_and_train_share_one_iteration_budget(self):
         # A candidate that cannot converge gets the same budget whether
         # `funcsvm train` solves it directly or `select` solves it in a grid.
