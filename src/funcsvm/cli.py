@@ -126,7 +126,8 @@ def cmd_train(args) -> int:
             "mode": "direct",
             "candidate": cand.as_dict(),
             "n_support": model.n_support,
-            "grid_warnings": validate_grid(cfg.grid, N=len(data), l=cfg.split.get("l")),
+            # trained on the whole sample: no split, so no growth condition
+            "grid_warnings": validate_grid(cfg.grid, N=len(data), l=None),
         }
     else:
         result, selected = _select(cfg, data)

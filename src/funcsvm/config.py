@@ -77,11 +77,14 @@ def _run_config(doc: dict, overrides: dict) -> RunConfig:
     seed = overrides.get("seed")
     if seed is None:
         seed = doc.get("seed", 0)
+    split = doc.get("split", {"policy": "first_l"})
+    if split.get("l") is not None:
+        _check_integer(split["l"], "split.l")
     return RunConfig(
         dataset=dataset,
         grid=build_grid(grid_doc),
-        protocol=doc.get("protocol", {}),
-        split=doc.get("split", {"policy": "first_l"}),
+        protocol=_protocol(doc.get("protocol", {})),
+        split=split,
         seed=_seed(seed),
         tol=_tol(doc.get("tol", DEFAULT_TOL)),
     )
@@ -91,6 +94,25 @@ def _seed(value) -> int:
     if not (_is_number(value) and float(value).is_integer() and value >= 0):
         raise UsageError(f"seed must be a non-negative integer, got {value!r}")
     return int(value)
+
+
+def _check_integer(value, name: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+
+
+def _protocol(doc: dict) -> dict:
+    """The protocol document with its null fields dropped, as absent ones."""
+    doc = {key: value for key, value in doc.items() if value is not None}
+    kind = doc.get("kind")
+    if kind in ("fixed_split", "repeated_splits"):
+        for key in ("train_size", "inner_l"):
+            if key not in doc:
+                raise UsageError(f"protocol {kind} needs {key}")
+    for key in ("train_size", "inner_l", "count"):
+        if key in doc:
+            _check_integer(doc[key], f"protocol.{key}")
+    return doc
 
 
 def _tol(value) -> float:
@@ -128,6 +150,9 @@ def build_grid(doc: dict) -> CandidateGrid:
     transforms = transforms_from_dicts(doc.get("transforms", []))
     kernels = _expand_kernels(doc.get("kernels", []), transforms)
     C_values = doc.get("C", [])
+    for C in C_values:
+        if not _is_number(C):
+            raise UsageError(f"C values must be numbers, got {C!r}")
     dimensions = doc.get("dimensions", [0])
     penalty_doc = doc.get("penalty", {"kind": "step"})
     if penalty_doc.get("kind") == "step":

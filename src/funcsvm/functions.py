@@ -230,13 +230,19 @@ def normalize_rows(grid: SamplingGrid, values: np.ndarray, indices=None) -> np.n
 
 
 @lru_cache(maxsize=64)
-def _derivative_operator(grid: SamplingGrid, order: int, dimension: int) -> np.ndarray:
-    """Cached :func:`splines.derivative_operator` on the grid's abscissae."""
+def _derivative_operator(
+    grid: SamplingGrid, order: int, dimension: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cached :func:`splines.derivative_operator` on the grid's abscissae,
+    as the transposed factors ``(pinv(B).T, B_order.T)``, shapes (n, d)
+    and (d, n), each C-contiguous and read-only."""
     if order not in (1, 2):
         raise ConfigurationError("derivative order must be 1 or 2")
-    D = splines.derivative_operator(grid.abscissae, dimension, order)
-    D.setflags(write=False)
-    return D
+    B_order, fit = splines.derivative_operator(grid.abscissae, dimension, order)
+    factors = (np.ascontiguousarray(fit.T), np.ascontiguousarray(B_order.T))
+    for f in factors:
+        f.setflags(write=False)
+    return factors
 
 
 def spline_derivative_rows(
@@ -247,9 +253,11 @@ def spline_derivative_rows(
     The spline basis has ``dimension`` functions on uniform interior knots
     with clamped boundary knots; the fitted spline is differentiated
     analytically and re-evaluated on the grid.  Fit and derivative are one
-    fixed linear map, applied to all rows in one product.
+    fixed linear map of rank ``dimension``, applied to all rows as two thin
+    products: the spline coefficients, then their derivative on the grid.
     """
-    return values @ _derivative_operator(grid, order, dimension).T
+    fit_t, deriv_t = _derivative_operator(grid, order, dimension)
+    return (values @ fit_t) @ deriv_t
 
 
 # Single-curve forms: one-row calls into the batched functions above.

@@ -156,8 +156,8 @@ def prepare_batch(kernel: FunctionalKernel, functions) -> np.ndarray:
     """Apply the kernel's transforms and projection to a batch of curves,
     as the (N, width) matrix of their :func:`isometric_rows`.
 
-    The curves are stacked once into an (N, n) value matrix, and each step
-    maps the whole matrix at once.
+    The curves, which share one grid, are stacked once into an (N, n) value
+    matrix, and each step maps the whole matrix at once.
     """
     funcs = list(functions)
     if not funcs:
@@ -165,7 +165,7 @@ def prepare_batch(kernel: FunctionalKernel, functions) -> np.ndarray:
     grid = funcs[0].grid
     if any(f.grid is not grid and f.grid != grid for f in funcs):
         raise GridMismatchError("functions are sampled on different grids")
-    values = np.stack([f.values for f in funcs])
+    values = np.array([f.values for f in funcs])
     for t in kernel.transforms:
         values = t.apply_rows(grid, values)
         if not np.isfinite(values).all():

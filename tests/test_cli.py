@@ -357,6 +357,47 @@ class TestInvalidTolAndSeed:
         assert type(cfg.seed) is int and type(cfg.tol) is float
 
 
+class TestInvalidRunValues:
+    """Config values that ``cli`` and ``evaluation`` read after parsing are
+    checked at parse time: each bad one exits 1 with one usage error."""
+
+    PROTOCOL = {"kind": "repeated_splits", "count": 2, "train_size": 24, "inner_l": 12}
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("select", "split", {"policy": "first_l", "l": "x"}),
+        ("select", "split", {"policy": "first_l", "l": 2.5}),
+        ("select", "split", {"policy": "first_l", "l": True}),
+        ("select", "grid", {"dimensions": [3], "kernels": [{"kind": "linear"}],
+                            "C": [True]}),
+        ("evaluate", "protocol", {**PROTOCOL, "train_size": "x"}),
+        ("evaluate", "protocol", {**PROTOCOL, "count": "x"}),
+        ("evaluate", "protocol", {"kind": "repeated_splits", "count": 2, "inner_l": 12}),
+        ("evaluate", "protocol", {"kind": "fixed_split", "train_size": 24}),
+        ("evaluate", "protocol", {"kind": "leave_one_out", "inner_l": 2.5}),
+    ], ids=["split-l-string", "split-l-fraction", "split-l-true", "C-true",
+            "train-size-string", "count-string", "repeated-without-train-size",
+            "fixed-without-inner-l", "loo-inner-l-fraction"])
+    def test_is_one_usage_error(self, tmp_path, synth_csv, capsys, command, key, value):
+        cfg = write_config(tmp_path, synth_csv, **{key: value})
+        out = tmp_path / "run"
+        rc = main([command, "--config", cfg, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=usage msg=")
+        assert "Traceback" not in captured.err
+        assert not (out / "model.fsvm").exists()
+
+    def test_integers_and_nulls_are_accepted(self):
+        cfg = parse_config({
+            "split": {"l": 20},
+            "protocol": {"kind": "leave_one_out", "inner_l": None, "count": None},
+        })
+        assert cfg.split["l"] == 20
+        assert cfg.protocol == {"kind": "leave_one_out"}
+
+
 class TestInvalidFlagValues:
     @pytest.mark.parametrize("argv", [
         ["synth", "--seed", "-1"], ["synth", "--n", "-1"], ["synth", "--n", "0"],
@@ -414,6 +455,21 @@ class TestTrain:
         select = json.loads((tmp_path / "select" / "selection_report.json").read_text())
         assert any("growth condition" in w for w in select["grid_warnings"])
         assert train["grid_warnings"] == select["grid_warnings"]
+
+    def test_direct_train_does_not_warn_about_a_split(self, tmp_path, synth_csv):
+        # One candidate trains on all 40 curves; split.l 30 is never used,
+        # so its growth condition (30*log(10)/10 > 1) must not be reported.
+        cfg = write_config(
+            tmp_path, synth_csv,
+            grid={"dimensions": [5], "kernels": [{"kind": "gaussian", "sigma": 1.0}],
+                  "C": [10.0]},
+            split={"policy": "first_l", "l": 30},
+        )
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "train_report.json").read_text())
+        assert report["mode"] == "direct"
+        assert not any("growth condition" in w for w in report["grid_warnings"])
 
     def test_empty_grid_exits_1(self, tmp_path, synth_csv, capsys):
         cfg = write_config(tmp_path, synth_csv, grid={})

@@ -18,7 +18,8 @@ from funcsvm.errors import (
     DegenerateFunctionError,
     GridMismatchError,
 )
-from funcsvm.functions import quadrature_mean
+from funcsvm import splines
+from funcsvm.functions import _derivative_operator, quadrature_mean, spline_derivative_rows
 
 
 def grid_fn(n=256, fn=None):
@@ -158,6 +159,42 @@ class TestSplineDerivative:
         g, u = grid_fn(10, fn=lambda t: t)
         with pytest.raises(ConfigurationError):
             spline_derivative(u, 2, 11)
+
+
+class TestSplineDerivativeFactors:
+    """The derivative is applied as two rank-d factors; it must agree with
+    the dense (n, n) smoother ``B_order @ pinv(B)`` built here."""
+
+    GRIDS = {
+        "uniform-128": (SamplingGrid.uniform(0.0, 1.0, 128), 20),
+        "random-90": (SamplingGrid.from_abscissae(
+            np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 90))), 12),
+    }
+
+    @staticmethod
+    def dense_operator(x, dimension, order):
+        from scipy.interpolate import BSpline
+
+        B, t = splines.design_matrix(x, dimension)
+        B_order = BSpline(t, np.eye(dimension), splines.SPLINE_DEGREE).derivative(order)(x)
+        return B_order @ np.linalg.pinv(B)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_rows_match_the_dense_operator(self, name, order):
+        grid, dimension = self.GRIDS[name]
+        values = np.random.default_rng(order).normal(size=(16, len(grid)))
+        ref = values @ self.dense_operator(grid.abscissae, dimension, order).T
+        got = spline_derivative_rows(grid, values, order, dimension)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_cached_factors_are_thin(self, name):
+        grid, dimension = self.GRIDS[name]
+        n = len(grid)
+        fit_t, deriv_t = _derivative_operator(grid, 2, dimension)
+        assert fit_t.shape == (n, dimension) and deriv_t.shape == (dimension, n)
+        assert fit_t.flags.c_contiguous and deriv_t.flags.c_contiguous
 
 
 coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
