@@ -14,6 +14,15 @@ which lets a search along C seed each solve from the previous one
 lowest index, which makes the solve deterministic and permutation
 equivariant.
 
+Pair steps find which alphas sit at 0, at C or in between early, and then
+spend most of their updates tuning the free ones.  So every
+``POLISH_EVERY`` updates the loop guesses those sets from its iterate and
+solves the free set exactly (one bordered linear solve); when the pair
+steps stop changing the sets and those sets are wrong, it runs an
+active-set continuation once (Scheinberg, JMLR 7, 2006).  Either point
+replaces the iterate only if it is feasible and passes the loop's own
+stopping test, so a singular or wrong solve is never returned.
+
 The loop keeps y*alpha and y*g (g the gradient of the dual objective) as
 its state, updates the gradient from two rows of K, and keeps the box
 constraints as additive penalty vectors of which a step changes two
@@ -38,6 +47,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1_000_000  # SMO updates per solve, for train and select alike
+POLISH_EVERY = 50  # pair updates between two tries of the free-set polish
 
 
 @dataclass
@@ -74,6 +84,16 @@ def solve_dual(
     compared with ``tol``) or ``alpha0`` is not feasible, and
     :class:`ConvergenceError` (carrying the best iterate) if the iteration
     budget runs out.
+
+    Every ``POLISH_EVERY`` updates the solve tries the free-set polish of
+    :func:`_polish`, unless the sets it would use are those of the last
+    rejected try: the polished point depends on the sets alone.  Such a
+    repeat means the pair steps have not moved any alpha between the sets
+    for ``POLISH_EVERY`` updates while the sets are wrong, so the first
+    repeat runs :func:`_active_set` from the iterate instead.  A point from
+    either replaces the iterate only if :func:`_accept` passes it, and the
+    loop's own test then ends the solve.  ``iterations`` counts pair
+    updates only.
     """
     K = np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -129,6 +149,9 @@ def solve_dual(
     # second-order gain b^2 / a_it does.
     R = 1.0 / np.sqrt(np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, 1e-12))
     diag = diag.tolist()
+    box = tuple(np.array(v) for v in (lo, hi, lo_in, hi_in))
+    rejected = None  # the sets of the last rejected try
+    continued = False
 
     it = 0
     violation = np.inf
@@ -152,6 +175,26 @@ def solve_dual(
         step *= lam
         yg += step  # y times the update g += lam*y*(K[:, j] - K[:, i])
         it += 1
+        if it % POLISH_EVERY:
+            continue
+        u = np.array(ya)
+        level = _levels(y * u, C)
+        key = level.tobytes()
+        # Overflow in a finishing step only makes a point that _accept rejects.
+        with np.errstate(all="ignore"):
+            if key != rejected:
+                point = _polish(K, y, u, level, C)
+            elif not continued:
+                continued = True
+                point = _active_set(K, y, u, level, C, tol, box)
+            else:
+                continue
+            state = None if point is None else _accept(K, y, point, C, tol, box)
+        if state is None:
+            rejected = key
+            continue
+        ya = point.tolist()
+        yg, pen_up, pen_down, violation = state
 
     alpha = y * np.array(ya) + 0.0  # + 0.0: an alpha at zero is +0.0, not -0.0
     np.clip(alpha, 0.0, C, out=alpha)
@@ -171,6 +214,154 @@ def solve_dual(
             solution=solution,
         )
     return solution
+
+
+def _levels(alpha: np.ndarray, C: float) -> np.ndarray:
+    """0 where alpha is at 0, 1 where it is free, 2 where it is at C, with
+    the 1e-8*C margin of :func:`_compute_bias`."""
+    eps = 1e-8 * C
+    return (alpha > eps).astype(np.int8) + (alpha >= C - eps)
+
+
+def _polish(K, y, u, level, C):
+    """The optimum of the dual with alpha pinned at 0 and C as ``level``
+    says and the free alphas unconstrained, or None if ``np.linalg.solve``
+    finds the system singular (a point from a nearly singular one is left
+    to :func:`_accept`).
+
+    With ``u = y*alpha`` and F the free set, B the rest, this solves
+    ``[K_FF 1; 1' 0] [u_F; b] = [y_F - K_FB u_B; -1'u_B]``.
+    """
+    u = np.where(level == 2, y * C, 0.0)
+    free = np.flatnonzero(level == 1)
+    bound = np.flatnonzero(level != 1)
+    system = _bordered(K[np.ix_(free, free)], 1.0)
+    rhs = np.append(y[free] - K[np.ix_(free, bound)] @ u[bound], -u[bound].sum())
+    try:
+        u[free] = np.linalg.solve(system, rhs)[:-1]
+    except np.linalg.LinAlgError:
+        return None
+    return u
+
+
+def _bordered(K_FF: np.ndarray, border: float) -> np.ndarray:
+    """The matrix ``[K_FF s; s' 0]`` with every entry of ``s`` equal to ``border``."""
+    f = K_FF.shape[0]
+    system = np.full((f + 1, f + 1), border)
+    system[:f, :f] = K_FF
+    system[f, f] = 0.0
+    return system
+
+
+def _active_set(K, y, u, level, C, tol, box):
+    """An active-set continuation from ``u = y*alpha``, or None if it does
+    not reach ``tol`` within 5n steps.
+
+    It starts from the sets of ``level``, with the bound alphas put exactly
+    on their bounds.  Each step takes :func:`_free_step` on the free set
+    from the current point.  A Newton step that leaves the box, and every
+    step along a null direction, goes as far as the box allows and puts the
+    blocking coordinate on its bound.  A Newton step that stays inside is
+    taken whole; if the point is not optimal, the worse end of the maximal
+    violating pair is then freed (Scheinberg, JMLR 7, 2006).  With K
+    positive semidefinite every step raises the objective or keeps it, and
+    every full step sets ``1'u = 0`` afresh rather than accumulating it.
+    """
+    lo, hi, lo_in, hi_in = box
+    u = np.where(level == 1, u, np.where(level == 2, y * C, 0.0))
+    free = level == 1
+    scale = max(float(np.abs(K.diagonal()).max()), np.finfo(float).tiny)
+    for _ in range(5 * u.size):
+        g = y - K @ u
+        bias = None
+        F = np.flatnonzero(free)
+        if F.size:
+            try:
+                d, bias = _free_step(K[np.ix_(F, F)], g[F], u.sum(), scale, tol)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.isfinite(d).all():
+                return None
+            room = np.full(F.size, np.inf)
+            np.divide(hi[F] - u[F], d, out=room, where=d > 0)
+            np.divide(lo[F] - u[F], d, out=room, where=d < 0)
+            k = int(room.argmin())
+            t = room[k]
+            if bias is None or t < 1.0:
+                if not t < np.inf:
+                    return None
+                u[F] += t * d
+                u[F[k]] = hi[F[k]] if d[k] > 0 else lo[F[k]]
+                free[F[k]] = False
+                continue
+            u[F] += d
+            g = y - K @ u
+        up = np.where(u < hi_in, g, -np.inf)
+        down = np.where(u > lo_in, g, np.inf)
+        i, j = int(up.argmax()), int(down.argmin())
+        if up[i] - down[j] < tol:
+            return u
+        if free[i] and free[j]:
+            return None  # rounding, not a wrong set, keeps the free set from its optimum
+        if bias is None:
+            bias = (up[i] + down[j]) / 2.0
+        # Free the bound end of the pair; of two bound ends, the farther from the bias.
+        free[j if free[i] or (not free[j] and bias - down[j] > up[i] - bias) else i] = True
+    return None
+
+
+def _free_step(K_FF, g_F, total, scale, tol):
+    """The step ``d`` of the free coordinates and the bias after it.
+
+    Solves ``[K_FF s; s' 0] [d; b/s] = [g_F; -s*total]`` (``g_F`` the
+    gradient on the free set, ``total = 1'u``; the border is scaled by
+    ``s = max|diag K|`` so that the matrix is singular or not whatever
+    the scale of K).  When ``K_FF`` passes a Cholesky factorization with
+    no pivot below ``sqrt(eps)`` of its largest diagonal entry, the matrix
+    is regular and one LU solve gives the Newton step.  Otherwise an
+    eigendecomposition splits off the null space: if the gradient's part
+    along it differs by ``tol`` or more between two free coordinates, the
+    objective rises linearly along that part, which is returned as ``d``
+    with the bias None; else the least-squares Newton step is returned.
+    """
+    f = g_F.size
+    system = _bordered(K_FF, scale)
+    rhs = np.append(g_F, -scale * total)
+    try:
+        pivots = np.linalg.cholesky(K_FF).diagonal()
+        regular = pivots.min() ** 2 > np.sqrt(np.finfo(float).eps) * K_FF.diagonal().max()
+    except np.linalg.LinAlgError:
+        regular = False
+    if regular:
+        z = np.linalg.solve(system, rhs)
+        return z[:f], z[f] * scale
+    eig, Q = np.linalg.eigh(system)
+    null = np.abs(eig) <= np.abs(eig).max() * (f + 1) * np.finfo(float).eps
+    along_null = (Q[:, null] @ (Q[:, null].T @ rhs))[:f]
+    if along_null.max() - along_null.min() >= tol:
+        return along_null, None
+    z = Q[:, ~null] @ ((Q[:, ~null].T @ rhs) / eig[~null])
+    return z[:f], z[f] * scale
+
+
+def _accept(K, y, u, C, tol, box):
+    """The loop state ``(yg, pen_up, pen_down, violation)`` at ``u = y*alpha``
+    if ``u`` is finite, in the box and on ``y'alpha = 0``, and its violation,
+    computed as the loop computes it, is below ``tol``; else None."""
+    lo, hi, lo_in, hi_in = box
+    if not (np.isfinite(u).all() and np.all(u >= lo) and np.all(u <= hi)):
+        return None
+    if abs(u.sum()) > 1e-8 * C * u.size:
+        return None
+    yg = y - K @ u
+    pen_up = np.where(u < hi_in, 0.0, -np.inf)
+    pen_down = np.where(u > lo_in, 0.0, np.inf)
+    up = yg + pen_up
+    b = up[up.argmax()] - yg - pen_down
+    violation = b.item(b.argmax())
+    if not violation < tol:
+        return None
+    return yg, pen_up, pen_down, violation
 
 
 def _compute_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:

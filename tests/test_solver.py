@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,17 @@ from funcsvm import (
     solve_dual,
     train_svm,
 )
+from funcsvm import solver
 from funcsvm.errors import ConvergenceError, DataError, DegenerateTrainingError
-from funcsvm.solver import DualSolution, _compute_bias, decision_values, predict_batch
+from funcsvm.kernels import kernel_from_statistic
+from funcsvm.solver import (
+    POLISH_EVERY,
+    DualSolution,
+    _active_set,
+    _compute_bias,
+    decision_values,
+    predict_batch,
+)
 
 from conftest import dual_objective, qp_oracle, random_tiny_problem
 
@@ -261,11 +272,40 @@ def _reference_solve_dual(K, y, C, tol, max_iter):
     return solution
 
 
+def _reference_violation(K, y, u, lo, hi, slack):
+    """The maximal pair violation at ``u = y*alpha``, and the gradient y*g."""
+    yg = y - K @ u
+    up = u < hi - slack
+    down = u > lo + slack
+    i = int(np.argmax(np.where(up, yg, -np.inf)))
+    return np.where(down, yg[i] - yg, -np.inf).max(), yg
+
+
+def _reference_polish(K, y, alpha, C):
+    """The free-set solve on the sets guessed with the 1e-8*C margin, as
+    ``u = y*alpha``, or None if the bordered system is singular."""
+    eps = 1e-8 * C
+    free = np.flatnonzero((alpha > eps) & (alpha < C - eps))
+    bound = np.flatnonzero((alpha <= eps) | (alpha >= C - eps))
+    u = np.where(alpha >= C - eps, y * C, 0.0)
+    f = free.size
+    A = np.ones((f + 1, f + 1))
+    A[:f, :f] = K[np.ix_(free, free)]
+    A[f, f] = 0.0
+    rhs = np.append(y[free] - K[np.ix_(free, bound)] @ u[bound], -u[bound].sum())
+    try:
+        u[free] = np.linalg.solve(A, rhs)[:f]
+    except np.linalg.LinAlgError:
+        return None
+    return u
+
+
 def _second_order_reference(K, y, C, tol, max_iter, alpha0=None):
     """Plain second-order SMO: masks instead of penalty vectors, no buffers,
     each gain row computed when it is needed, and alpha and g as the state.
-    It selects with the same expressions as ``solve_dual``, so it is the
-    reference for bit identity.  It reads columns of K, so it needs a
+    It selects with the same expressions as ``solve_dual``, and finishes
+    with the same free-set polish and active-set continuation, so it is
+    the reference for bit identity.  It reads columns of K, so it needs a
     symmetric K."""
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -279,6 +319,8 @@ def _second_order_reference(K, y, C, tol, max_iter, alpha0=None):
     hi = np.where(pos, C, 0.0)
     slack = 1e-12 * C
     diag = K.diagonal()
+    rejected = None
+    continued = False
 
     it = 0
     violation = np.inf
@@ -300,6 +342,27 @@ def _second_order_reference(K, y, C, tol, max_iter, alpha0=None):
         alpha[j] -= y[j] * lam
         g += lam * y * (K[:, j] - K[:, i])
         it += 1
+        if it % POLISH_EVERY:
+            continue
+        eps = 1e-8 * C
+        level = np.where(alpha >= C - eps, 2, np.where(alpha > eps, 1, 0))
+        if rejected is None or not np.array_equal(level, rejected):
+            u = _reference_polish(K, y, alpha, C)
+        elif not continued:
+            continued = True
+            box = (lo, hi, lo + slack, hi - slack)
+            u = _active_set(K, y, y * alpha, level, C, tol, box)
+        else:
+            continue
+        if (u is None or not np.isfinite(u).all() or np.any(u < lo) or np.any(u > hi)
+                or abs(u.sum()) > 1e-8 * C * n):
+            rejected = level
+            continue
+        polished_violation, polished_yg = _reference_violation(K, y, u, lo, hi, slack)
+        if not polished_violation < tol:
+            rejected = level
+            continue
+        alpha, g, violation = y * u, y * polished_yg, polished_violation
 
     alpha = alpha + 0.0
     np.clip(alpha, 0.0, C, out=alpha)
@@ -447,6 +510,109 @@ class TestSeededSolve:
             alpha0[y > 0] *= 0.5
         with pytest.raises(DataError, match="alpha0"):
             solve_dual(K, y, 1.0, alpha0=alpha0)
+
+
+class TestFinishingSteps:
+    """The free-set polish and the active-set continuation of ``solve_dual``."""
+
+    @staticmethod
+    def spy_on_accepted(monkeypatch):
+        """Every point that ``_accept`` passes, as ``u = y*alpha``."""
+        accepted = []
+        real = solver._accept
+
+        def spy(K, y, u, C, tol, box):
+            state = real(K, y, u, C, tol, box)
+            if state is not None:
+                accepted.append(u.copy())
+            return state
+
+        monkeypatch.setattr(solver, "_accept", spy)
+        return accepted
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("C", [1.0, 100.0])
+    def test_low_rank_gram_converges(self, seed, C):
+        # A rank-4 Gram matrix whose diagonal spans three decades.  Its
+        # zero-curvature directions move at least six alphas at once, which
+        # pair steps cannot follow: alone they stop at violation 2.2-25
+        # after 100,000 updates.
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((80, 4)) * [300.0, 100.0, 30.0, 10.0]
+        y = np.sign(X[:, 1] / 100 + X[:, 2] / 30 + 0.8 * rng.standard_normal(80))
+        sol = solve_dual(X @ X.T, y, C, max_iter=100_000)
+        assert sol.kkt_violation < 1e-3
+        assert np.all(sol.alphas >= 0.0) and np.all(sol.alphas <= C)
+        assert abs(np.dot(y, sol.alphas)) <= 1e-8 * C * y.size
+
+    def test_singular_free_set_is_guarded(self, monkeypatch):
+        # Every point appears twice, so a free set that holds both copies of
+        # one makes the bordered system singular.
+        rng = np.random.default_rng(1)
+        X = np.repeat(rng.standard_normal((40, 3)), 2, axis=0)
+        y = np.repeat(np.where(X[::2, 0] + 0.5 * rng.standard_normal(40) > 0, 1.0, -1.0), 2)
+        K = np.exp(-0.5 * np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1))
+        C, tol = 100.0, 1e-3
+        singular = []
+        real_polish = solver._polish
+
+        def polish_spy(K_, y_, u, level, C_):
+            copies = np.bincount(np.flatnonzero(level == 1) // 2, minlength=40)
+            singular.append(bool(np.any(copies == 2)))
+            return real_polish(K_, y_, u, level, C_)
+
+        monkeypatch.setattr(solver, "_polish", polish_spy)
+        accepted = self.spy_on_accepted(monkeypatch)
+        sol = solve_dual(K, y, C, tol=tol)
+        assert sol.kkt_violation < tol
+        assert any(singular) and accepted
+        lo, hi = np.where(y > 0, 0.0, -C), np.where(y > 0, C, 0.0)
+        for u in accepted:
+            assert np.all(u >= lo) and np.all(u <= hi)
+            assert abs(u.sum()) <= 1e-8 * C * y.size
+            assert _reference_violation(K, y, u, lo, hi, 1e-12 * C)[0] < tol
+
+    def test_huge_polynomial_gram_solves_without_warnings(self, monkeypatch):
+        # (1 + <x, x'>)^400 with max <x, x> = 3.28 puts max|K| near 4e252:
+        # finite, so nothing rejects it, and the finishing steps overflow.
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((80, 3))
+        y = np.where(X[:, 0] + 0.3 * rng.standard_normal(80) > 0, 1, -1)
+        X *= np.sqrt(3.28 / np.max(np.sum(X * X, axis=1)))
+        K = kernel_from_statistic(BaseKernel.polynomial(400), X @ X.T)
+        assert 1e252 < np.abs(K).max() < 1e253
+        tries = []
+        real = solver._polish
+        monkeypatch.setattr(solver, "_polish", lambda *a: tries.append(1) or real(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_dual(K, y, 1.0)
+        assert tries
+        assert np.isfinite(sol.alphas).all() and np.isfinite(sol.bias)
+        assert sol.kkt_violation < 1e-3
+
+    def test_accept_rejects_a_point_off_the_hyperplane(self):
+        # Moving one free alpha by 1e-5 breaks y'alpha = 0 by more than
+        # 1e-8*C*n but moves the gradient by less than tol: only the
+        # feasibility check can turn the point away.
+        K, y = _seeded_problem(80, "gaussian", seed=80)
+        y = y.astype(float)
+        C, tol = 1.0, 1e-3
+        lo, hi = np.where(y > 0, 0.0, -C), np.where(y > 0, C, 0.0)
+        box = (lo, hi, lo + 1e-12 * C, hi - 1e-12 * C)
+        u = y * solve_dual(K, y, C, tol=1e-10).alphas
+        assert solver._accept(K, y, u, C, tol, box) is not None
+        k = int(np.flatnonzero((u > lo + 1e-3) & (u < hi - 1e-3))[0])
+        u[k] += 1e-5
+        assert _reference_violation(K, y, u, lo, hi, 1e-12 * C)[0] < tol
+        assert solver._accept(K, y, u, C, tol, box) is None
+
+    def test_iterations_count_pair_updates_only(self, monkeypatch):
+        K, y = _seeded_problem(80, "linear", seed=80)
+        accepted = self.spy_on_accepted(monkeypatch)
+        sol = solve_dual(K, y, 100.0)
+        assert accepted
+        assert sol.iterations % solver.POLISH_EVERY == 0
 
 
 class TestObjectiveStructure:
