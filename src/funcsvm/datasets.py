@@ -3,7 +3,9 @@
 Generic ``csv_rows`` format: one curve per row, value columns then a label
 column.  An optional header row carries the abscissae for the value
 columns (its last cell is the label column name).  Parsing is
-locale-independent: decimal points only.
+locale-independent: decimal points only.  A ``csv_rows`` file whose data
+rows all parse in one ``np.loadtxt`` call is read that way; any other file
+goes row by row through ``csv``, which names the line of a bad cell.
 
 ``tecator``: rows of 100 absorbance channels (wavelengths 850..1050 nm)
 followed by the fat percentage; the label is +1 when fat exceeds the
@@ -16,13 +18,14 @@ threshold (default 20).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, ParseError, UsageError
 from .functions import LabeledDataset, SamplingGrid
+from .persistence import atomic_write_bytes
 
 __all__ = ["DatasetDescriptor", "load_dataset", "write_csv"]
 
@@ -66,16 +69,68 @@ def _parse_row(cells, line: int) -> np.ndarray:
 
 
 def _read_rows(path: str):
+    """``(line, cells)`` of each row that holds a non-blank cell."""
+    rows = []
+    line = 0
     # Stream the file: an in-memory copy of the text would raise peak memory.
     try:
         with open(path, newline="") as handle:
-            rows = [(i + 1, row) for i, row in enumerate(csv.reader(handle))
-                    if row and any(c.strip() for c in row)]
+            for line, row in enumerate(csv.reader(handle), 1):
+                if _has_data(row):
+                    rows.append((line, row))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode {path}: {exc}") from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=line + 1) from None
     if not rows:
         raise ParseError(f"{path} contains no data rows")
     return rows
+
+
+def _has_data(row) -> bool:
+    """Rows with no cell but blanks are skipped, wherever they are."""
+    return any(c.strip() for c in row)
+
+
+def _is_header(row) -> bool:
+    # Header rows carry numeric abscissae, so detect them by the label column.
+    return row[-1].strip().lower() == "label"
+
+
+def _read_table(path: str):
+    """``(header, table)`` of a CSV file whose data rows all parse as floats
+    in one ``np.loadtxt`` call, where ``header`` is the ``(line, cells)`` of
+    a header row or None; None when the file needs :func:`_read_rows`.
+
+    The values equal those of the row-by-row path bit for bit: both end in
+    ``PyOS_string_to_double``, and ``loadtxt`` rejects what only ``float``
+    reads (``1_0``, other scripts' digits).  These files go to that path: a
+    line that may hold a cell over the ``csv`` field limit, no data row
+    (``loadtxt`` would warn), and any cell or byte ``loadtxt`` rejects
+    (quotes, blanks, ragged rows, an undecodable byte).
+    """
+    limit = csv.field_size_limit()
+    try:
+        with open(path, "rb") as handle:
+            for raw in handle:
+                if len(raw) > limit and max(map(len, raw.split(b","))) > limit:
+                    return None
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            rows = ((line, row) for line, row in enumerate(reader, 1) if _has_data(row))
+            first = next(rows, None)
+            if first is None:
+                return None
+            header = first if _is_header(first[1]) else None
+            skip = reader.line_num if header else 0
+            if header and next(rows, None) is None:
+                return None
+        table = np.loadtxt(path, delimiter=",", skiprows=skip, comments=None, ndmin=2)
+    except (OSError, csv.Error, ValueError):
+        return None
+    return header, table
 
 
 def _grid_for(desc: DatasetDescriptor, n_cols: int, default_interval=(0.0, 1.0)) -> SamplingGrid:
@@ -97,7 +152,8 @@ def _map_label(raw: str, label_map: dict | None, line: int) -> int:
             raise ParseError(f"label {raw!r} not covered by the label mapping", line=line)
         mapped = int(label_map[raw])
     else:
-        mapped = int(_parse_float(raw, line))
+        value = _parse_float(raw, line)
+        mapped = int(value) if math.isfinite(value) else value
     if mapped not in (-1, 1):
         raise ParseError(f"label {raw!r} maps to {mapped}, expected -1 or +1", line=line)
     return mapped
@@ -105,9 +161,9 @@ def _map_label(raw: str, label_map: dict | None, line: int) -> int:
 
 def load_dataset(desc: DatasetDescriptor) -> LabeledDataset:
     """Parse the described file into curves on a shared grid, order preserved."""
-    rows = _read_rows(desc.path)
     if desc.format == "csv_rows":
-        return _load_csv_rows(desc, rows)
+        return _load_csv_rows(desc)
+    rows = _read_rows(desc.path)
     if desc.format == "tecator":
         return _load_tecator(desc, rows)
     return _load_phoneme(desc, rows)
@@ -121,12 +177,24 @@ def _looks_like_header(row) -> bool:
         return True
 
 
-def _load_csv_rows(desc: DatasetDescriptor, rows) -> LabeledDataset:
-    abscissae = desc.abscissae
-    first_line, first_row = rows[0]
+def _header_abscissae(header) -> np.ndarray:
+    line, cells = header
+    return _parse_row(cells[:-1], line)
+
+
+def _load_csv_rows(desc: DatasetDescriptor) -> LabeledDataset:
+    fast = _read_table(desc.path) if desc.label_map is None else None
+    if fast is not None:
+        header, table = fast
+        abscissae = _header_abscissae(header) if header else None
+        labels = table[:, -1]
+        if table.shape[1] >= 3 and (np.abs(labels) == 1.0).all():
+            return _csv_rows_dataset(desc, abscissae, table[:, :-1], labels.astype(int))
+    rows = _read_rows(desc.path)
+    abscissae = None
     # Header row: abscissae for the value columns, then a 'label' column name.
-    if first_row[-1].strip().lower() == "label":
-        abscissae = _parse_row(first_row[:-1], first_line)
+    if _is_header(rows[0][1]):
+        abscissae = _header_abscissae(rows[0])
         rows = rows[1:]
         if not rows:
             raise ParseError("no data rows after the header")
@@ -143,10 +211,14 @@ def _load_csv_rows(desc: DatasetDescriptor, rows) -> LabeledDataset:
             )
         values[i] = _parse_row(row[:-1], line)
         labels[i] = _map_label(row[-1], desc.label_map, line)
+    return _csv_rows_dataset(desc, abscissae, values, labels)
+
+
+def _csv_rows_dataset(desc, abscissae, values, labels) -> LabeledDataset:
     grid = (
-        SamplingGrid.from_abscissae(np.asarray(abscissae, dtype=float))
+        SamplingGrid.from_abscissae(abscissae)
         if abscissae is not None and desc.abscissae is None
-        else _grid_for(desc, n_cols)
+        else _grid_for(desc, values.shape[1])
     )
     return LabeledDataset.from_matrix(grid, values, labels)
 
@@ -195,4 +267,4 @@ def write_csv(data: LabeledDataset, path: str) -> None:
     lines = [",".join(header)]
     for f, y in zip(data.functions, data.labels):
         lines.append(",".join([repr(float(v)) for v in f.values] + [str(int(y))]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))

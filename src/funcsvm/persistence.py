@@ -9,15 +9,19 @@ still load through it, and the metric, labels and alphas of version 1 are
 not read.  Floats are serialized with ``repr``
 round-tripping, so a loaded model reproduces decision values bit for
 bit.  Reports are written as two JSON files: a deterministic payload and
-a separate metadata file holding timestamps.  All writes are atomic
-(write-then-rename).
+a separate metadata file holding timestamps.
+
+Every file the package writes (models, reports, predictions, synthetic
+CSVs) goes through :func:`atomic_write_bytes`: the bytes go to a new file
+beside the target, the old target is renamed aside, the new file is
+renamed onto the freed name and the old one is unlinked.  A reader never
+sees a partial file, though for an instant it may find none.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -29,23 +33,59 @@ from .basis import projector
 from .kernels import isometric_rows, kernel_from_dict, kernel_to_dict
 from .solver import SvmModel
 
-__all__ = ["save_model", "load_model", "write_report", "MODEL_MAGIC", "MODEL_VERSION"]
+__all__ = [
+    "save_model", "load_model", "write_report", "atomic_write_bytes",
+    "MODEL_MAGIC", "MODEL_VERSION",
+]
 
 MODEL_MAGIC = b"FSVM"
 MODEL_VERSION = 3
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
+def atomic_write_bytes(path, payload: bytes) -> None:
+    """Replace the file at ``path`` with ``payload``; on failure, keep the old one.
+
+    The target is renamed aside before the new file takes its name: on ext4
+    (``auto_da_alloc``, the default) a rename over an existing file waits
+    for the new file's data to reach the disk, a rename onto a free name
+    does not.  A directory at ``path`` is never moved; the write fails with
+    an ``OSError``.  No ``fsync`` is made.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    fd, tmp = _create_beside(path)
+    aside = None
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
-        os.replace(tmp, path)
+        if path.is_file():
+            aside = tmp + ".old"
+            os.rename(path, aside)
+        try:
+            os.rename(tmp, path)
+        except BaseException:
+            if aside is not None:
+                os.rename(aside, path)
+            raise
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    if aside is not None:
+        os.unlink(aside)
+
+
+def _create_beside(path: Path) -> tuple[int, str]:
+    """A new, empty file in the directory of ``path``, opened for writing.
+
+    ``os.open`` with mode 0o666 lets the umask set the permissions, as
+    ``open`` would for the target itself (``mkstemp`` would give 0o600).
+    """
+    while True:
+        tmp = f"{path}.{os.urandom(4).hex()}"
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            pass
 
 
 def _dump_json(doc: dict) -> bytes:
@@ -64,7 +104,7 @@ def save_model(model: SvmModel, path: str) -> None:
         "bias": model.bias,
         "meta": model.meta,
     }
-    _atomic_write_bytes(path, MODEL_MAGIC + bytes([MODEL_VERSION]) + _dump_json(doc))
+    atomic_write_bytes(path, MODEL_MAGIC + bytes([MODEL_VERSION]) + _dump_json(doc))
 
 
 def load_model(path: str) -> SvmModel:
@@ -137,8 +177,8 @@ def _model_from_doc(doc: dict, version: int) -> SvmModel:
 
 def write_report(payload: dict, path: str, meta: dict | None = None) -> None:
     """Write a deterministic payload file plus a sidecar metadata file."""
-    _atomic_write_bytes(path, _dump_json(payload) + b"\n")
+    atomic_write_bytes(path, _dump_json(payload) + b"\n")
     meta_doc = {"written_at": time.time()}
     if meta:
         meta_doc.update(meta)
-    _atomic_write_bytes(str(path) + ".meta.json", _dump_json(meta_doc) + b"\n")
+    atomic_write_bytes(str(path) + ".meta.json", _dump_json(meta_doc) + b"\n")

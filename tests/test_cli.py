@@ -273,6 +273,96 @@ class TestBsplineFaults:
         assert err[0].startswith("FSVM-ERROR code=usage msg=")
 
 
+def _non_utf8(lines):
+    return ("\n".join(lines[:3]) + "\n").encode() + b"\xff\xfe,1\n"
+
+
+def _long_cell(lines):
+    width = len(lines[1].split(","))
+    row = ["1" * 140_000] + ["0.5"] * (width - 2) + ["1"]
+    return ("\n".join(lines[:3] + [",".join(row)]) + "\n").encode()
+
+
+class TestUnreadableCsv:
+    """A CSV that cannot be decoded or split is a data error, not a traceback."""
+
+    @pytest.mark.parametrize("make", [_non_utf8, _long_cell])
+    @pytest.mark.parametrize("command", ["select", "predict"])
+    def test_exits_2_with_one_error_line(self, tmp_path, synth_csv, capsys, make, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(make(synth_csv.read_text().splitlines()))
+        if command == "select":
+            argv = ["select", "--config", write_config(tmp_path, bad),
+                    "--out", str(tmp_path / "bad_run")]
+        else:
+            out = tmp_path / "run"
+            assert main(["select", "--config", write_config(tmp_path, synth_csv),
+                         "--out", str(out)]) == 0
+            argv = ["predict", "--model", str(out / "model.fsvm"), "--data", str(bad)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=data msg=")
+
+
+class TestPredictHeader:
+    def test_header_on_another_grid_exits_2(self, tmp_path, synth_csv, capsys):
+        out = tmp_path / "run"
+        assert main(["select", "--config", write_config(tmp_path, synth_csv),
+                     "--out", str(out)]) == 0
+        lines = synth_csv.read_text().splitlines()
+        t = [float(x) for x in lines[0].split(",")[:-1]]
+        shifted = tmp_path / "wide.csv"
+        shifted.write_text("\n".join([",".join(repr(10.0 * x) for x in t) + ",label"]
+                                     + lines[1:]) + "\n")
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(out / "model.fsvm"), "--data", str(shifted)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=data msg=line 1: header abscissae differ")
+
+    def test_rows_without_a_header_are_not_checked(self, tmp_path, synth_csv, capsys):
+        out = tmp_path / "run"
+        assert main(["select", "--config", write_config(tmp_path, synth_csv),
+                     "--out", str(out)]) == 0
+        bare = tmp_path / "bare.csv"
+        bare.write_text("\n".join(synth_csv.read_text().splitlines()[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(out / "model.fsvm"), "--data", str(bare)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 41
+
+
+class TestOutputFiles:
+    def test_a_directory_at_the_model_path_is_left_alone(self, tmp_path, synth_csv, capsys):
+        out = tmp_path / "run"
+        (out / "model.fsvm").mkdir(parents=True)
+        (out / "model.fsvm" / "inside").write_text("kept")
+        rc = main(["select", "--config", write_config(tmp_path, synth_csv), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("FSVM-ERROR code=data msg=")
+        assert os.listdir(out) == ["model.fsvm"]
+        assert (out / "model.fsvm" / "inside").read_text() == "kept"
+
+    def test_outputs_written_over_old_ones_leave_nothing_else(self, tmp_path, synth_csv, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, synth_csv)
+        predict = ["predict", "--model", str(out / "model.fsvm"), "--data", str(synth_csv)]
+        for _ in range(2):
+            assert main(["select", "--config", cfg, "--out", str(out)]) == 0
+            assert main(predict + ["--out", str(out / "pred.csv")]) == 0
+            assert main(["synth", "--out", str(out / "synth.csv"), "--n", "10"]) == 0
+        assert sorted(os.listdir(out)) == [
+            "model.fsvm", "pred.csv", "selection_report.json",
+            "selection_report.json.meta.json", "synth.csv",
+        ]
+        capsys.readouterr()
+        assert main(predict) == 0
+        assert (out / "pred.csv").read_text() == capsys.readouterr().out
+
+
 class TestInvalidGridValues:
     @pytest.mark.parametrize("key, value", [
         ("dimensions", 2.5), ("C", float("inf")), ("C", float("nan")),

@@ -1,9 +1,14 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from funcsvm import DatasetDescriptor, load_dataset, write_csv
-from funcsvm.datasets import TECATOR_RANGE, _parse_row
-from funcsvm.errors import ParseError, UsageError
+from funcsvm import DatasetDescriptor, SamplingGrid, datasets, load_dataset, write_csv
+from funcsvm.datasets import TECATOR_RANGE, _parse_row, _read_table
+from funcsvm.errors import FuncSvmError, ParseError, UsageError
 
 
 def write(tmp_path, name, text):
@@ -160,3 +165,141 @@ class TestPhoneme:
         path = write(tmp_path, "phoneme.csv", vals + ",iy\n")
         with pytest.raises(ParseError):
             load_dataset(DatasetDescriptor(path, format="phoneme"))
+
+
+class TestCsvFaults:
+    def test_non_utf8_bytes_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"0.0,1.0,1\n\xff\xfe,1.0,-1\n")
+        with pytest.raises(ParseError, match="cannot decode"):
+            load_dataset(DatasetDescriptor(str(path)))
+
+    def test_a_cell_over_the_csv_field_limit_is_a_parse_error(self, tmp_path):
+        path = write(tmp_path, "a.csv", "0.0,1.0,1\n" + "1" * 140_000 + ",1.0,-1\n")
+        with pytest.raises(ParseError, match="line 2: field larger than field limit") as info:
+            load_dataset(DatasetDescriptor(path))
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-Infinity"])
+    def test_a_non_finite_label_is_a_parse_error(self, tmp_path, label):
+        path = write(tmp_path, "a.csv", f"0.0,1.0,1\n2.0,3.0,{label}\n")
+        with pytest.raises(ParseError, match="expected -1 or \\+1") as info:
+            load_dataset(DatasetDescriptor(path))
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "0.0,1.0,label\n", "\n0.0,1.0,label\n\n"])
+    def test_no_data_rows_warn_nothing(self, tmp_path, text):
+        path = write(tmp_path, "a.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _read_table(path) is None
+            with pytest.raises(ParseError):
+                load_dataset(DatasetDescriptor(path))
+
+
+_CLEAN_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.3e}"),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["+.5", "1e5", "1E-300", "1e400", "-0.0", " 1.5 ", "\t2", "nan", "-inf"]),
+)
+_ODD_CELLS = st.sampled_from(["1_0", "١٢", '"1.5"', "#1", "# x", "", " ", "abc", "0x10",
+                              "1,5", "Infinity", "\x0c3", "\xa04"])
+_CLEAN_LABELS = st.sampled_from(["1", "-1", "1.0", "-1e0", " 1 "])
+_ODD_LABELS = st.sampled_from(["0", "2", "1.5", "-1.9", "nan", "inf", "label", '"1"', "#", ""])
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes in the csv_rows layout, 1-4 value columns: clean files, and
+    files with faults (odd cells and labels, ragged rows, blank lines, a
+    non-UTF-8 row)."""
+    width = draw(st.integers(1, 4))
+    faulty = draw(st.booleans())
+    # Faults stay rare within a faulty file, so that one fault meets clean rows.
+    numbers = _CLEAN_NUMBERS
+    labels = _CLEAN_LABELS
+    if faulty:
+        numbers = st.integers(0, 9).flatmap(lambda k: _ODD_CELLS if k == 0 else _CLEAN_NUMBERS)
+        labels = st.integers(0, 4).flatmap(lambda k: _ODD_LABELS if k == 0 else _CLEAN_LABELS)
+    widths = [width] * 4 + ([width - 1, width + 1] if faulty else [])
+    header = draw(st.sampled_from([None, "grid", "random"]))
+    lines = []
+    if header == "grid":
+        lines.append(",".join([repr(float(t)) for t in np.linspace(0.0, 1.0, width)]
+                              + [draw(st.sampled_from(["label", " Label "]))]))
+    elif header == "random":
+        lines.append(",".join(draw(st.lists(numbers, min_size=width, max_size=width))
+                              + ["label"]))
+    for _ in range(draw(st.integers(0, 5))):
+        row_width = draw(st.sampled_from(widths))
+        cells = draw(st.lists(numbers, min_size=row_width, max_size=row_width))
+        lines.append(",".join(cells + [draw(labels)]))
+        if draw(st.integers(0, 6)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", ",", "\t", "# note", "#,#"])))
+    if draw(st.booleans()):
+        lines.insert(0, "")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    blob = (newline.join(lines) + draw(st.sampled_from([newline, ""]))).encode("utf-8")
+    if faulty and draw(st.integers(0, 4)) == 0:
+        blob += b"1.0,\xff\xfe,1\n"
+    return blob
+
+
+def _fresh_file(directory, blob):
+    # A new file each time: rewriting one in place waits for the disk on ext4.
+    path = directory / "data.csv"
+    path.unlink(missing_ok=True)
+    path.write_bytes(blob)
+    return path
+
+
+def _outcome(load):
+    """What ``load`` returns or raises, and the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = "ok", load()
+        except FuncSvmError as exc:
+            result = type(exc).__name__, str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestTableMatchesRowByRow:
+    """Both paths, whichever the file: bit-identical values or the same error,
+    and the same warnings (``loadtxt`` adds none)."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=csv_files())
+    def test_csv_rows(self, tmp_path, blob, monkeypatch):
+        path = _fresh_file(tmp_path, blob)
+
+        def load():
+            data = load_dataset(DatasetDescriptor(str(path)))
+            return (data.value_matrix().tobytes(), data.labels.tobytes(),
+                    data.grid.abscissae.tobytes(), data.grid.weights.tobytes())
+
+        fast = _outcome(load)
+        with monkeypatch.context() as m:
+            m.setattr(datasets, "_read_table", lambda p: None)
+            assert _outcome(load) == fast
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=csv_files())
+    def test_predict_curves(self, tmp_path, blob, monkeypatch):
+        from funcsvm import cli
+
+        path = _fresh_file(tmp_path, blob)
+        # a model on the grid of the generated headers with 3 columns
+        model = SimpleNamespace(grid=SamplingGrid.from_abscissae(np.linspace(0.0, 1.0, 3)))
+
+        def load():
+            curves = cli._load_predict_curves(str(path), model)
+            return b"".join(f.values.tobytes() for f in curves), len(curves)
+
+        fast = _outcome(load)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_table", lambda p: None)
+            assert _outcome(load) == fast

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from funcsvm import (
 )
 from funcsvm.errors import IntegrityError
 from funcsvm.kernels import prepare_batch
-from funcsvm.persistence import MODEL_MAGIC, MODEL_VERSION, write_report
+from funcsvm.persistence import MODEL_MAGIC, MODEL_VERSION, atomic_write_bytes, write_report
 from funcsvm.solver import decision_values
 
 
@@ -200,3 +201,43 @@ class TestReports:
         assert meta["written_at"] > 0
         # timestamps never leak into the payload file
         assert "written_at" not in json.loads(p.read_text())
+
+
+class TestAtomicWrite:
+    def test_overwrite_leaves_only_the_target(self, tmp_path):
+        target = tmp_path / "out.bin"
+        atomic_write_bytes(target, b"old")
+        atomic_write_bytes(target, b"new")
+        assert os.listdir(tmp_path) == ["out.bin"]
+        assert target.read_bytes() == b"new"
+
+    def test_failed_final_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+        rename = os.rename
+
+        def failing(src, dst):
+            if Path(dst) == target and not str(src).endswith(".old"):
+                raise OSError("rename refused")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", failing)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_bytes(target, b"new")
+        assert os.listdir(tmp_path) == ["out.bin"]
+        assert target.read_bytes() == b"old"
+
+    def test_a_directory_at_the_target_is_not_moved(self, tmp_path):
+        target = tmp_path / "model.fsvm"
+        target.mkdir()
+        (target / "inside").write_bytes(b"kept")
+        with pytest.raises(OSError):
+            atomic_write_bytes(target, b"new")
+        assert sorted(os.listdir(tmp_path)) == ["model.fsvm"]
+        assert (target / "inside").read_bytes() == b"kept"
+
+    def test_new_files_get_the_mode_open_gives(self, tmp_path):
+        # the umask decides, as for a file written with open()
+        atomic_write_bytes(tmp_path / "a", b"x")
+        (tmp_path / "b").write_bytes(b"x")
+        assert (tmp_path / "a").stat().st_mode == (tmp_path / "b").stat().st_mode
