@@ -17,21 +17,11 @@ import numpy as np
 
 from . import __version__
 from .config import load_config
-from .datasets import (
-    _header_abscissae,
-    _is_header,
-    _parse_row,
-    _read_rows,
-    _read_table,
-    load_dataset,
-    write_csv,
-)
+from .datasets import load_curves, load_dataset, write_csv
 from .errors import (
     ConvergenceError,
     DataError,
     FuncSvmError,
-    GridMismatchError,
-    ParseError,
     UsageError,
 )
 from .evaluation import (
@@ -40,7 +30,6 @@ from .evaluation import (
     run_leave_one_out,
     run_repeated_splits,
 )
-from .functions import SampledFunction
 from .persistence import atomic_write_bytes, load_model, save_model, write_report
 from .selection import select, validate_grid
 from .solver import decision_values, train_svm
@@ -158,48 +147,9 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _load_predict_curves(path: str, model) -> list[SampledFunction]:
-    """Curves for prediction: csv_rows with labels, or bare value rows."""
-    n = len(model.grid)
-    fast = _read_table(path)
-    if fast is not None:
-        header, table = fast
-        if header:
-            _check_header(header, model)
-        if table.shape[1] in (n, n + 1):
-            return [SampledFunction(model.grid, values) for values in table[:, :n]]
-    rows = _read_rows(path)
-    if _is_header(rows[0][1]):
-        _check_header(rows[0], model)
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path} has a header but no data rows")
-    curves = []
-    for line, row in rows:
-        if len(row) == n + 1:
-            row = row[:-1]
-        if len(row) != n:
-            raise GridMismatchError(
-                f"line {line}: row has {len(row)} values, model grid expects {n}"
-            )
-        values = _parse_row(row, line)
-        curves.append(SampledFunction(model.grid, values))
-    return curves
-
-
-def _check_header(header, model) -> None:
-    """A header's abscissae must be the model's, exactly: both are written with ``repr``."""
-    if not np.array_equal(_header_abscissae(header), model.grid.abscissae):
-        a, b = model.grid.interval
-        raise GridMismatchError(
-            f"line {header[0]}: header abscissae differ from the model grid "
-            f"({len(model.grid)} points on [{a:g}, {b:g}])"
-        )
-
-
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    curves = _load_predict_curves(args.data, model)
+    curves = load_curves(args.data, model.grid)
     values = decision_values(model, curves)
     labels = np.where(values >= 0.0, 1, -1)
     lines = [f"{int(y)},{repr(float(v))}" for y, v in zip(labels, values)]

@@ -2,14 +2,16 @@
 
 Generic ``csv_rows`` format: one curve per row, value columns then a label
 column.  An optional header row carries the abscissae for the value
-columns (its last cell is the label column name).  Parsing is
+columns (its last cell is the label column name); they must be finite and
+strictly increasing.  :func:`load_curves` reads the same layout, with or
+without the label column, onto a given grid for prediction.  Parsing is
 locale-independent: decimal points only.  A ``csv_rows`` file whose data
 rows all parse in one ``np.loadtxt`` call is read that way; any other file
 goes row by row through ``csv``, which names the line of a bad cell.
 
 ``tecator``: rows of 100 absorbance channels (wavelengths 850..1050 nm)
 followed by the fat percentage; the label is +1 when fat exceeds the
-threshold (default 20).
+threshold (default 20); a fat cell that is not a finite number is an error.
 
 ``phoneme``: rows of 256 log-periodogram values followed by a class name;
 "aa" maps to +1 and "ao" to -1 (overridable), domain taken as [0, 1].
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, UsageError
-from .functions import LabeledDataset, SamplingGrid
+from .errors import ConfigurationError, GridMismatchError, ParseError, UsageError
+from .functions import LabeledDataset, SampledFunction, SamplingGrid
 from .persistence import atomic_write_bytes
 
-__all__ = ["DatasetDescriptor", "load_dataset", "write_csv"]
+__all__ = ["DatasetDescriptor", "load_dataset", "load_curves", "write_csv"]
 
 FORMATS = ("csv_rows", "tecator", "phoneme")
 
@@ -179,7 +181,11 @@ def _looks_like_header(row) -> bool:
 
 def _header_abscissae(header) -> np.ndarray:
     line, cells = header
-    return _parse_row(cells[:-1], line)
+    t = _parse_row(cells[:-1], line)
+    # Finiteness first: the differences of non-finite cells would warn.
+    if not (np.isfinite(t).all() and np.all(np.diff(t) > 0)):
+        raise ParseError("header abscissae must be finite and strictly increasing", line=line)
+    return t
 
 
 def _load_csv_rows(desc: DatasetDescriptor) -> LabeledDataset:
@@ -237,6 +243,8 @@ def _load_tecator(desc: DatasetDescriptor, rows) -> LabeledDataset:
             )
         values[i] = _parse_row(row[:-1], line)
         fat = _parse_float(row[-1], line)
+        if not math.isfinite(fat):
+            raise ParseError(f"fat cell {row[-1]!r} is not a finite number", line=line)
         labels[i] = 1 if fat > desc.fat_threshold else -1
     grid = _grid_for(desc, TECATOR_CHANNELS, default_interval=TECATOR_RANGE)
     return LabeledDataset.from_matrix(grid, values, labels)
@@ -259,6 +267,45 @@ def _load_phoneme(desc: DatasetDescriptor, rows) -> LabeledDataset:
         labels[i] = _map_label(row[-1], mapping, line)
     grid = _grid_for(desc, PHONEME_LENGTH)
     return LabeledDataset.from_matrix(grid, values, labels)
+
+
+def load_curves(path: str, grid: SamplingGrid) -> list[SampledFunction]:
+    """Curves on ``grid`` from ``csv_rows`` rows with their labels or bare
+    value rows; a header must hold the abscissae of ``grid`` exactly (both
+    are written with ``repr``)."""
+    n = len(grid)
+    fast = _read_table(path)
+    if fast is not None:
+        header, table = fast
+        if header:
+            _check_header(header, grid)
+        if table.shape[1] in (n, n + 1):
+            return [SampledFunction(grid, values) for values in table[:, :n]]
+    rows = _read_rows(path)
+    if _is_header(rows[0][1]):
+        _check_header(rows[0], grid)
+        rows = rows[1:]
+        if not rows:
+            raise ParseError(f"{path} has a header but no data rows")
+    curves = []
+    for line, row in rows:
+        if len(row) == n + 1:
+            row = row[:-1]
+        if len(row) != n:
+            raise GridMismatchError(
+                f"line {line}: row has {len(row)} values, model grid expects {n}"
+            )
+        curves.append(SampledFunction(grid, _parse_row(row, line)))
+    return curves
+
+
+def _check_header(header, grid: SamplingGrid) -> None:
+    if not np.array_equal(_header_abscissae(header), grid.abscissae):
+        a, b = grid.interval
+        raise GridMismatchError(
+            f"line {header[0]}: header abscissae differ from the model grid "
+            f"({len(grid)} points on [{a:g}, {b:g}])"
+        )
 
 
 def write_csv(data: LabeledDataset, path: str) -> None:

@@ -43,6 +43,8 @@ def trapezoid_weights(abscissae: np.ndarray) -> np.ndarray:
     t = np.asarray(abscissae, dtype=float)
     if t.size < 2:
         raise ConfigurationError("a sampling grid needs at least two points")
+    if not np.isfinite(t).all():
+        raise ConfigurationError("abscissae and weights must all be finite")
     w = np.empty_like(t)
     w[0] = (t[1] - t[0]) / 2.0
     w[-1] = (t[-1] - t[-2]) / 2.0

@@ -16,12 +16,10 @@ equivariant.
 
 Pair steps find which alphas sit at 0, at C or in between early, and then
 spend most of their updates tuning the free ones.  So every
-``POLISH_EVERY`` updates the loop guesses those sets from its iterate and
-solves the free set exactly (one bordered linear solve); when the pair
-steps stop changing the sets and those sets are wrong, it runs an
-active-set continuation once (Scheinberg, JMLR 7, 2006).  Either point
-replaces the iterate only if it is feasible and passes the loop's own
-stopping test, so a singular or wrong solve is never returned.
+``CHECK_EVERY`` updates the loop guesses those sets from its iterate, and
+once a guess has held for two checks it runs an active-set continuation
+from them (Scheinberg, JMLR 7, 2006).  Its point replaces the iterate only
+if it is feasible and passes the loop's own stopping test.
 
 The loop keeps y*alpha and y*g (g the gradient of the dual objective) as
 its state, updates the gradient from two rows of K, and keeps the box
@@ -47,7 +45,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1_000_000  # SMO updates per solve, for train and select alike
-POLISH_EVERY = 50  # pair updates between two tries of the free-set polish
+CHECK_EVERY = 50  # pair updates between two guesses of the sets
 
 
 @dataclass
@@ -85,15 +83,11 @@ def solve_dual(
     :class:`ConvergenceError` (carrying the best iterate) if the iteration
     budget runs out.
 
-    Every ``POLISH_EVERY`` updates the solve tries the free-set polish of
-    :func:`_polish`, unless the sets it would use are those of the last
-    rejected try: the polished point depends on the sets alone.  Such a
-    repeat means the pair steps have not moved any alpha between the sets
-    for ``POLISH_EVERY`` updates while the sets are wrong, so the first
-    repeat runs :func:`_active_set` from the iterate instead.  A point from
-    either replaces the iterate only if :func:`_accept` passes it, and the
-    loop's own test then ends the solve.  ``iterations`` counts pair
-    updates only.
+    Every ``CHECK_EVERY`` updates the solve guesses the sets at 0, free
+    and at C.  A guess equal to the previous one, and not the last
+    rejected, starts :func:`_active_set` from the iterate; its point
+    replaces the iterate if :func:`_accept` passes it, and the loop's own
+    test then ends the solve.  ``iterations`` counts pair updates only.
     """
     K = np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -115,8 +109,7 @@ def solve_dual(
     # same IEEE doubles as numpy's, without the overhead of numpy scalars.
     C = float(C)
     if alpha0 is None:
-        ya = [0.0] * n
-        yg = y.copy()
+        u = np.zeros(n)
     else:
         a0 = np.asarray(alpha0, dtype=float)
         if a0.shape != (n,) or not np.isfinite(a0).all():
@@ -125,22 +118,17 @@ def solve_dual(
             raise DataError("alpha0 must lie in the box [0, C]")
         if abs(np.dot(y, a0)) > 1e-8 * C * n:
             raise DataError("alpha0 must satisfy sum(alpha0 * y) = 0")
-        ya_arr = y * a0
-        ya = ya_arr.tolist()
-        yg = y - K @ ya_arr
-    pos = (y > 0).tolist()
+        u = y * a0
     # y_i * alpha_i ranges over [lo_i, hi_i]; it can still rise while below
     # hi_i - slack and fall while above lo_i + slack.
-    lo = [0.0 if p else -C for p in pos]
-    hi = [C if p else 0.0 for p in pos]
+    pos = y > 0
     slack = 1e-12 * C
-    lo_in = [v + slack for v in lo]
-    hi_in = [v - slack for v in hi]
-    # Feasibility as additive penalties, 0 where a coordinate can move up
-    # (down) and -inf (+inf) where it cannot, so that choosing i is one add
-    # and one argmax, and b below is -inf wherever j cannot be.
-    pen_up = np.where(np.less(ya, hi_in), 0.0, -np.inf)
-    pen_down = np.where(np.greater(ya, lo_in), 0.0, np.inf)
+    lo = np.where(pos, 0.0, -C)
+    hi = np.where(pos, C, 0.0)
+    box = (lo, hi, lo + slack, hi - slack)
+    yg, pen_up, pen_down = _state(K, y, u, box)
+    ya = u.tolist()
+    lo, hi, lo_in, hi_in = (v.tolist() for v in box)
     buf_up = np.empty(n)
     gain = np.empty(n)
     step = np.empty(n)
@@ -149,9 +137,8 @@ def solve_dual(
     # second-order gain b^2 / a_it does.
     R = 1.0 / np.sqrt(np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, 1e-12))
     diag = diag.tolist()
-    box = tuple(np.array(v) for v in (lo, hi, lo_in, hi_in))
-    rejected = None  # the sets of the last rejected try
-    continued = False
+    settled = None  # the sets guessed at the previous check
+    rejected = None  # the sets of the last rejected continuation
 
     it = 0
     violation = np.inf
@@ -175,20 +162,17 @@ def solve_dual(
         step *= lam
         yg += step  # y times the update g += lam*y*(K[:, j] - K[:, i])
         it += 1
-        if it % POLISH_EVERY:
+        if it % CHECK_EVERY:
             continue
         u = np.array(ya)
         level = _levels(y * u, C)
         key = level.tobytes()
-        # Overflow in a finishing step only makes a point that _accept rejects.
+        if key != settled or key == rejected:
+            settled = key
+            continue
+        # Overflow in the continuation only makes a point that _accept rejects.
         with np.errstate(all="ignore"):
-            if key != rejected:
-                point = _polish(K, y, u, level, C)
-            elif not continued:
-                continued = True
-                point = _active_set(K, y, u, level, C, tol, box)
-            else:
-                continue
+            point = _active_set(K, y, u, level, C, tol, box)
             state = None if point is None else _accept(K, y, point, C, tol, box)
         if state is None:
             rejected = key
@@ -221,36 +205,6 @@ def _levels(alpha: np.ndarray, C: float) -> np.ndarray:
     the 1e-8*C margin of :func:`_compute_bias`."""
     eps = 1e-8 * C
     return (alpha > eps).astype(np.int8) + (alpha >= C - eps)
-
-
-def _polish(K, y, u, level, C):
-    """The optimum of the dual with alpha pinned at 0 and C as ``level``
-    says and the free alphas unconstrained, or None if ``np.linalg.solve``
-    finds the system singular (a point from a nearly singular one is left
-    to :func:`_accept`).
-
-    With ``u = y*alpha`` and F the free set, B the rest, this solves
-    ``[K_FF 1; 1' 0] [u_F; b] = [y_F - K_FB u_B; -1'u_B]``.
-    """
-    u = np.where(level == 2, y * C, 0.0)
-    free = np.flatnonzero(level == 1)
-    bound = np.flatnonzero(level != 1)
-    system = _bordered(K[np.ix_(free, free)], 1.0)
-    rhs = np.append(y[free] - K[np.ix_(free, bound)] @ u[bound], -u[bound].sum())
-    try:
-        u[free] = np.linalg.solve(system, rhs)[:-1]
-    except np.linalg.LinAlgError:
-        return None
-    return u
-
-
-def _bordered(K_FF: np.ndarray, border: float) -> np.ndarray:
-    """The matrix ``[K_FF s; s' 0]`` with every entry of ``s`` equal to ``border``."""
-    f = K_FF.shape[0]
-    system = np.full((f + 1, f + 1), border)
-    system[:f, :f] = K_FF
-    system[f, f] = 0.0
-    return system
 
 
 def _active_set(K, y, u, level, C, tol, box):
@@ -325,7 +279,9 @@ def _free_step(K_FF, g_F, total, scale, tol):
     with the bias None; else the least-squares Newton step is returned.
     """
     f = g_F.size
-    system = _bordered(K_FF, scale)
+    system = np.full((f + 1, f + 1), scale)
+    system[:f, :f] = K_FF
+    system[f, f] = 0.0
     rhs = np.append(g_F, -scale * total)
     try:
         pivots = np.linalg.cholesky(K_FF).diagonal()
@@ -344,18 +300,30 @@ def _free_step(K_FF, g_F, total, scale, tol):
     return z[:f], z[f] * scale
 
 
+def _state(K, y, u, box):
+    """The loop state ``(yg, pen_up, pen_down)`` at ``u = y*alpha``.
+
+    The box is kept as additive penalties, 0 where a coordinate can move
+    up (down) and -inf (+inf) where it cannot, so that choosing ``i`` is
+    one add and one argmax, and ``b`` is -inf wherever ``j`` cannot be.
+    """
+    _, _, lo_in, hi_in = box
+    yg = y - K @ u
+    pen_up = np.where(u < hi_in, 0.0, -np.inf)
+    pen_down = np.where(u > lo_in, 0.0, np.inf)
+    return yg, pen_up, pen_down
+
+
 def _accept(K, y, u, C, tol, box):
     """The loop state ``(yg, pen_up, pen_down, violation)`` at ``u = y*alpha``
     if ``u`` is finite, in the box and on ``y'alpha = 0``, and its violation,
     computed as the loop computes it, is below ``tol``; else None."""
-    lo, hi, lo_in, hi_in = box
+    lo, hi, _, _ = box
     if not (np.isfinite(u).all() and np.all(u >= lo) and np.all(u <= hi)):
         return None
     if abs(u.sum()) > 1e-8 * C * u.size:
         return None
-    yg = y - K @ u
-    pen_up = np.where(u < hi_in, 0.0, -np.inf)
-    pen_down = np.where(u > lo_in, 0.0, np.inf)
+    yg, pen_up, pen_down = _state(K, y, u, box)
     up = yg + pen_up
     b = up[up.argmax()] - yg - pen_down
     violation = b.item(b.argmax())

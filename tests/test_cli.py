@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +336,26 @@ class TestPredictHeader:
         assert len(capsys.readouterr().out.splitlines()) == 41
 
 
+class TestCsvHeaderAbscissae:
+    """Header abscissae that are not finite or not strictly increasing are
+    bad data: one data error naming the header's line, and no warning."""
+
+    @pytest.mark.parametrize("header", ["0.0,1.798e+308,1.798e+308,label",
+                                        "0.0,0.5,0.5,label"])
+    def test_is_one_data_error(self, tmp_path, capsys, header):
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join([header, "0.1,0.2,0.3,1", "0.3,0.2,0.1,-1"]) + "\n")
+        argv = ["select", "--config", write_config(tmp_path, data),
+                "--out", str(tmp_path / "run")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["FSVM-ERROR code=data msg=line 1: header abscissae must be "
+                       "finite and strictly increasing"]
+
+
 class TestOutputFiles:
     def test_a_directory_at_the_model_path_is_left_alone(self, tmp_path, synth_csv, capsys):
         out = tmp_path / "run"
@@ -644,3 +666,29 @@ def test_import_does_not_load_scipy():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    # cli goes through the public functions of the modules it calls, so that
+    # a format (the csv_rows layout, say) is read in one module only.
+    path = Path(__file__).resolve().parents[1] / "src" / "funcsvm" / "cli.py"
+    tree = ast.parse(path.read_text())
+    private = []
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("funcsvm")):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.endswith("__"):
+                    private.append(alias.name)
+                modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("funcsvm"):
+                    private += [part for part in alias.name.split(".") if part.startswith("_")]
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.endswith("__") and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []

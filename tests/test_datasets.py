@@ -1,5 +1,4 @@
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,6 +145,12 @@ class TestTecator:
         with pytest.raises(ParseError):
             load_dataset(DatasetDescriptor(path, format="tecator"))
 
+    def test_non_finite_fat_cites_the_line(self, tmp_path):
+        # nan > threshold is false, so without the check this row is labelled -1.
+        path = self.make_file(tmp_path, ["nan", 30, 10, 25])
+        with pytest.raises(ParseError, match="line 1: fat cell 'nan' is not a finite number"):
+            load_dataset(DatasetDescriptor(path, format="tecator"))
+
 
 class TestPhoneme:
     def test_class_names_map_to_signs(self, tmp_path):
@@ -289,17 +294,15 @@ class TestTableMatchesRowByRow:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(blob=csv_files())
     def test_predict_curves(self, tmp_path, blob, monkeypatch):
-        from funcsvm import cli
-
         path = _fresh_file(tmp_path, blob)
-        # a model on the grid of the generated headers with 3 columns
-        model = SimpleNamespace(grid=SamplingGrid.from_abscissae(np.linspace(0.0, 1.0, 3)))
+        # the grid of the generated headers with 3 columns
+        grid = SamplingGrid.from_abscissae(np.linspace(0.0, 1.0, 3))
 
         def load():
-            curves = cli._load_predict_curves(str(path), model)
+            curves = datasets.load_curves(str(path), grid)
             return b"".join(f.values.tobytes() for f in curves), len(curves)
 
         fast = _outcome(load)
         with monkeypatch.context() as m:
-            m.setattr(cli, "_read_table", lambda p: None)
+            m.setattr(datasets, "_read_table", lambda p: None)
             assert _outcome(load) == fast

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,12 @@ class TestGridInvariants:
     def test_rejects_decreasing_abscissae(self):
         with pytest.raises(ConfigurationError):
             SamplingGrid(np.array([0.0, 2.0, 1.0]), np.ones(3))
+
+    def test_non_finite_abscissae_are_rejected_before_any_arithmetic(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="finite"):
+                SamplingGrid.from_abscissae([0.0, np.inf, np.inf])
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ConfigurationError):

@@ -18,7 +18,7 @@ from funcsvm import solver
 from funcsvm.errors import ConvergenceError, DataError, DegenerateTrainingError
 from funcsvm.kernels import kernel_from_statistic
 from funcsvm.solver import (
-    POLISH_EVERY,
+    CHECK_EVERY,
     DualSolution,
     _active_set,
     _compute_bias,
@@ -281,30 +281,11 @@ def _reference_violation(K, y, u, lo, hi, slack):
     return np.where(down, yg[i] - yg, -np.inf).max(), yg
 
 
-def _reference_polish(K, y, alpha, C):
-    """The free-set solve on the sets guessed with the 1e-8*C margin, as
-    ``u = y*alpha``, or None if the bordered system is singular."""
-    eps = 1e-8 * C
-    free = np.flatnonzero((alpha > eps) & (alpha < C - eps))
-    bound = np.flatnonzero((alpha <= eps) | (alpha >= C - eps))
-    u = np.where(alpha >= C - eps, y * C, 0.0)
-    f = free.size
-    A = np.ones((f + 1, f + 1))
-    A[:f, :f] = K[np.ix_(free, free)]
-    A[f, f] = 0.0
-    rhs = np.append(y[free] - K[np.ix_(free, bound)] @ u[bound], -u[bound].sum())
-    try:
-        u[free] = np.linalg.solve(A, rhs)[:f]
-    except np.linalg.LinAlgError:
-        return None
-    return u
-
-
 def _second_order_reference(K, y, C, tol, max_iter, alpha0=None):
     """Plain second-order SMO: masks instead of penalty vectors, no buffers,
     each gain row computed when it is needed, and alpha and g as the state.
     It selects with the same expressions as ``solve_dual``, and finishes
-    with the same free-set polish and active-set continuation, so it is
+    with the same active-set continuation under the same rule, so it is
     the reference for bit identity.  It reads columns of K, so it needs a
     symmetric K."""
     K = np.asarray(K, dtype=float)
@@ -319,8 +300,8 @@ def _second_order_reference(K, y, C, tol, max_iter, alpha0=None):
     hi = np.where(pos, C, 0.0)
     slack = 1e-12 * C
     diag = K.diagonal()
+    settled = None
     rejected = None
-    continued = False
 
     it = 0
     violation = np.inf
@@ -342,27 +323,25 @@ def _second_order_reference(K, y, C, tol, max_iter, alpha0=None):
         alpha[j] -= y[j] * lam
         g += lam * y * (K[:, j] - K[:, i])
         it += 1
-        if it % POLISH_EVERY:
+        if it % CHECK_EVERY:
             continue
         eps = 1e-8 * C
         level = np.where(alpha >= C - eps, 2, np.where(alpha > eps, 1, 0))
-        if rejected is None or not np.array_equal(level, rejected):
-            u = _reference_polish(K, y, alpha, C)
-        elif not continued:
-            continued = True
-            box = (lo, hi, lo + slack, hi - slack)
-            u = _active_set(K, y, y * alpha, level, C, tol, box)
-        else:
+        if (settled is None or not np.array_equal(level, settled)
+                or (rejected is not None and np.array_equal(level, rejected))):
+            settled = level
             continue
+        box = (lo, hi, lo + slack, hi - slack)
+        u = _active_set(K, y, y * alpha, level, C, tol, box)
         if (u is None or not np.isfinite(u).all() or np.any(u < lo) or np.any(u > hi)
                 or abs(u.sum()) > 1e-8 * C * n):
             rejected = level
             continue
-        polished_violation, polished_yg = _reference_violation(K, y, u, lo, hi, slack)
-        if not polished_violation < tol:
+        finished_violation, finished_yg = _reference_violation(K, y, u, lo, hi, slack)
+        if not finished_violation < tol:
             rejected = level
             continue
-        alpha, g, violation = y * u, y * polished_yg, polished_violation
+        alpha, g, violation = y * u, y * finished_yg, finished_violation
 
     alpha = alpha + 0.0
     np.clip(alpha, 0.0, C, out=alpha)
@@ -513,7 +492,7 @@ class TestSeededSolve:
 
 
 class TestFinishingSteps:
-    """The free-set polish and the active-set continuation of ``solve_dual``."""
+    """The active-set continuation that finishes ``solve_dual``."""
 
     @staticmethod
     def spy_on_accepted(monkeypatch):
@@ -545,6 +524,38 @@ class TestFinishingSteps:
         assert np.all(sol.alphas >= 0.0) and np.all(sol.alphas <= C)
         assert abs(np.dot(y, sol.alphas)) <= 1e-8 * C * y.size
 
+    @pytest.mark.parametrize("kind", ["gaussian", "linear", "duplicated"])
+    def test_continuation_starts_only_from_settled_sets(self, monkeypatch, kind):
+        # The first two continuations are turned away, so the pair steps go
+        # on and the rule is met more than once in one solve.
+        K, y = _seeded_problem(80, kind, seed=80)
+        guesses, starts = [], []
+        real_levels, real_active = solver._levels, solver._active_set
+
+        def levels_spy(alpha, C):
+            level = real_levels(alpha, C)
+            guesses.append(level.tobytes())
+            return level
+
+        def active_spy(K_, y_, u, level, *rest):
+            starts.append((len(guesses), level.tobytes()))
+            return None if len(starts) < 3 else real_active(K_, y_, u, level, *rest)
+
+        monkeypatch.setattr(solver, "_levels", levels_spy)
+        monkeypatch.setattr(solver, "_active_set", active_spy)
+        sol = solve_dual(K, y, 100.0)
+        assert sol.kkt_violation < 1e-3 and len(starts) == 3
+        keys = [key for _, key in starts]
+        assert len(set(keys)) == len(keys)
+        # Replay the rule over every check's guess: start where a guess
+        # equals the previous one and is not the last rejected.
+        expected, rejected = [], None
+        for k in range(2, len(guesses) + 1):
+            if guesses[k - 1] == guesses[k - 2] and guesses[k - 1] != rejected:
+                expected.append((k, guesses[k - 1]))
+                rejected = guesses[k - 1]
+        assert starts == expected
+
     def test_singular_free_set_is_guarded(self, monkeypatch):
         # Every point appears twice, so a free set that holds both copies of
         # one makes the bordered system singular.
@@ -554,14 +565,14 @@ class TestFinishingSteps:
         K = np.exp(-0.5 * np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1))
         C, tol = 100.0, 1e-3
         singular = []
-        real_polish = solver._polish
+        real = solver._active_set
 
-        def polish_spy(K_, y_, u, level, C_):
+        def spy(K_, y_, u, level, *rest):
             copies = np.bincount(np.flatnonzero(level == 1) // 2, minlength=40)
             singular.append(bool(np.any(copies == 2)))
-            return real_polish(K_, y_, u, level, C_)
+            return real(K_, y_, u, level, *rest)
 
-        monkeypatch.setattr(solver, "_polish", polish_spy)
+        monkeypatch.setattr(solver, "_active_set", spy)
         accepted = self.spy_on_accepted(monkeypatch)
         sol = solve_dual(K, y, C, tol=tol)
         assert sol.kkt_violation < tol
@@ -582,8 +593,8 @@ class TestFinishingSteps:
         K = kernel_from_statistic(BaseKernel.polynomial(400), X @ X.T)
         assert 1e252 < np.abs(K).max() < 1e253
         tries = []
-        real = solver._polish
-        monkeypatch.setattr(solver, "_polish", lambda *a: tries.append(1) or real(*a))
+        real = solver._active_set
+        monkeypatch.setattr(solver, "_active_set", lambda *a: tries.append(1) or real(*a))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_dual(K, y, 1.0)
@@ -612,7 +623,7 @@ class TestFinishingSteps:
         accepted = self.spy_on_accepted(monkeypatch)
         sol = solve_dual(K, y, 100.0)
         assert accepted
-        assert sol.iterations % solver.POLISH_EVERY == 0
+        assert sol.iterations % solver.CHECK_EVERY == 0
 
 
 class TestObjectiveStructure:
