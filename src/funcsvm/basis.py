@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .functions import SampledFunction, SamplingGrid
+from .functions import SampledFunction, SamplingGrid, is_integer
 from . import splines
 
 __all__ = [
@@ -56,12 +56,12 @@ class BasisSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown basis family {self.family!r}")
-        if not _is_integer(self.dimension) or self.dimension < 1:
+        if not is_integer(self.dimension) or self.dimension < 1:
             raise ConfigurationError(
                 f"basis dimension must be an integer >= 1, got {self.dimension!r}"
             )
         degree = self.spline_degree
-        if not _is_integer(degree) or degree < 0:
+        if not is_integer(degree) or degree < 0:
             raise ConfigurationError(
                 f"spline degree must be a non-negative integer, got {degree!r}"
             )
@@ -73,15 +73,6 @@ class BasisSpec:
     @property
     def orthonormal(self) -> bool:
         return self.family in ("fourier", "haar_wavelet")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)

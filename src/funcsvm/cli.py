@@ -95,7 +95,9 @@ def _load_config_and_data(args):
 
 def _select(cfg, data):
     """The config's split-sample search and its report payload."""
-    l = cfg.split.get("l") or len(data) // 2
+    l = cfg.split.get("l")
+    if l is None:  # absent or null; 0 goes on to split_sample's check
+        l = len(data) // 2
     result = select(
         cfg.grid, data, l, policy=cfg.split.get("policy", "first_l"),
         seed=cfg.seed, tol=cfg.tol,

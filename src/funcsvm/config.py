@@ -6,9 +6,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .basis import _is_number
 from .datasets import DatasetDescriptor
 from .errors import UsageError
+from .functions import is_integer, is_number
 from .kernels import BaseKernel, FunctionalKernel, transforms_from_dicts
 from .selection import STEP_PENALTY_CAP, STEP_PENALTY_HIGH, CandidateGrid, step_penalty
 from .solver import DEFAULT_TOL
@@ -71,8 +71,8 @@ def _run_config(doc: dict, overrides: dict) -> RunConfig:
             format=ds.get("format", "csv_rows"),
             label_map=ds.get("label_map"),
             fat_threshold=ds.get("fat_threshold", 20.0),
-            interval=tuple(ds["interval"]) if ds.get("interval") else None,
-            abscissae=tuple(ds["abscissae"]) if ds.get("abscissae") else None,
+            interval=None if ds.get("interval") is None else tuple(ds["interval"]),
+            abscissae=None if ds.get("abscissae") is None else tuple(ds["abscissae"]),
         )
     seed = overrides.get("seed")
     if seed is None:
@@ -91,13 +91,13 @@ def _run_config(doc: dict, overrides: dict) -> RunConfig:
 
 
 def _seed(value) -> int:
-    if not (_is_number(value) and float(value).is_integer() and value >= 0):
+    if not (is_number(value) and float(value).is_integer() and value >= 0):
         raise UsageError(f"seed must be a non-negative integer, got {value!r}")
     return int(value)
 
 
 def _check_integer(value, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_integer(value):
         raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
@@ -116,7 +116,7 @@ def _protocol(doc: dict) -> dict:
 
 
 def _tol(value) -> float:
-    if not (_is_number(value) and 0 < value < float("inf")):
+    if not (is_number(value) and 0 < value < float("inf")):
         raise UsageError(f"tol must be a positive finite number, got {value!r}")
     return float(value)
 
@@ -151,7 +151,7 @@ def build_grid(doc: dict) -> CandidateGrid:
     kernels = _expand_kernels(doc.get("kernels", []), transforms)
     C_values = doc.get("C", [])
     for C in C_values:
-        if not _is_number(C):
+        if not is_number(C):
             raise UsageError(f"C values must be numbers, got {C!r}")
     dimensions = doc.get("dimensions", [0])
     penalty_doc = doc.get("penalty", {"kind": "step"})

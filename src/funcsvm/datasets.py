@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError, ParseError, UsageError
-from .functions import LabeledDataset, SampledFunction, SamplingGrid
+from .functions import LabeledDataset, SampledFunction, SamplingGrid, is_number
 from .persistence import atomic_write_bytes
 
 __all__ = ["DatasetDescriptor", "load_dataset", "load_curves", "write_csv"]
@@ -52,6 +52,31 @@ class DatasetDescriptor:
     def __post_init__(self):
         if self.format not in FORMATS:
             raise UsageError(f"unknown dataset format {self.format!r}")
+        if not isinstance(self.path, str):
+            raise UsageError(f"dataset path must be a string, got {self.path!r}")
+        if self.label_map is not None and not (
+            isinstance(self.label_map, dict)
+            and all(is_number(v) and v in (-1, 1) for v in self.label_map.values())
+        ):
+            raise UsageError(f"label_map must map labels to -1 or +1, got {self.label_map!r}")
+        if not _finite_numbers([self.fat_threshold]):
+            raise UsageError(
+                f"fat_threshold must be a finite number, got {self.fat_threshold!r}"
+            )
+        if self.interval is not None and not (
+            _finite_numbers(self.interval) and len(self.interval) == 2
+        ):
+            raise UsageError(f"interval must be two finite numbers, got {self.interval!r}")
+        if self.abscissae is not None and not _finite_numbers(self.abscissae):
+            raise UsageError("abscissae must be finite numbers")
+
+
+def _finite_numbers(values) -> bool:
+    """Whether ``values`` is a sequence of numbers that are finite as floats."""
+    try:
+        return all(is_number(v) and math.isfinite(v) for v in values)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _parse_float(cell: str, line: int) -> float:

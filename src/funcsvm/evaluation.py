@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError, FuncSvmError, UsageError
 from .functions import LabeledDataset, SamplingGrid
-from .selection import CandidateGrid, select
+from .selection import CandidateGrid, select, split_sample
 from .solver import DEFAULT_TOL, predict_batch
 
 __all__ = [
@@ -88,17 +88,11 @@ def _run_folds(grid, folds, l, tol, key, what, protocol) -> EvaluationReport:
 
 
 def _random_splits(data: LabeledDataset, count, train_size, seed, outer_policy):
-    n = len(data)
     rng = np.random.default_rng(seed)
     for _ in range(count):
         run_seed = int(rng.integers(0, 2**63 - 1))
-        order = (
-            np.random.default_rng(run_seed).permutation(n)
-            if outer_policy == "seeded_shuffle"
-            else np.arange(n)
-        )
-        yield (data.subset(order[:train_size]), data.subset(order[train_size:]),
-               "seeded_shuffle", run_seed + 1)
+        outer = split_sample(data, train_size, policy=outer_policy, seed=run_seed)
+        yield outer.train, outer.validation, "seeded_shuffle", run_seed + 1
 
 
 def run_leave_one_out(

@@ -35,7 +35,20 @@ __all__ = [
     "center_rows",
     "normalize_rows",
     "spline_derivative_rows",
+    "is_integer",
+    "is_number",
 ]
+
+
+def is_integer(value) -> bool:
+    """An int or NumPy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """An int, float or NumPy number, and not a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
 def trapezoid_weights(abscissae: np.ndarray) -> np.ndarray:

@@ -25,6 +25,8 @@ from .functions import (
     SamplingGrid,
     center,
     center_rows,
+    is_integer,
+    is_number,
     normalize,
     normalize_rows,
     spline_derivative,
@@ -39,8 +41,6 @@ __all__ = [
     "isometric_rows",
     "kernel_eval",
     "gram_matrix",
-    "pairwise_statistic",
-    "kernel_from_statistic",
     "kernel_to_dict",
     "kernel_from_dict",
     "transforms_from_dicts",
@@ -61,13 +61,13 @@ class BaseKernel:
         if self.kind == "linear":
             pass
         elif self.kind == "gaussian":
-            if not (basis_mod._is_number(self.sigma) and 0 < self.sigma < np.inf):
+            if not (is_number(self.sigma) and 0 < self.sigma < np.inf):
                 raise ConfigurationError(
                     f"gaussian kernel needs a finite sigma > 0, got {self.sigma!r}"
                 )
             object.__setattr__(self, "sigma", float(self.sigma))
         elif self.kind == "polynomial":
-            if not (basis_mod._is_integer(self.degree) and self.degree >= 1):
+            if not (is_integer(self.degree) and self.degree >= 1):
                 raise ConfigurationError(
                     f"polynomial kernel needs an integer degree >= 1, got {self.degree!r}"
                 )
@@ -86,11 +86,6 @@ class BaseKernel:
     @classmethod
     def polynomial(cls, degree: int) -> "BaseKernel":
         return cls("polynomial", degree=degree)
-
-    @property
-    def statistic(self) -> str:
-        """Name of the pairwise statistic the kernel is a function of."""
-        return "squared_distance" if self.kind == "gaussian" else "inner_product"
 
     def describe(self) -> str:
         if self.kind == "gaussian":
@@ -112,8 +107,15 @@ class Transform:
         if self.kind in ("center", "normalize"):
             return
         if self.kind == "derivative":
-            if self.order not in (1, 2):
-                raise ConfigurationError("derivative order must be 1 or 2")
+            if not (is_integer(self.order) and self.order in (1, 2)):
+                raise ConfigurationError(
+                    f"derivative order must be the integer 1 or 2, got {self.order!r}"
+                )
+            if not is_integer(self.spline_dimension):
+                raise ConfigurationError(
+                    "derivative spline dimension must be an integer, "
+                    f"got {self.spline_dimension!r}"
+                )
             if self.spline_dimension < self.order + 4:
                 raise ConfigurationError(
                     "derivative transform needs spline dimension >= order + 4"
@@ -202,26 +204,15 @@ def squared_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(na[:, None] + nb[None, :] - 2.0 * inner_product_matrix(a, b), 0.0)
 
 
-def pairwise_statistic(base: BaseKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The pairwise statistic the base kernel is a function of: squared
-    distances for the Gaussian kernel, inner products otherwise."""
-    if base.statistic == "squared_distance":
-        return squared_distance_matrix(a, b)
-    return inner_product_matrix(a, b)
-
-
-def kernel_from_statistic(base: BaseKernel, stat: np.ndarray) -> np.ndarray:
-    """Map a :func:`pairwise_statistic` matrix to base kernel values."""
-    if base.kind == "linear":
-        return stat
+def apply_base(base: BaseKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Base kernel matrix between two prepared batches: the Gaussian kernel
+    maps their squared distances, the others their inner products."""
+    if base.kind == "gaussian":
+        return np.exp(np.maximum(-base.sigma * squared_distance_matrix(a, b), EXP_FLOOR))
+    stat = inner_product_matrix(a, b)
     if base.kind == "polynomial":
         return (1.0 + stat) ** base.degree
-    return np.exp(np.maximum(-base.sigma * stat, EXP_FLOOR))
-
-
-def apply_base(base: BaseKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Base kernel matrix between two prepared batches."""
-    return kernel_from_statistic(base, pairwise_statistic(base, a, b))
+    return stat
 
 
 def kernel_eval(

@@ -24,8 +24,7 @@ from .errors import (
     UsageError,
 )
 from .functions import LabeledDataset
-from .kernels import FunctionalKernel, kernel_from_statistic, kernel_to_dict, \
-    pairwise_statistic, prepare_batch
+from .kernels import FunctionalKernel, apply_base, kernel_to_dict, prepare_batch
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -213,53 +212,6 @@ class SelectionResult:
         return self.chosen_record.candidate
 
 
-class _PrepCache:
-    """Per-pipeline cache of prepared batches and pairwise statistics.
-
-    A candidate's matrices are its base kernel applied to the cached
-    statistics, so they equal :func:`kernels.apply_base` bit for bit.
-    """
-
-    def __init__(self, train: LabeledDataset, validation: LabeledDataset):
-        self.train = train
-        self.validation = validation
-        self._prepared: dict = {}
-        self._stats: dict = {}
-
-    def prepared(self, kernel: FunctionalKernel):
-        key = kernel.prep_signature
-        if key not in self._prepared:
-            tr = prepare_batch(kernel, self.train.functions)
-            va = prepare_batch(kernel, self.validation.functions)
-            self._prepared[key] = (tr, va)
-        return self._prepared[key]
-
-    def matrices(self, kernel: FunctionalKernel):
-        """(train gram, validation x train) for the candidate's base kernel."""
-        tr, va = self.prepared(kernel)
-        base = kernel.base
-        key = (kernel.prep_signature, base.statistic)
-        if key not in self._stats:
-            self._stats[key] = (
-                pairwise_statistic(base, tr, tr),
-                pairwise_statistic(base, va, tr),
-            )
-        s_tt, s_vt = self._stats[key]
-        return kernel_from_statistic(base, s_tt), kernel_from_statistic(base, s_vt)
-
-
-def _evaluate_candidate(
-    cache: _PrepCache, candidate: Candidate, tol: float, max_iter: int, alpha0
-):
-    K, Kv = cache.matrices(candidate.kernel)
-    y = cache.train.labels
-    sol = solve_dual(K, y, candidate.C, tol=tol, max_iter=max_iter, alpha0=alpha0)
-    decisions = Kv @ (sol.alphas * y) + sol.bias
-    pred = np.where(decisions >= 0.0, 1, -1)
-    err = float(np.mean(pred != cache.validation.labels))
-    return sol, err
-
-
 def select(
     grid: CandidateGrid,
     data: LabeledDataset,
@@ -272,33 +224,52 @@ def select(
     """Run the full split-sample search and return the winning model.
 
     Each candidate is solved once; the returned model is the winner's
-    solve, kept with the training half's prepared curves.  A candidate
-    whose Gram matrix an earlier candidate already solved (same
-    preparation and base kernel, another C) starts from that solution
-    scaled by the ratio of the C values, which is feasible.
+    solve, kept with the training half's prepared curves.  Each
+    preparation is applied once, and one Gram matrix is held at a time:
+    it is built again only when a candidate's preparation or base kernel
+    differs from the previous candidate's.  A candidate whose Gram matrix
+    an earlier candidate already solved (same preparation and base
+    kernel, another C) starts from that solution scaled by the ratio of
+    the C values, which is feasible.
     """
     if len(grid) == 0:
         raise UsageError("the candidate grid is empty")
     split = split_sample(data, l, policy=policy, seed=seed)
-    cache = _PrepCache(split.train, split.validation)
-    m = len(split.validation)
+    train, validation = split.train, split.validation
+    y = train.labels
+    m = len(validation)
     table = []
+    prepared: dict = {}  # prep_signature -> (train rows, validation rows)
     seeds: dict = {}  # (prep_signature, base) -> (alphas, C) of its last solve
+    gram_key = K = Kv = None  # the one Gram matrix held, with its validation rows
     for idx, cand in enumerate(grid.candidates):
-        gram_key = (cand.kernel.prep_signature, cand.kernel.base)
-        alpha0 = None
-        if gram_key in seeds:
-            alphas, C_prev = seeds[gram_key]
-            alpha0 = np.minimum(alphas * (cand.C / C_prev), cand.C)
+        kernel = cand.kernel
+        key = (kernel.prep_signature, kernel.base)
         try:
-            sol, err = _evaluate_candidate(cache, cand, tol, max_iter, alpha0)
+            # from_axes lists each Gram matrix's candidates together: built once.
+            if key != gram_key:
+                if kernel.prep_signature not in prepared:
+                    prepared[kernel.prep_signature] = (
+                        prepare_batch(kernel, train.functions),
+                        prepare_batch(kernel, validation.functions),
+                    )
+                tr, va = prepared[kernel.prep_signature]
+                K, Kv = apply_base(kernel.base, tr, tr), apply_base(kernel.base, va, tr)
+                gram_key = key
+            alpha0 = None
+            if key in seeds:
+                alphas, C_prev = seeds[key]
+                alpha0 = np.minimum(alphas * (cand.C / C_prev), cand.C)
+            sol = solve_dual(K, y, cand.C, tol=tol, max_iter=max_iter, alpha0=alpha0)
         except FuncSvmError as exc:
             table.append(CandidateRecord(
                 cand, idx, None, None,
                 error=f"{type(exc).__name__}: {exc}",
                 solution=exc.solution if isinstance(exc, ConvergenceError) else None))
             continue
-        seeds[gram_key] = (sol.alphas, cand.C)
+        seeds[key] = (sol.alphas, cand.C)
+        decisions = Kv @ (sol.alphas * y) + sol.bias
+        err = float(np.mean(np.where(decisions >= 0.0, 1, -1) != validation.labels))
         score = err + grid.penalty(cand.dimension) / np.sqrt(m)
         table.append(CandidateRecord(cand, idx, err, float(score), solution=sol))
 
@@ -309,8 +280,8 @@ def select(
     # min keeps the first of equal keys, so grid order breaks the last ties.
     best = min(usable, key=lambda r: (r.score, r.candidate.dimension, r.candidate.C))
     model = model_from_solution(
-        best.candidate.kernel, cache.prepared(best.candidate.kernel)[0],
-        split.train, best.solution, best.candidate.C, tol,
+        best.candidate.kernel, prepared[best.candidate.kernel.prep_signature][0],
+        train, best.solution, best.candidate.C, tol,
         meta={"dimension": best.candidate.dimension, "seed": seed,
               "split_policy": policy, "l": l},
     )
@@ -318,7 +289,7 @@ def select(
         chosen_record=best,
         model=model,
         table=table,
-        train_size=len(split.train),
+        train_size=len(train),
         validation_size=m,
         split_warnings=split.warnings,
     )

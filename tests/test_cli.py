@@ -197,6 +197,12 @@ def _wider_than_grid(doc):
     return doc
 
 
+def _derivative(doc, order=2, spline_dimension=10):
+    doc["kernel"]["transforms"] = [
+        {"kind": "derivative", "order": order, "spline_dimension": spline_dimension}]
+    return doc
+
+
 class TestCorruptModelFile:
     """A model file that parses as JSON but does not describe a model exits 2
     with one data error, never a traceback or a usage error."""
@@ -215,10 +221,14 @@ class TestCorruptModelFile:
         lambda doc: _base_kernel(doc, kind="gaussian", sigma=float("nan")),
         lambda doc: _base_kernel(doc, kind="polynomial", degree=2.5),
         lambda doc: _base_kernel(doc, kind="polynomial", degree=True),
+        lambda doc: _derivative(doc, spline_dimension=10.0),
+        lambda doc: _derivative(doc, order=2.0),
+        lambda doc: _derivative(doc, order=True),
     ], ids=["truncated-coeffs", "wrong-vector-width", "json-list", "unknown-kernel-kind",
             "bspline-degree-2.5", "bspline-degree-negative", "bspline-gap-grid",
             "fourier-infinite-weight", "raw-infinite-weight", "projection-wider-than-grid",
-            "sigma-NaN", "polynomial-degree-2.5", "polynomial-degree-true"])
+            "sigma-NaN", "polynomial-degree-2.5", "polynomial-degree-true",
+            "derivative-dimension-10.0", "derivative-order-2.0", "derivative-order-true"])
     def test_predict_exits_2_with_a_data_error(self, tmp_path, synth_csv, capsys, mutate):
         cfg = write_config(tmp_path, synth_csv)
         out = tmp_path / "run"
@@ -417,6 +427,21 @@ class TestInvalidGridValues:
         assert err[0].startswith("FSVM-ERROR code=usage msg=")
         assert repr(*value.values()) in err[0]
 
+    @pytest.mark.parametrize("fields", [
+        {"order": 2, "spline_dimension": 24.0}, {"order": 2.0, "spline_dimension": 24},
+        {"order": True, "spline_dimension": 24}, {"order": 2, "spline_dimension": "24"},
+    ], ids=["dimension-24.0", "order-2.0", "order-true", "dimension-string"])
+    def test_derivative_field_is_a_usage_error(self, tmp_path, synth_csv, capsys, fields):
+        grid = {"dimensions": [3], "kernels": [{"kind": "linear"}], "C": [1.0],
+                "transforms": [{"kind": "derivative", **fields}]}
+        cfg = write_config(tmp_path, synth_csv, grid=grid)
+        rc = main(["select", "--config", cfg, "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=usage msg=derivative")
+
     def test_integral_sigma_is_stored_as_a_float(self):
         grid = {"kernels": [{"kind": "gaussian", "sigma": 2}], "C": [1.0]}
         (cand,) = parse_config({"grid": grid}).grid.candidates
@@ -445,6 +470,32 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("FSVM-ERROR code=usage msg=")
+
+
+class TestInvalidDatasetValues:
+    """Each value of the dataset section is checked before any file is read."""
+
+    @pytest.mark.parametrize("values", [
+        {"path": 999999}, {"label_map": 3}, {"label_map": {"1": 1, "-1": 0}},
+        {"fat_threshold": "x"}, {"fat_threshold": None}, {"fat_threshold": float("nan")},
+        {"interval": [0, "b"]}, {"interval": [0, 1, 2]}, {"interval": []}, {"interval": 0},
+        {"abscissae": ["a"]}, {"abscissae": []},
+    ], ids=["path-number", "label-map-number", "label-map-to-0", "fat-threshold-string",
+            "fat-threshold-null", "fat-threshold-NaN", "interval-string",
+            "interval-three-numbers", "interval-empty", "interval-0", "abscissae-string",
+            "abscissae-empty"])
+    def test_is_one_usage_error(self, tmp_path, synth_csv, capsys, values):
+        path = Path(write_config(tmp_path, synth_csv))
+        doc = json.loads(path.read_text())
+        doc["dataset"].update(values)
+        path.write_text(json.dumps(doc))
+        rc = main(["select", "--config", str(path), "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=usage msg=")
+        assert "Traceback" not in captured.err
 
 
 class TestInvalidTolAndSeed:
@@ -486,9 +537,13 @@ class TestInvalidRunValues:
         ("evaluate", "protocol", {"kind": "repeated_splits", "count": 2, "inner_l": 12}),
         ("evaluate", "protocol", {"kind": "fixed_split", "train_size": 24}),
         ("evaluate", "protocol", {"kind": "leave_one_out", "inner_l": 2.5}),
+        ("select", "split", {"policy": "first_l", "l": 0}),
+        ("evaluate", "protocol", {"kind": "fixed_split", "train_size": 24, "inner_l": 12,
+                                  "policy": "shuffled"}),
     ], ids=["split-l-string", "split-l-fraction", "split-l-true", "C-true",
             "train-size-string", "count-string", "repeated-without-train-size",
-            "fixed-without-inner-l", "loo-inner-l-fraction"])
+            "fixed-without-inner-l", "loo-inner-l-fraction", "split-l-0",
+            "fixed-split-unknown-policy"])
     def test_is_one_usage_error(self, tmp_path, synth_csv, capsys, command, key, value):
         cfg = write_config(tmp_path, synth_csv, **{key: value})
         out = tmp_path / "run"
@@ -668,27 +723,30 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_uses_no_private_name_of_another_module():
-    # cli goes through the public functions of the modules it calls, so that
-    # a format (the csv_rows layout, say) is read in one module only.
-    path = Path(__file__).resolve().parents[1] / "src" / "funcsvm" / "cli.py"
-    tree = ast.parse(path.read_text())
+def test_no_module_uses_a_private_name_of_another():
+    # Each module goes through the public functions of the modules it calls,
+    # so that a format (the csv_rows layout, say) is read in one module only.
     private = []
-    modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("funcsvm")):
-            for alias in node.names:
-                if alias.name.startswith("_") and not alias.name.endswith("__"):
-                    private.append(alias.name)
-                modules.add(alias.asname or alias.name)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith("funcsvm"):
-                    private += [part for part in alias.name.split(".") if part.startswith("_")]
-                    modules.add(alias.asname or alias.name.split(".")[0])
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
-                and not node.attr.endswith("__") and isinstance(node.value, ast.Name)
-                and node.value.id in modules):
-            private.append(f"{node.value.id}.{node.attr}")
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "funcsvm").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.startswith("funcsvm")
+            ):
+                for alias in node.names:
+                    if alias.name.startswith("_") and not alias.name.endswith("__"):
+                        private.append(f"{path.stem}: {alias.name}")
+                    modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("funcsvm"):
+                        private += [f"{path.stem}: {part}" for part in alias.name.split(".")
+                                    if part.startswith("_")]
+                        modules.add(alias.asname or alias.name.split(".")[0])
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not node.attr.endswith("__") and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                private.append(f"{path.stem}: {node.value.id}.{node.attr}")
     assert private == []

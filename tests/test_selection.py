@@ -20,7 +20,7 @@ from funcsvm.basis import BasisSpec
 from funcsvm.config import build_grid
 from funcsvm import selection
 from funcsvm.errors import DegenerateTrainingError, UsageError
-from funcsvm.kernels import Transform
+from funcsvm.kernels import Transform, apply_base
 from funcsvm.selection import step_penalty
 from funcsvm.solver import DEFAULT_MAX_ITER, solve_dual
 
@@ -368,6 +368,45 @@ class TestSeedingAlongC:
             assert ra.validation_error == rb.validation_error
             C = ra.candidate.C
             assert np.max(np.abs(rb.solution.alphas - ra.solution.alphas[perm[:20]])) < 1e-6 * C
+
+
+class TestOneGramAtATime:
+    KERNELS = gaussian_kernels([0.5, 2.0, 8.0]) + [FunctionalKernel(base=BaseKernel.linear())]
+    GRID = CandidateGrid.from_axes(KERNELS, [0.5, 5.0], dimensions=(3, 6))
+
+    @staticmethod
+    def counted_select(monkeypatch, grid):
+        calls = []
+
+        def counting(base, a, b):
+            calls.append(base)
+            return apply_base(base, a, b)
+
+        monkeypatch.setattr(selection, "apply_base", counting)
+        return select(grid, two_frequency_data(40, noise=0.5, seed=13), l=20), len(calls)
+
+    def test_from_axes_grid_builds_each_gram_once(self, monkeypatch):
+        assert len(self.GRID) == 16
+        _, calls = self.counted_select(monkeypatch, self.GRID)
+        assert calls == 16  # 2 dimensions x 4 base kernels, each (K, Kv) once
+
+    def test_interleaved_grid_gives_the_same_table_and_model(self, monkeypatch):
+        # C outermost: no two neighbours share a Gram matrix, and each Gram
+        # matrix still meets its C values in the same order.
+        interleaved = CandidateGrid(sorted(self.GRID.candidates, key=lambda c: c.C))
+        a, _ = self.counted_select(monkeypatch, self.GRID)
+        b, calls = self.counted_select(monkeypatch, interleaved)
+        assert calls == 32
+        rows_b = {r.candidate: r for r in b.table}
+        for ra in a.table:
+            rb = rows_b[ra.candidate]
+            assert {**ra.as_row(), "index": None} == {**rb.as_row(), "index": None}
+            assert ra.solution.alphas.tobytes() == rb.solution.alphas.tobytes()
+            assert ra.solution.bias == rb.solution.bias
+        assert a.chosen == b.chosen
+        assert a.model.support_vectors.tobytes() == b.model.support_vectors.tobytes()
+        assert a.model.support_coeffs.tobytes() == b.model.support_coeffs.tobytes()
+        assert (a.model.bias, a.model.meta) == (b.model.bias, b.model.meta)
 
 
 class TestCandidateRows:
