@@ -291,7 +291,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0) and 1
     try:
-        return args.func(args)
+        # No numpy warning line beside the one error line: explicit checks decide.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except FuncSvmError as exc:
         return _fail(exc)
     except OSError as exc:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .datasets import DatasetDescriptor
 from .errors import UsageError
-from .functions import is_integer, is_number
+from .functions import is_finite_number, is_integer, is_number
 from .kernels import BaseKernel, FunctionalKernel, transforms_from_dicts
 from .selection import STEP_PENALTY_CAP, STEP_PENALTY_HIGH, CandidateGrid, step_penalty
 from .solver import DEFAULT_TOL
@@ -151,18 +151,21 @@ def build_grid(doc: dict) -> CandidateGrid:
     kernels = _expand_kernels(doc.get("kernels", []), transforms)
     C_values = doc.get("C", [])
     for C in C_values:
-        if not is_number(C):
-            raise UsageError(f"C values must be numbers, got {C!r}")
+        if not is_finite_number(C):
+            raise UsageError(f"C values must be finite numbers, got {C!r}")
     dimensions = doc.get("dimensions", [0])
     penalty_doc = doc.get("penalty", {"kind": "step"})
     if penalty_doc.get("kind") == "step":
         cap = penalty_doc.get("cap", STEP_PENALTY_CAP)
         high = penalty_doc.get("high", STEP_PENALTY_HIGH)
+        for name, value in (("cap", cap), ("high", high)):
+            if not is_number(value):
+                raise UsageError(f"penalty {name} must be a number, got {value!r}")
         penalties = {d: step_penalty(d, cap, high) for d in dimensions}
         default = 0.0
     elif penalty_doc.get("kind") == "table":
-        penalties = {int(k): float(v) for k, v in penalty_doc.get("table", {}).items()}
-        default = float(penalty_doc.get("default", 0.0))
+        penalties = {int(k): v for k, v in penalty_doc.get("table", {}).items()}
+        default = penalty_doc.get("default", 0.0)
     else:
         raise UsageError(f"unknown penalty kind {penalty_doc.get('kind')!r}")
     return CandidateGrid.from_axes(

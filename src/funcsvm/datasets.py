@@ -15,6 +15,9 @@ threshold (default 20); a fat cell that is not a finite number is an error.
 
 ``phoneme``: rows of 256 log-periodogram values followed by a class name;
 "aa" maps to +1 and "ao" to -1 (overridable), domain taken as [0, 1].
+The first row of a tecator or phoneme file is a header of names when none
+of its value cells reads as a number.  In every layout, a header with no
+data row after it is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError, ParseError, UsageError
-from .functions import LabeledDataset, SampledFunction, SamplingGrid, is_number
+from .functions import (
+    LabeledDataset, SampledFunction, SamplingGrid, is_finite_number, is_number,
+)
 from .persistence import atomic_write_bytes
 
 __all__ = ["DatasetDescriptor", "load_dataset", "load_curves", "write_csv"]
@@ -74,8 +79,8 @@ class DatasetDescriptor:
 def _finite_numbers(values) -> bool:
     """Whether ``values`` is a sequence of numbers that are finite as floats."""
     try:
-        return all(is_number(v) and math.isfinite(v) for v in values)
-    except (TypeError, OverflowError):
+        return all(is_finite_number(v) for v in values)
+    except TypeError:
         return False
 
 
@@ -190,107 +195,99 @@ def load_dataset(desc: DatasetDescriptor) -> LabeledDataset:
     """Parse the described file into curves on a shared grid, order preserved."""
     if desc.format == "csv_rows":
         return _load_csv_rows(desc)
-    rows = _read_rows(desc.path)
+    _, rows = _data_rows(desc.path, _is_names_header)
     if desc.format == "tecator":
-        return _load_tecator(desc, rows)
-    return _load_phoneme(desc, rows)
+        values = _value_rows(rows, TECATOR_CHANNELS + 1, "tecator row (100 absorbances + fat)")
+        labels = [_fat_label(row[-1], desc.fat_threshold, line) for line, row in rows]
+        grid = _grid_for(desc, TECATOR_CHANNELS, default_interval=TECATOR_RANGE)
+    else:
+        values = _value_rows(rows, PHONEME_LENGTH + 1, "phoneme row (256 values + class)")
+        mapping = desc.label_map or PHONEME_CLASSES
+        labels = [_map_label(row[-1], mapping, line) for line, row in rows]
+        grid = _grid_for(desc, PHONEME_LENGTH)
+    return LabeledDataset.from_matrix(grid, values, labels)
 
 
-def _looks_like_header(row) -> bool:
-    try:
-        float(row[0])
-        return False
-    except ValueError:
-        return True
+def _data_rows(path: str, is_header):
+    """``(header, rows)`` of a CSV file: its first row when ``is_header``
+    accepts that row's cells, else None, and the rows after it, each as
+    ``(line, cells)``."""
+    rows = _read_rows(path)
+    if not is_header(rows[0][1]):
+        return None, rows
+    if len(rows) == 1:
+        raise ParseError(f"{path} has a header but no data rows", line=rows[0][0])
+    return rows[0], rows[1:]
 
 
-def _header_abscissae(header) -> np.ndarray:
+def _is_names_header(row) -> bool:
+    """The tecator and phoneme header rule: no value cell reads as a number."""
+    for cell in row[:-1]:
+        try:
+            float(cell)
+            return False
+        except ValueError:
+            pass
+    return True
+
+
+def _value_rows(rows, width: int, what: str) -> np.ndarray:
+    """The (N, width - 1) matrix of all cells but the last of ``rows``, each
+    of which must hold ``width`` cells; ``what`` names a row in that error."""
+    values = np.empty((len(rows), width - 1))
+    for i, (line, row) in enumerate(rows):
+        if len(row) != width:
+            raise ParseError(f"{what} has {len(row)} cells, expected {width}", line=line)
+        values[i] = _parse_row(row[:-1], line)
+    return values
+
+
+def _fat_label(cell: str, threshold: float, line: int) -> int:
+    fat = _parse_float(cell, line)
+    if not math.isfinite(fat):
+        raise ParseError(f"fat cell {cell!r} is not a finite number", line=line)
+    return 1 if fat > threshold else -1
+
+
+def _header_grid(header) -> SamplingGrid:
+    """The sampling grid at a header row's abscissae; a ``ParseError`` that
+    names the header's line when they give none."""
     line, cells = header
     t = _parse_row(cells[:-1], line)
-    # Finiteness first: the differences of non-finite cells would warn.
-    if not (np.isfinite(t).all() and np.all(np.diff(t) > 0)):
+    if not (np.isfinite(t).all() and np.all(t[1:] > t[:-1])):
         raise ParseError("header abscissae must be finite and strictly increasing", line=line)
-    return t
+    try:
+        return SamplingGrid.from_abscissae(t)
+    except ConfigurationError as exc:
+        raise ParseError(f"header abscissae give no sampling grid: {exc}", line=line) from None
 
 
 def _load_csv_rows(desc: DatasetDescriptor) -> LabeledDataset:
     fast = _read_table(desc.path) if desc.label_map is None else None
     if fast is not None:
         header, table = fast
-        abscissae = _header_abscissae(header) if header else None
+        header_grid = _header_grid(header) if header else None
         labels = table[:, -1]
         if table.shape[1] >= 3 and (np.abs(labels) == 1.0).all():
-            return _csv_rows_dataset(desc, abscissae, table[:, :-1], labels.astype(int))
-    rows = _read_rows(desc.path)
-    abscissae = None
+            return _csv_rows_dataset(desc, header_grid, table[:, :-1], labels.astype(int))
     # Header row: abscissae for the value columns, then a 'label' column name.
-    if _is_header(rows[0][1]):
-        abscissae = _header_abscissae(rows[0])
-        rows = rows[1:]
-        if not rows:
-            raise ParseError("no data rows after the header")
-    n_cols = len(rows[0][1]) - 1
-    if n_cols < 2:
+    header, rows = _data_rows(desc.path, _is_header)
+    header_grid = _header_grid(header) if header else None
+    width = len(rows[0][1])
+    if width < 3:
         raise ParseError("rows need at least two value columns plus a label",
                          line=rows[0][0])
-    values = np.empty((len(rows), n_cols))
-    labels = np.empty(len(rows), dtype=int)
-    for i, (line, row) in enumerate(rows):
-        if len(row) != n_cols + 1:
-            raise ParseError(
-                f"row has {len(row)} cells, expected {n_cols + 1}", line=line
-            )
-        values[i] = _parse_row(row[:-1], line)
-        labels[i] = _map_label(row[-1], desc.label_map, line)
-    return _csv_rows_dataset(desc, abscissae, values, labels)
+    values = _value_rows(rows, width, "row")
+    labels = [_map_label(row[-1], desc.label_map, line) for line, row in rows]
+    return _csv_rows_dataset(desc, header_grid, values, labels)
 
 
-def _csv_rows_dataset(desc, abscissae, values, labels) -> LabeledDataset:
+def _csv_rows_dataset(desc, header_grid, values, labels) -> LabeledDataset:
     grid = (
-        SamplingGrid.from_abscissae(abscissae)
-        if abscissae is not None and desc.abscissae is None
+        header_grid
+        if header_grid is not None and desc.abscissae is None
         else _grid_for(desc, values.shape[1])
     )
-    return LabeledDataset.from_matrix(grid, values, labels)
-
-
-def _load_tecator(desc: DatasetDescriptor, rows) -> LabeledDataset:
-    if _looks_like_header(rows[0][1]):
-        rows = rows[1:]
-    expected = TECATOR_CHANNELS + 1
-    values = np.empty((len(rows), TECATOR_CHANNELS))
-    labels = np.empty(len(rows), dtype=int)
-    for i, (line, row) in enumerate(rows):
-        if len(row) != expected:
-            raise ParseError(
-                f"tecator row has {len(row)} cells, expected {expected} "
-                "(100 absorbances + fat)", line=line,
-            )
-        values[i] = _parse_row(row[:-1], line)
-        fat = _parse_float(row[-1], line)
-        if not math.isfinite(fat):
-            raise ParseError(f"fat cell {row[-1]!r} is not a finite number", line=line)
-        labels[i] = 1 if fat > desc.fat_threshold else -1
-    grid = _grid_for(desc, TECATOR_CHANNELS, default_interval=TECATOR_RANGE)
-    return LabeledDataset.from_matrix(grid, values, labels)
-
-
-def _load_phoneme(desc: DatasetDescriptor, rows) -> LabeledDataset:
-    if _looks_like_header(rows[0][1]) and rows[0][1][0].strip().lower() not in PHONEME_CLASSES:
-        rows = rows[1:]
-    mapping = desc.label_map or PHONEME_CLASSES
-    expected = PHONEME_LENGTH + 1
-    values = np.empty((len(rows), PHONEME_LENGTH))
-    labels = np.empty(len(rows), dtype=int)
-    for i, (line, row) in enumerate(rows):
-        if len(row) != expected:
-            raise ParseError(
-                f"phoneme row has {len(row)} cells, expected {expected} "
-                "(256 values + class)", line=line,
-            )
-        values[i] = _parse_row(row[:-1], line)
-        labels[i] = _map_label(row[-1], mapping, line)
-    grid = _grid_for(desc, PHONEME_LENGTH)
     return LabeledDataset.from_matrix(grid, values, labels)
 
 
@@ -306,12 +303,9 @@ def load_curves(path: str, grid: SamplingGrid) -> list[SampledFunction]:
             _check_header(header, grid)
         if table.shape[1] in (n, n + 1):
             return [SampledFunction(grid, values) for values in table[:, :n]]
-    rows = _read_rows(path)
-    if _is_header(rows[0][1]):
-        _check_header(rows[0], grid)
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path} has a header but no data rows")
+    header, rows = _data_rows(path, _is_header)
+    if header:
+        _check_header(header, grid)
     curves = []
     for line, row in rows:
         if len(row) == n + 1:
@@ -325,7 +319,7 @@ def load_curves(path: str, grid: SamplingGrid) -> list[SampledFunction]:
 
 
 def _check_header(header, grid: SamplingGrid) -> None:
-    if not np.array_equal(_header_abscissae(header), grid.abscissae):
+    if not np.array_equal(_header_grid(header).abscissae, grid.abscissae):
         a, b = grid.interval
         raise GridMismatchError(
             f"line {header[0]}: header abscissae differ from the model grid "

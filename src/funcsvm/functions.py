@@ -9,6 +9,7 @@ accurate on smooth integrands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +38,7 @@ __all__ = [
     "spline_derivative_rows",
     "is_integer",
     "is_number",
+    "is_finite_number",
 ]
 
 
@@ -51,6 +53,14 @@ def is_number(value) -> bool:
             and not isinstance(value, bool))
 
 
+def is_finite_number(value) -> bool:
+    """A number (see :func:`is_number`) that is finite as a float."""
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def trapezoid_weights(abscissae: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature weights for ordered abscissae."""
     t = np.asarray(abscissae, dtype=float)
@@ -59,9 +69,11 @@ def trapezoid_weights(abscissae: np.ndarray) -> np.ndarray:
     if not np.isfinite(t).all():
         raise ConfigurationError("abscissae and weights must all be finite")
     w = np.empty_like(t)
-    w[0] = (t[1] - t[0]) / 2.0
-    w[-1] = (t[-1] - t[-2]) / 2.0
-    w[1:-1] = (t[2:] - t[:-2]) / 2.0
+    # A span past the float range overflows to inf, which SamplingGrid rejects.
+    with np.errstate(over="ignore"):
+        w[0] = (t[1] - t[0]) / 2.0
+        w[-1] = (t[-1] - t[-2]) / 2.0
+        w[1:-1] = (t[2:] - t[:-2]) / 2.0
     return w
 
 
@@ -83,7 +95,7 @@ class SamplingGrid:
             raise ConfigurationError("abscissae and weights must be 1-d and equal length")
         if not (np.isfinite(t).all() and np.isfinite(w).all()):
             raise ConfigurationError("abscissae and weights must all be finite")
-        if not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise ConfigurationError("abscissae must be strictly increasing")
         if not np.all(w > 0):
             raise ConfigurationError("quadrature weights must all be positive")

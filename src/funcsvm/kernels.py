@@ -25,8 +25,8 @@ from .functions import (
     SamplingGrid,
     center,
     center_rows,
+    is_finite_number,
     is_integer,
-    is_number,
     normalize,
     normalize_rows,
     spline_derivative,
@@ -38,6 +38,7 @@ __all__ = [
     "Transform",
     "FunctionalKernel",
     "prepare_batch",
+    "prepare_rows",
     "isometric_rows",
     "kernel_eval",
     "gram_matrix",
@@ -61,13 +62,15 @@ class BaseKernel:
         if self.kind == "linear":
             pass
         elif self.kind == "gaussian":
-            if not (is_number(self.sigma) and 0 < self.sigma < np.inf):
+            if not (is_finite_number(self.sigma) and self.sigma > 0):
                 raise ConfigurationError(
                     f"gaussian kernel needs a finite sigma > 0, got {self.sigma!r}"
                 )
             object.__setattr__(self, "sigma", float(self.sigma))
         elif self.kind == "polynomial":
-            if not (is_integer(self.degree) and self.degree >= 1):
+            # A finite degree: numpy cannot raise to an int past the float range.
+            if not (is_integer(self.degree) and is_finite_number(self.degree)
+                    and self.degree >= 1):
                 raise ConfigurationError(
                     f"polynomial kernel needs an integer degree >= 1, got {self.degree!r}"
                 )
@@ -167,7 +170,13 @@ def prepare_batch(kernel: FunctionalKernel, functions) -> np.ndarray:
     grid = funcs[0].grid
     if any(f.grid is not grid and f.grid != grid for f in funcs):
         raise GridMismatchError("functions are sampled on different grids")
-    values = np.array([f.values for f in funcs])
+    return prepare_rows(kernel, grid, np.array([f.values for f in funcs]))
+
+
+def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
+    """:func:`prepare_batch` of the curves that are the rows of an (N, n)
+    value matrix on ``grid``.  Zero rows check that every step fits the
+    grid, and give the prepared width."""
     for t in kernel.transforms:
         values = t.apply_rows(grid, values)
         if not np.isfinite(values).all():

@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IntegrityError
 from .functions import SamplingGrid
-from .basis import projector
-from .kernels import isometric_rows, kernel_from_dict, kernel_to_dict
+from .kernels import isometric_rows, kernel_from_dict, kernel_to_dict, prepare_rows
 from .solver import SvmModel
 
 __all__ = [
@@ -140,10 +139,9 @@ def _model_from_doc(doc: dict, version: int) -> SvmModel:
         np.asarray(doc["grid"]["abscissae"], dtype=float),
         np.asarray(doc["grid"]["weights"], dtype=float),
     )
-    proj = kernel.projection
-    # Building the projector checks that the basis fits the grid, for every
-    # version, and builds the matrix the model's predictions use.
-    width = len(grid) if proj is None else projector(proj, grid).shape[1]
+    # Preparing no curve checks that every transform and the projection fit
+    # the grid, for every version, and builds what the predictions use.
+    width = prepare_rows(kernel, grid, np.empty((0, len(grid)))).shape[1]
     vectors = np.asarray(doc["support_vectors"], dtype=float)
     if vectors.size == 0:
         vectors = vectors.reshape(0, width)
@@ -159,7 +157,7 @@ def _model_from_doc(doc: dict, version: int) -> SvmModel:
         )
     bias = float(doc["bias"])
     if version < MODEL_VERSION:
-        vectors = isometric_rows(proj, grid, vectors)
+        vectors = isometric_rows(kernel.projection, grid, vectors)
     if not all(np.isfinite(a).all() for a in (vectors, coeffs, bias)):
         raise ValueError("support data or bias hold a non-finite number")
     meta = doc.get("meta", {})

@@ -23,7 +23,7 @@ from .errors import (
     FuncSvmError,
     UsageError,
 )
-from .functions import LabeledDataset
+from .functions import LabeledDataset, is_finite_number
 from .kernels import FunctionalKernel, apply_base, kernel_to_dict, prepare_batch
 from .solver import (
     DEFAULT_MAX_ITER,
@@ -76,6 +76,9 @@ class CandidateGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
+        for value in (*self.penalties.values(), self.default_penalty):
+            if not is_finite_number(value):
+                raise ConfigurationError(f"penalties must be finite numbers, got {value!r}")
 
     def __len__(self) -> int:
         return len(self.candidates)

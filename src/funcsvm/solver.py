@@ -424,13 +424,19 @@ def decision_value(model: SvmModel, x: SampledFunction) -> float:
 
 
 def decision_values(model: SvmModel, functions) -> np.ndarray:
-    """Vectorized decision values for a batch of curves."""
+    """Vectorized decision values for a batch of curves; a ``DataError``
+    when one is not finite."""
     funcs = list(functions)
     if model.n_support == 0:
         return np.full(len(funcs), model.bias)
-    query = prepare_batch(model.kernel, funcs)
-    k = apply_base(model.kernel.base, query, model.support_vectors)
-    return k @ model.support_coeffs + model.bias
+    # An overflow shows in the values, which are checked below.
+    with np.errstate(all="ignore"):
+        query = prepare_batch(model.kernel, funcs)
+        k = apply_base(model.kernel.base, query, model.support_vectors)
+        values = k @ model.support_coeffs + model.bias
+    if not np.isfinite(values).all():
+        raise DataError("decision values are not all finite")
+    return values
 
 
 def predict(model: SvmModel, x: SampledFunction) -> int:

@@ -1,4 +1,7 @@
 import ast
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcsvm import (
     DatasetDescriptor,
@@ -203,9 +208,22 @@ def _derivative(doc, order=2, spline_dimension=10):
     return doc
 
 
+def _huge_coefficients(doc):
+    # Every kernel value is near 1, so the decisions sum to about -N * 1e308.
+    doc = _base_kernel(_as_raw(doc), kind="polynomial", degree=2)
+    doc["support_coeffs"] = [-1e308] * len(doc["support_coeffs"])
+    return doc
+
+
+def _huge_weights(doc):
+    doc["grid"]["weights"] = [1e308] * len(doc["grid"]["weights"])
+    return doc
+
+
 class TestCorruptModelFile:
-    """A model file that parses as JSON but does not describe a model exits 2
-    with one data error, never a traceback or a usage error."""
+    """A model file that parses as JSON but does not describe a model, or
+    whose decisions overflow, exits 2 with one data error, never a traceback,
+    a usage error or a warning."""
 
     @pytest.mark.parametrize("mutate", [
         _truncate_coeffs,
@@ -221,14 +239,21 @@ class TestCorruptModelFile:
         lambda doc: _base_kernel(doc, kind="gaussian", sigma=float("nan")),
         lambda doc: _base_kernel(doc, kind="polynomial", degree=2.5),
         lambda doc: _base_kernel(doc, kind="polynomial", degree=True),
+        lambda doc: _base_kernel(doc, kind="polynomial", degree=10**400),
         lambda doc: _derivative(doc, spline_dimension=10.0),
         lambda doc: _derivative(doc, order=2.0),
         lambda doc: _derivative(doc, order=True),
+        lambda doc: _derivative(doc, spline_dimension=len(doc["grid"]["abscissae"]) + 1),
+        _huge_coefficients,
+        _huge_weights,
     ], ids=["truncated-coeffs", "wrong-vector-width", "json-list", "unknown-kernel-kind",
             "bspline-degree-2.5", "bspline-degree-negative", "bspline-gap-grid",
             "fourier-infinite-weight", "raw-infinite-weight", "projection-wider-than-grid",
             "sigma-NaN", "polynomial-degree-2.5", "polynomial-degree-true",
-            "derivative-dimension-10.0", "derivative-order-2.0", "derivative-order-true"])
+            "polynomial-degree-past-the-float-range",
+            "derivative-dimension-10.0", "derivative-order-2.0", "derivative-order-true",
+            "derivative-wider-than-grid", "raw-polynomial-coeffs-1e308",
+            "fourier-weights-1e308"])
     def test_predict_exits_2_with_a_data_error(self, tmp_path, synth_csv, capsys, mutate):
         cfg = write_config(tmp_path, synth_csv)
         out = tmp_path / "run"
@@ -243,6 +268,83 @@ class TestCorruptModelFile:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("FSVM-ERROR code=data msg=")
+
+
+_FUZZ_VALUES = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 10**400,
+                True, False, "x", None, []]
+
+
+def _node_paths(node, prefix=()):
+    """Paths to every node below ``node``; of a list, to its first and last
+    entries only."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = sorted({0, len(node) - 1}) if node else []
+    else:
+        return []
+    paths = []
+    for key in keys:
+        paths.append(prefix + (key,))
+        paths.extend(_node_paths(node[key], prefix + (key,)))
+    return paths
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory):
+    """The documents of three v3 model files, and a CSV of 20 curves on
+    their grid."""
+    from funcsvm import (BaseKernel, BasisSpec, FunctionalKernel, Transform,
+                         generate_synthetic, save_model, train_svm, write_csv)
+
+    directory = tmp_path_factory.mktemp("fuzz")
+    data = generate_synthetic(20, noise=0.3, grid_length=32, seed=5)
+    kernels = {
+        "fourier-gaussian": FunctionalKernel(
+            projection=BasisSpec("fourier", 5), base=BaseKernel.gaussian(1.0)),
+        "raw-polynomial": FunctionalKernel(base=BaseKernel.polynomial(2)),
+        "bspline-derivative-normalize": FunctionalKernel(
+            transforms=(Transform("derivative", order=1, spline_dimension=10),
+                        Transform("normalize")),
+            projection=BasisSpec("bspline", 8)),
+    }
+    docs = {}
+    for name, kernel in kernels.items():
+        path = directory / f"{name}.fsvm"
+        save_model(train_svm(kernel, data, 10.0), str(path))
+        docs[name] = json.loads(path.read_bytes()[5:])
+    curves = directory / "curves.csv"
+    write_csv(data, str(curves))
+    return directory, docs, curves
+
+
+class TestModelFileFuzz:
+    """One field of a valid model file set to an odd value: ``predict``
+    exits 0 with finite decisions, or 2 with one data error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_predict_exits_0_or_2(self, fuzz_models, data):
+        directory, docs, curves = fuzz_models
+        doc = copy.deepcopy(docs[data.draw(st.sampled_from(sorted(docs)), label="model")])
+        path = data.draw(st.sampled_from(_node_paths(doc)), label="field")
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(st.sampled_from(_FUZZ_VALUES), label="value")
+        model = directory / "mutated.fsvm"
+        model.unlink(missing_ok=True)
+        model.write_bytes(b"FSVM" + bytes([MODEL_VERSION]) + json.dumps(doc).encode())
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["predict", "--model", str(model), "--data", str(curves)])
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            decisions = [float(row.split(",")[1]) for row in out.getvalue().splitlines()[1:]]
+            assert lines == [] and len(decisions) == 20 and np.isfinite(decisions).all()
+        else:
+            assert rc == 2 and len(lines) == 1
+            assert lines[0].startswith("FSVM-ERROR code=data msg=")
 
 
 class TestBsplineFaults:
@@ -347,12 +449,18 @@ class TestPredictHeader:
 
 
 class TestCsvHeaderAbscissae:
-    """Header abscissae that are not finite or not strictly increasing are
-    bad data: one data error naming the header's line, and no warning."""
+    """Header abscissae that are not finite, not strictly increasing or
+    spread past the float range are bad data: one data error naming the
+    header's line, and no warning."""
 
-    @pytest.mark.parametrize("header", ["0.0,1.798e+308,1.798e+308,label",
-                                        "0.0,0.5,0.5,label"])
-    def test_is_one_data_error(self, tmp_path, capsys, header):
+    @pytest.mark.parametrize("header, msg", [
+        ("0.0,1.798e+308,1.798e+308,label", "must be finite and strictly increasing"),
+        ("0.0,0.5,0.5,label", "must be finite and strictly increasing"),
+        ("-1.7e308,0.0,1.7e308,label",
+         "give no sampling grid: abscissae and weights must all be finite"),
+    ], ids=["0.0,1.798e+308,1.798e+308,label", "0.0,0.5,0.5,label",
+            "-1.7e308,0.0,1.7e308,label"])
+    def test_is_one_data_error(self, tmp_path, capsys, header, msg):
         data = tmp_path / "data.csv"
         data.write_text("\n".join([header, "0.1,0.2,0.3,1", "0.3,0.2,0.1,-1"]) + "\n")
         argv = ["select", "--config", write_config(tmp_path, data),
@@ -362,8 +470,7 @@ class TestCsvHeaderAbscissae:
             assert main(argv) == 2
         assert caught == []
         err = capsys.readouterr().err.splitlines()
-        assert err == ["FSVM-ERROR code=data msg=line 1: header abscissae must be "
-                       "finite and strictly increasing"]
+        assert err == [f"FSVM-ERROR code=data msg=line 1: header abscissae {msg}"]
 
 
 class TestOutputFiles:
@@ -397,8 +504,8 @@ class TestOutputFiles:
 
 class TestInvalidGridValues:
     @pytest.mark.parametrize("key, value", [
-        ("dimensions", 2.5), ("C", float("inf")), ("C", float("nan")),
-    ], ids=["dimension-2.5", "C-Infinity", "C-NaN"])
+        ("dimensions", 2.5), ("C", float("inf")), ("C", float("nan")), ("C", 10**400),
+    ], ids=["dimension-2.5", "C-Infinity", "C-NaN", "C-past-the-float-range"])
     def test_is_a_usage_error(self, tmp_path, synth_csv, capsys, key, value):
         grid = {"dimensions": [3], "kernels": [{"kind": "gaussian", "sigma": 1.0}],
                 "C": [1.0], key: [value]}
@@ -413,8 +520,10 @@ class TestInvalidGridValues:
     @pytest.mark.parametrize("kernel, value", [
         ("gaussian", {"sigma": float("nan")}), ("gaussian", {"sigma": "2"}),
         ("polynomial", {"degree": 2.5}), ("polynomial", {"degree": "3"}),
-        ("polynomial", {"degree": True}),
-    ], ids=["sigma-NaN", "sigma-string", "degree-2.5", "degree-string", "degree-true"])
+        ("polynomial", {"degree": True}), ("gaussian", {"sigma": 10**400}),
+        ("polynomial", {"degree": 10**400}),
+    ], ids=["sigma-NaN", "sigma-string", "degree-2.5", "degree-string", "degree-true",
+            "sigma-past-the-float-range", "degree-past-the-float-range"])
     def test_base_kernel_parameter_is_a_usage_error(
         self, tmp_path, synth_csv, capsys, kernel, value
     ):
@@ -446,6 +555,63 @@ class TestInvalidGridValues:
         grid = {"kernels": [{"kind": "gaussian", "sigma": 2}], "C": [1.0]}
         (cand,) = parse_config({"grid": grid}).grid.candidates
         assert cand.kernel.base.sigma == 2.0 and type(cand.kernel.base.sigma) is float
+
+
+class TestInvalidPenalty:
+    """Every penalty value is a finite number: one usage error otherwise.
+    Dimension 5 lies above the cap of 3, so ``high`` is used."""
+
+    @pytest.mark.parametrize("penalty", [
+        {"kind": "step", "cap": 3, "high": float("nan")},
+        {"kind": "table", "table": {"3": float("inf")}},
+        {"kind": "table", "table": {"3": 0.0}, "default": float("-inf")},
+        {"kind": "step", "cap": 3, "high": "x"},
+        {"kind": "step", "cap": 3, "high": None},
+        {"kind": "step", "cap": 3, "high": True},
+        {"kind": "table", "table": {"3": "1"}},
+    ], ids=["high-NaN", "table-Infinity", "default-minus-Infinity", "high-string",
+            "high-null", "high-true", "table-string"])
+    def test_is_one_usage_error(self, tmp_path, synth_csv, capsys, penalty):
+        grid = {"dimensions": [3, 5], "kernels": [{"kind": "gaussian", "sigma": 1.0}],
+                "C": [1.0], "penalty": penalty}
+        cfg = write_config(tmp_path, synth_csv, grid=grid)
+        out = tmp_path / "run"
+        rc = main(["select", "--config", cfg, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=usage msg=penalt")
+        assert not (out / "model.fsvm").exists()
+
+
+class TestNoWarningLines:
+    """Numbers past the float range end in the one error line that the
+    explicit checks give, with no numpy warning beside it."""
+
+    @pytest.mark.parametrize("dataset, kernel, code, msg", [
+        ({"interval": [-1e308, 1e308]}, "gaussian", "usage",
+         "abscissae and weights must all be finite"),
+        ({"abscissae": np.linspace(0.0, 1e300, 64).tolist()}, "polynomial", "data",
+         "every candidate failed to train: [0] DataError: kernel matrix has non-finite"),
+    ], ids=["interval-past-the-float-range", "huge-abscissae"])
+    def test_stderr_is_one_error_line(self, tmp_path, synth_csv, capsys, dataset, kernel,
+                                      code, msg):
+        bare = tmp_path / "bare.csv"
+        bare.write_text("\n".join(synth_csv.read_text().splitlines()[1:]) + "\n")
+        grid = {"dimensions": [3, 5], "kernels": [{"kind": kernel}], "C": [1.0]}
+        path = Path(write_config(tmp_path, bare, grid=grid))
+        doc = json.loads(path.read_text())
+        doc["dataset"].update(dataset)
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["select", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"FSVM-ERROR code={code} msg={msg}")
+        assert rc == (1 if code == "usage" else 2)
 
 
 class TestMalformedConfig:

@@ -172,7 +172,58 @@ class TestPhoneme:
             load_dataset(DatasetDescriptor(path, format="phoneme"))
 
 
+def _layout_lines(fmt, labels):
+    """Data lines of a tecator or phoneme file, one per label cell."""
+    width = 100 if fmt == "tecator" else 256
+    rng = np.random.default_rng(3)
+    return [",".join(repr(float(v)) for v in rng.random(width)) + f",{label}"
+            for label in labels]
+
+
+_LAYOUT_LABELS = {"tecator": ["22.5", "12.0", "30.0"], "phoneme": ["aa", "ao", "aa"]}
+
+
+@pytest.mark.parametrize("fmt", ["tecator", "phoneme"])
+class TestNamesHeader:
+    """Tecator and phoneme share one header rule: the first row is a header
+    only when none of its value cells reads as a number."""
+
+    def names(self, fmt):
+        return ",".join(f"x{i}" for i in range((100 if fmt == "tecator" else 256) + 1))
+
+    def test_a_header_of_names_is_skipped(self, tmp_path, fmt):
+        lines = _layout_lines(fmt, _LAYOUT_LABELS[fmt])
+        bare = load_dataset(DatasetDescriptor(
+            write(tmp_path, "bare.csv", "\n".join(lines) + "\n"), format=fmt))
+        named = load_dataset(DatasetDescriptor(
+            write(tmp_path, "named.csv", "\n".join([self.names(fmt)] + lines) + "\n"),
+            format=fmt))
+        assert len(named) == 3
+        assert np.array_equal(named.value_matrix(), bare.value_matrix())
+        assert np.array_equal(named.labels, bare.labels)
+
+    def test_a_header_without_data_rows_is_a_parse_error(self, tmp_path, fmt):
+        path = write(tmp_path, "h.csv", self.names(fmt) + "\n\n")
+        with pytest.raises(ParseError, match="has a header but no data rows") as info:
+            load_dataset(DatasetDescriptor(path, format=fmt))
+        assert info.value.line == 1
+
+    def test_a_typo_in_the_first_cell_is_a_parse_error(self, tmp_path, fmt):
+        lines = _layout_lines(fmt, _LAYOUT_LABELS[fmt])
+        lines[0] = "1.0x" + lines[0][lines[0].index(","):]
+        path = write(tmp_path, "t.csv", "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 1: non-numeric cell '1.0x'"):
+            load_dataset(DatasetDescriptor(path, format=fmt))
+
+
 class TestCsvFaults:
+    def test_a_header_past_the_float_range_is_a_parse_error(self, tmp_path):
+        # Finite, increasing abscissae whose trapezoid weights overflow.
+        path = write(tmp_path, "a.csv",
+                     "-1.7e308,0.0,1.7e308,label\n0.1,0.2,0.3,1\n0.3,0.2,0.1,-1\n")
+        with pytest.raises(ParseError, match="line 1: header abscissae give no sampling grid"):
+            load_dataset(DatasetDescriptor(path))
+
     def test_non_utf8_bytes_are_a_parse_error(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_bytes(b"0.0,1.0,1\n\xff\xfe,1.0,-1\n")
