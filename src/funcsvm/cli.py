@@ -13,26 +13,16 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import load_config
-from .datasets import load_curves, load_dataset, write_csv
 from .errors import (
     ConvergenceError,
     DataError,
     FuncSvmError,
     UsageError,
 )
-from .evaluation import (
-    generate_synthetic,
-    run_fixed_split,
-    run_leave_one_out,
-    run_repeated_splits,
-)
-from .persistence import atomic_write_bytes, load_model, save_model, write_report
-from .selection import select, validate_grid
-from .solver import decision_values, train_svm
+
+# Each command imports the modules it runs, so that a cold `predict` loads
+# no config, selection or evaluation code and `--version` loads no numpy.
 
 
 def _error_code(exc: FuncSvmError) -> str:
@@ -86,6 +76,9 @@ def _common_overrides(args) -> dict:
 
 
 def _load_config_and_data(args):
+    from .config import load_config
+    from .datasets import load_dataset
+
     cfg = load_config(args.config, overrides=_common_overrides(args))
     if cfg.dataset is None:
         raise UsageError("config has no dataset section")
@@ -95,6 +88,8 @@ def _load_config_and_data(args):
 
 def _select(cfg, data):
     """The config's split-sample search and its report payload."""
+    from .selection import select, validate_grid
+
     l = cfg.split.get("l")
     if l is None:  # absent or null; 0 goes on to split_sample's check
         l = len(data) // 2
@@ -113,6 +108,10 @@ def _select(cfg, data):
 
 
 def cmd_train(args) -> int:
+    from .persistence import save_model, write_report
+    from .selection import validate_grid
+    from .solver import train_svm
+
     cfg, data = _load_config_and_data(args)
     if len(cfg.grid) == 0:
         raise UsageError("the candidate grid is empty")
@@ -139,6 +138,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_select(args) -> int:
+    from .persistence import save_model, write_report
+
     cfg, data = _load_config_and_data(args)
     out = _out_dir(args)
     result, payload = _select(cfg, data)
@@ -150,6 +151,12 @@ def cmd_select(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    import numpy as np
+
+    from .datasets import load_curves
+    from .persistence import atomic_write_bytes, load_model
+    from .solver import decision_values
+
     model = load_model(args.model)
     curves = load_curves(args.data, model.grid)
     values = decision_values(model, curves)
@@ -166,6 +173,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import run_fixed_split, run_leave_one_out, run_repeated_splits
+    from .persistence import write_report
+
     cfg, data = _load_config_and_data(args)
     out = _out_dir(args)
     proto = cfg.protocol
@@ -196,6 +206,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .datasets import write_csv
+    from .evaluation import generate_synthetic
+
     data = generate_synthetic(
         n=args.n, noise=args.noise, label_noise=args.label_noise,
         grid_length=args.grid_length,
@@ -211,6 +224,8 @@ def cmd_inspect(args) -> int:
     path = Path(args.path)
     blob = path.read_bytes()
     if blob[:4] == b"FSVM":
+        from .persistence import load_model
+
         model = load_model(args.path)
         print(f"model file version {blob[4]}")
         print(f"kernel: {model.kernel.describe()}")
@@ -290,6 +305,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0) and 1
+    import numpy as np
+
     try:
         # No numpy warning line beside the one error line: explicit checks decide.
         with np.errstate(all="ignore"):

@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 EXP_FLOOR = -700.0  # clamp for Gaussian exponents, avoids exact underflow
+# A squared distance reaches four times the larger squared norm of its two
+# rows: below this bound, no pairwise statistic of prepared rows overflows.
+MAX_SQUARED_NORM = float(np.finfo(float).max) / 4.0
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,12 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
             raise DataError("function values must all be finite")
     if kernel.projection is not None:
         values = basis_mod.project_rows(kernel.projection, grid, values)
-    return isometric_rows(kernel.projection, grid, values)
+    rows = isometric_rows(kernel.projection, grid, values)
+    # NaN fails the test too; einsum sets no floating-point warning.
+    if rows.size and not np.einsum("ij,ij->i", rows, rows).max() <= MAX_SQUARED_NORM:
+        raise DataError("prepared curves must have squared norms below a quarter "
+                        "of the float range")
+    return rows
 
 
 def isometric_rows(

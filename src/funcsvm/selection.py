@@ -161,7 +161,7 @@ def split_sample(
     val = data.subset(order[l:])
     warnings = []
     for name, side in (("training", train), ("validation", val)):
-        if np.unique(side.labels).size < 2:
+        if len(set(side.labels.tolist())) < 2:  # np.unique would import numpy.ma
             warnings.append(f"{name} side contains a single class")
     return Split(train, val, warnings)
 

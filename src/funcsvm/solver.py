@@ -46,6 +46,7 @@ __all__ = [
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1_000_000  # SMO updates per solve, for train and select alike
 CHECK_EVERY = 50  # pair updates between two guesses of the sets
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -81,13 +82,18 @@ def solve_dual(
     kernel matrix holds a NaN or infinite entry (no violation could ever be
     compared with ``tol``) or ``alpha0`` is not feasible, and
     :class:`ConvergenceError` (carrying the best iterate) if the iteration
-    budget runs out.
+    budget runs out, or as soon as a continuation stops at a point whose
+    gradient rounding cannot reach ``tol``.
 
     Every ``CHECK_EVERY`` updates the solve guesses the sets at 0, free
     and at C.  A guess equal to the previous one, and not the last
     rejected, starts :func:`_active_set` from the iterate; its point
     replaces the iterate if :func:`_accept` passes it, and the loop's own
-    test then ends the solve.  ``iterations`` counts pair updates only.
+    test then ends the solve.  A point it turns away whose gradient
+    rounding floor, about ``n * eps * max|K| * max|alpha|``, is not below
+    ``tol`` ends the solve: no point near it can pass the loop's test, and
+    pair steps, which move an alpha by at most ``violation / a_ij``, only
+    creep towards it.  ``iterations`` counts pair updates only.
     """
     K = np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -139,6 +145,7 @@ def solve_dual(
     diag = diag.tolist()
     settled = None  # the sets guessed at the previous check
     rejected = None  # the sets of the last rejected continuation
+    floor = 0.0  # rounding in y*g at the last point a continuation turned away
 
     it = 0
     violation = np.inf
@@ -175,6 +182,10 @@ def solve_dual(
             point = _active_set(K, y, u, level, C, tol, box)
             state = None if point is None else _accept(K, y, point, C, tol, box)
         if state is None:
+            if point is not None:
+                floor = n * EPS * float(np.abs(K).max()) * float(np.abs(point).max())
+                if floor >= tol:
+                    break
             rejected = key
             continue
         ya = point.tolist()
@@ -191,6 +202,12 @@ def solve_dual(
         iterations=it,
         kkt_violation=float(max(violation, 0.0)),
     )
+    if floor >= tol:
+        raise ConvergenceError(
+            f"SMO cannot reach tolerance {tol}: the gradient's rounding floor "
+            f"is {floor:.3e} at the point the finishing step reached",
+            solution=solution,
+        )
     if it >= max_iter and violation >= tol:
         raise ConvergenceError(
             f"SMO did not reach tolerance {tol} in {max_iter} updates "
@@ -208,8 +225,10 @@ def _levels(alpha: np.ndarray, C: float) -> np.ndarray:
 
 
 def _active_set(K, y, u, level, C, tol, box):
-    """An active-set continuation from ``u = y*alpha``, or None if it does
-    not reach ``tol`` within 5n steps.
+    """An active-set continuation from ``u = y*alpha``: its point once the
+    maximal violating pair is below ``tol``, or has both ends free (the
+    free set's optimum, which only rounding keeps from ``tol``), or None
+    if neither comes within 5n steps.
 
     It starts from the sets of ``level``, with the bound alphas put exactly
     on their bounds.  Each step takes :func:`_free_step` on the free set
@@ -256,7 +275,7 @@ def _active_set(K, y, u, level, C, tol, box):
         if up[i] - down[j] < tol:
             return u
         if free[i] and free[j]:
-            return None  # rounding, not a wrong set, keeps the free set from its optimum
+            return u  # rounding, not a wrong set, keeps the free set from its optimum
         if bias is None:
             bias = (up[i] + down[j]) / 2.0
         # Free the bound end of the pair; of two bound ends, the farther from the bias.

@@ -614,6 +614,24 @@ class TestNoWarningLines:
         assert rc == (1 if code == "usage" else 2)
 
 
+def test_curve_whose_squared_norm_passes_the_float_range_exits_2(tmp_path, synth_csv,
+                                                                    capsys):
+    # The last curve, on the validation side, scaled to values near 1e160:
+    # its squared distances to every training curve overflow to inf, which
+    # the Gaussian kernel would map to a value near zero without an error.
+    lines = synth_csv.read_text().splitlines()
+    *values, label = lines[-1].split(",")
+    lines[-1] = ",".join([repr(float(v) * 1e160) for v in values] + [label])
+    synth_csv.write_text("\n".join(lines) + "\n")
+    rc = main(["select", "--config", write_config(tmp_path, synth_csv),
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1
+    assert err[0].startswith("FSVM-ERROR code=data msg=every candidate failed to train: "
+                             "[0] DataError: prepared curves must have squared norms")
+
+
 class TestMalformedConfig:
     """A config value of the wrong JSON type exits 1 with one usage error."""
 
@@ -887,6 +905,67 @@ def test_import_does_not_load_scipy():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _modules_after_main(argv):
+    """The exit status of ``cli.main(argv)`` in a new interpreter, and the
+    modules loaded when it returns."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = ("import json, sys\n"
+            "from funcsvm.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(json.dumps([rc, sorted(sys.modules)]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    return rc, set(modules)
+
+
+class TestColdCommandImports:
+    """Each command loads only the modules it runs."""
+
+    def test_version_loads_no_numpy(self):
+        rc, modules = _modules_after_main(["--version"])
+        assert rc == 0
+        assert "numpy" not in modules
+
+    def test_select_loads_no_evaluation(self, tmp_path, synth_csv):
+        rc, modules = _modules_after_main(["select", "--config",
+                                           write_config(tmp_path, synth_csv),
+                                           "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert modules.isdisjoint({"funcsvm.evaluation", "numpy.ma"})
+
+    def test_predict_loads_no_search_code(self, tmp_path, synth_csv):
+        out = tmp_path / "run"
+        assert main(["select", "--config", write_config(tmp_path, synth_csv),
+                     "--out", str(out)]) == 0
+        assert load_model(str(out / "model.fsvm")).kernel.projection.family == "fourier"
+        rc, modules = _modules_after_main(["predict", "--model", str(out / "model.fsvm"),
+                                           "--data", str(synth_csv),
+                                           "--out", str(tmp_path / "pred.csv")])
+        assert rc == 0
+        assert modules.isdisjoint({"funcsvm.config", "funcsvm.selection",
+                                   "funcsvm.evaluation", "numpy.ma", "scipy"})
+
+
+def test_package_exports_resolve_on_first_use(monkeypatch):
+    import funcsvm
+
+    for name in funcsvm.__all__:  # as if not used yet in this interpreter
+        monkeypatch.delitem(vars(funcsvm), name, raising=False)
+    for name in funcsvm.__all__:
+        value = getattr(funcsvm, name)
+        assert value is getattr(sys.modules[value.__module__], name)
+        assert name in dir(funcsvm)
+    star: dict = {}
+    exec("from funcsvm import *", star)
+    assert set(funcsvm.__all__) <= set(star)
+    with pytest.raises(AttributeError):
+        funcsvm.nope
 
 
 def test_no_module_uses_a_private_name_of_another():

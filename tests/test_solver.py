@@ -602,6 +602,22 @@ class TestFinishingSteps:
         assert np.isfinite(sol.alphas).all() and np.isfinite(sol.bias)
         assert sol.kkt_violation < 1e-3
 
+    def test_gram_past_its_rounding_floor_fails_fast(self):
+        # A rank-5 linear Gram scaled to 1e306, the scale of the Fourier Gram
+        # of curves sampled over [0, 1.5e308]: its optimum has alphas at C,
+        # where rounding in y*g is about 4e291, and pair steps of about 1e-306
+        # would spend the whole budget.
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((20, 5))
+        y = np.where(rng.random(20) < 0.5, 1, -1)
+        K = X @ X.T
+        K *= 1e306 / np.abs(K).max()
+        with pytest.raises(ConvergenceError, match="rounding floor") as caught:
+            solve_dual(K, y, 1.0, max_iter=20_000)
+        sol = caught.value.solution
+        assert sol.iterations <= 3 * CHECK_EVERY
+        assert np.isfinite(sol.alphas).all() and sol.kkt_violation >= 1e-3
+
     def test_accept_rejects_a_point_off_the_hyperplane(self):
         # Moving one free alpha by 1e-5 breaks y'alpha = 0 by more than
         # 1e-8*C*n but moves the gradient by less than tol: only the
