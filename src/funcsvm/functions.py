@@ -36,6 +36,8 @@ __all__ = [
     "center_rows",
     "normalize_rows",
     "spline_derivative_rows",
+    "derivative_factors",
+    "check_normalizable",
     "is_integer",
     "is_number",
     "is_finite_number",
@@ -82,7 +84,8 @@ class SamplingGrid:
     """Ordered abscissae plus positive quadrature weights.
 
     Immutable after construction; instances are shared by every function
-    sampled on the same grid.
+    sampled on the same grid.  The hash and the total mass are computed
+    once, when the grid is built.
     """
 
     abscissae: np.ndarray
@@ -103,6 +106,8 @@ class SamplingGrid:
         w.setflags(write=False)
         object.__setattr__(self, "abscissae", t)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_mass", float(w.sum()))
+        object.__setattr__(self, "_hash", hash((t.tobytes(), w.tobytes())))
 
     @classmethod
     def uniform(cls, a: float, b: float, n: int) -> "SamplingGrid":
@@ -125,7 +130,7 @@ class SamplingGrid:
 
     @property
     def total_mass(self) -> float:
-        return float(self.weights.sum())
+        return self._mass
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -137,7 +142,12 @@ class SamplingGrid:
         )
 
     def __hash__(self) -> int:
-        return hash((self.abscissae.tobytes(), self.weights.tobytes()))
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: the hash of bytes differs from
+        # one interpreter to the next, so it is never unpickled.
+        return (SamplingGrid, (self.abscissae, self.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,18 +256,26 @@ def normalize_rows(grid: SamplingGrid, values: np.ndarray, indices=None) -> np.n
     w = grid.weights
     c = center_rows(grid, values)
     n = np.sqrt((c * c) @ w)
-    bad = np.flatnonzero(n <= 1e-12 * np.maximum(np.sqrt((values * values) @ w), 1.0))
+    check_normalizable(n, np.sqrt((values * values) @ w), indices)
+    return c / n[:, None]
+
+
+def check_normalizable(centred_norms: np.ndarray, norms: np.ndarray, indices=None) -> None:
+    """Raise :class:`DegenerateFunctionError` for the first row whose
+    centred quadrature norm is at most 1e-12 times the larger of 1 and its
+    uncentred norm, naming it by its entry in ``indices`` (default: its row
+    number)."""
+    bad = np.flatnonzero(centred_norms <= 1e-12 * np.maximum(norms, 1.0))
     if bad.size:
         k = int(bad[0])
         raise DegenerateFunctionError(
             "cannot normalize a (near-)constant function",
             index=k if indices is None else indices[k],
         )
-    return c / n[:, None]
 
 
 @lru_cache(maxsize=64)
-def _derivative_operator(
+def derivative_factors(
     grid: SamplingGrid, order: int, dimension: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cached :func:`splines.derivative_operator` on the grid's abscissae,
@@ -283,7 +301,7 @@ def spline_derivative_rows(
     fixed linear map of rank ``dimension``, applied to all rows as two thin
     products: the spline coefficients, then their derivative on the grid.
     """
-    fit_t, deriv_t = _derivative_operator(grid, order, dimension)
+    fit_t, deriv_t = derivative_factors(grid, order, dimension)
     return (values @ fit_t) @ deriv_t
 
 

@@ -9,11 +9,19 @@ curve to a row whose dot product is the L2 inner product (raw curves
 times the square roots of the quadrature weights, orthonormal
 coefficients as they are, B-spline coefficients times the Cholesky
 factor of the basis Gram matrix).
+
+A batch is prepared through a plan built once per preparation and grid
+(see :func:`_plan`): the steps before the first spline derivative or
+projection run on the (N, n) value matrix, and everything from there on
+is two thin products, because the only nonlinear step, ``normalize``, is
+a centring followed by a row scaling, which commutes with every linear
+step after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +33,8 @@ from .functions import (
     SamplingGrid,
     center,
     center_rows,
+    check_normalizable,
+    derivative_factors,
     is_finite_number,
     is_integer,
     normalize,
@@ -129,14 +139,6 @@ class Transform:
             return
         raise ConfigurationError(f"unknown transform {self.kind!r}")
 
-    def apply_rows(self, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
-        """The transform of each row of an (N, n) value matrix."""
-        if self.kind == "center":
-            return center_rows(grid, values)
-        if self.kind == "normalize":
-            return normalize_rows(grid, values)
-        return spline_derivative_rows(grid, values, self.order, self.spline_dimension)
-
 
 @dataclass(frozen=True)
 class FunctionalKernel:
@@ -165,7 +167,7 @@ def prepare_batch(kernel: FunctionalKernel, functions) -> np.ndarray:
     as the (N, width) matrix of their :func:`isometric_rows`.
 
     The curves, which share one grid, are stacked once into an (N, n) value
-    matrix, and each step maps the whole matrix at once.
+    matrix for :func:`prepare_rows`.
     """
     funcs = list(functions)
     if not funcs:
@@ -179,19 +181,129 @@ def prepare_batch(kernel: FunctionalKernel, functions) -> np.ndarray:
 def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
     """:func:`prepare_batch` of the curves that are the rows of an (N, n)
     value matrix on ``grid``.  Zero rows check that every step fits the
-    grid, and give the prepared width."""
-    for t in kernel.transforms:
-        values = t.apply_rows(grid, values)
-        if not np.isfinite(values).all():
-            raise DataError("function values must all be finite")
-    if kernel.projection is not None:
-        values = basis_mod.project_rows(kernel.projection, grid, values)
-    rows = isometric_rows(kernel.projection, grid, values)
+    grid, and give the prepared width.
+
+    Each step's values are checked to be finite, and each normalize's
+    degeneracy test runs on the norms that the plan's products give.
+    """
+    plan = _plan(kernel.prep_signature, grid)
+    for t in plan.head:
+        if t.kind == "center":
+            values = center_rows(grid, values)
+        else:
+            values = normalize_rows(grid, values)
+        _check_finite(values)
+    if plan.entry is None:
+        rows = values * plan.sqrt_weights
+    else:
+        rows = values @ plan.entry
+        if plan.fold is not None:
+            folded = rows @ plan.fold
+            if plan.checks_finite:
+                _check_finite(rows)
+                _check_finite(folded)
+            rows = folded[:, : plan.width]
+            if plan.normalizes:
+                blocks = folded[:, plan.width :].reshape(
+                    len(folded), 2 * plan.normalizes, plan.entry.shape[1])
+                norms = np.sqrt(np.einsum("ijk,ijk->ij", blocks, blocks))
+                # Each normalize divides by its centred norm, so the input of
+                # the next one is scaled by it.
+                scale = 1.0
+                for centred, uncentred in zip(norms[:, 0::2].T, norms[:, 1::2].T):
+                    check_normalizable(centred / scale, uncentred / scale)
+                    scale = centred
+                rows = rows / scale[:, None]
     # NaN fails the test too; einsum sets no floating-point warning.
     if rows.size and not np.einsum("ij,ij->i", rows, rows).max() <= MAX_SQUARED_NORM:
         raise DataError("prepared curves must have squared norms below a quarter "
                         "of the float range")
     return rows
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise DataError("function values must all be finite")
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """How :func:`prepare_rows` maps an (N, n) value matrix to its
+    isometric rows under one preparation on one grid.
+
+    ``head`` runs on the value matrix, then the rows are ``values @ entry``
+    (or ``values * sqrt_weights`` when ``entry`` is None), then those times
+    ``fold`` when it is not None.  The first ``width`` columns of the folded
+    rows are the prepared rows before any normalize's scaling.  Then come
+    two blocks per normalize after the entry, each as wide as the entry:
+    their row norms are the quadrature norms of that step's centred and
+    uncentred input, unscaled too.
+    """
+
+    head: tuple[Transform, ...]
+    entry: np.ndarray | None
+    fold: np.ndarray | None
+    width: int
+    normalizes: int
+    checks_finite: bool  # transforms follow the entry: check their values
+    sqrt_weights: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _plan(signature: tuple, grid: SamplingGrid) -> _Plan:
+    """The :class:`_Plan` of a preparation (``FunctionalKernel.prep_signature``)
+    on ``grid``.  Building it checks that every step fits the grid.
+
+    The entry is the first rank-reducing factor: the spline fit ``pinv(B).T``
+    (n x r, r the spline dimension) of the first derivative, or the
+    projector when no derivative comes first.  After a derivative, the
+    state map (r x n, from spline coefficients to the current values)
+    starts as the derivative's second factor and goes through each later
+    step as a batch of r rows: centrings, derivatives, the projection and
+    the isometric map.  Each normalize adds two r x r norm factors beside
+    the result, ``R.T`` of a thin QR of the weighted state map's transpose,
+    centred and as it is: ``z @ R.T`` has the quadrature norm of
+    ``z @ state``.
+    """
+    transforms, projection = signature
+    sqrt_weights = np.sqrt(grid.weights)
+    split = next((i for i, t in enumerate(transforms) if t.kind == "derivative"),
+                 len(transforms))
+    head, tail = transforms[:split], transforms[split:]
+    factors = []
+    if tail:
+        entry, state = derivative_factors(grid, tail[0].order, tail[0].spline_dimension)
+        for t in tail[1:]:
+            if t.kind == "center":
+                state = center_rows(grid, state)
+            elif t.kind == "derivative":
+                state = spline_derivative_rows(grid, state, t.order, t.spline_dimension)
+            else:
+                centred = center_rows(grid, state)
+                factors += [_norm_factor(centred, sqrt_weights),
+                            _norm_factor(state, sqrt_weights)]
+                state = centred
+        if projection is not None:
+            state = basis_mod.project_rows(projection, grid, state)
+        state = isometric_rows(projection, grid, state)
+        width = state.shape[1]
+        fold = np.hstack([state, *factors])
+        fold.setflags(write=False)
+    elif projection is not None:
+        entry = basis_mod.projector(projection, grid)
+        fold = None if projection.orthonormal else basis_mod.gram_factor(projection, grid)
+        width = projection.dimension
+    else:
+        entry = fold = None
+        width = len(grid)
+    return _Plan(head, entry, fold, width, len(factors) // 2, bool(tail), sqrt_weights)
+
+
+def _norm_factor(state: np.ndarray, sqrt_weights: np.ndarray) -> np.ndarray:
+    """An (r, r) matrix ``F`` with ``|z @ F| = |(z @ state) * sqrt_weights|``
+    for every r-vector ``z``, given an (r, n) state map with r <= n: the
+    transposed R factor of a thin QR of the weighted state map's transpose."""
+    return np.linalg.qr((state * sqrt_weights).T, mode="r").T
 
 
 def isometric_rows(

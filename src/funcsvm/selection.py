@@ -180,6 +180,7 @@ class CandidateRecord:
     index: int
     validation_error: float | None
     score: float | None
+    max_iter: int  # the update budget its solve ran under
     error: str | None = None
     solution: DualSolution | None = None
 
@@ -196,8 +197,10 @@ class CandidateRecord:
             "kkt_violation": sol.kkt_violation if sol else None,
             "n_support": int(support_mask(sol.alphas, self.candidate.C).sum())
             if sol else None,
-            # A failed candidate keeps a solution only when the budget ran out.
-            "budget_exhausted": self.score is None if sol else None,
+            # A failed candidate keeps the solution of a ConvergenceError:
+            # its budget ran out, or it stopped at the rounding floor.
+            "budget_exhausted": (self.score is None and sol.iterations >= self.max_iter)
+            if sol else None,
         }
 
 
@@ -266,7 +269,7 @@ def select(
             sol = solve_dual(K, y, cand.C, tol=tol, max_iter=max_iter, alpha0=alpha0)
         except FuncSvmError as exc:
             table.append(CandidateRecord(
-                cand, idx, None, None,
+                cand, idx, None, None, max_iter,
                 error=f"{type(exc).__name__}: {exc}",
                 solution=exc.solution if isinstance(exc, ConvergenceError) else None))
             continue
@@ -274,7 +277,7 @@ def select(
         decisions = Kv @ (sol.alphas * y) + sol.bias
         err = float(np.mean(np.where(decisions >= 0.0, 1, -1) != validation.labels))
         score = err + grid.penalty(cand.dimension) / np.sqrt(m)
-        table.append(CandidateRecord(cand, idx, err, float(score), solution=sol))
+        table.append(CandidateRecord(cand, idx, err, float(score), max_iter, solution=sol))
 
     usable = [r for r in table if r.score is not None]
     if not usable:

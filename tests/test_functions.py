@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from funcsvm.errors import (
     GridMismatchError,
 )
 from funcsvm import splines
-from funcsvm.functions import _derivative_operator, quadrature_mean, spline_derivative_rows
+from funcsvm.functions import derivative_factors, quadrature_mean, spline_derivative_rows
 
 
 def grid_fn(n=256, fn=None):
@@ -51,6 +55,26 @@ class TestGridInvariants:
         assert g.weights[0] == pytest.approx(h / 2)
         assert g.weights[-1] == pytest.approx(h / 2)
         assert np.allclose(g.weights[1:-1], h)
+
+    def test_equal_grids_hash_equal(self):
+        a = SamplingGrid.uniform(0.0, 1.0, 16)
+        b = SamplingGrid.from_abscissae(np.linspace(0.0, 1.0, 16))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.total_mass == b.total_mass == pytest.approx(1.0)
+        shifted = SamplingGrid.uniform(0.0, 1.5, 16)
+        assert a != shifted and {a: 1}.get(shifted) is None
+
+    def test_unpickled_grid_hashes_as_a_new_one(self):
+        # Written and read by interpreters with different string hashes.
+        code = ("import pickle, sys; from funcsvm import SamplingGrid; g = SamplingGrid."
+                "uniform(0.0, 1.0, 16); {}")
+        dump = "sys.stdout.buffer.write(pickle.dumps(g))"
+        load = "assert hash(pickle.loads(sys.stdin.buffer.read())) == hash(g)"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        blob = subprocess.run([sys.executable, "-c", code.format(dump)], check=True,
+                              capture_output=True, env={**env, "PYTHONHASHSEED": "1"})
+        subprocess.run([sys.executable, "-c", code.format(load)], check=True,
+                       input=blob.stdout, env={**env, "PYTHONHASHSEED": "2"})
 
     def test_rejects_nonfinite_values(self):
         g = SamplingGrid.uniform(0.0, 1.0, 4)
@@ -200,7 +224,7 @@ class TestSplineDerivativeFactors:
     def test_cached_factors_are_thin(self, name):
         grid, dimension = self.GRIDS[name]
         n = len(grid)
-        fit_t, deriv_t = _derivative_operator(grid, 2, dimension)
+        fit_t, deriv_t = derivative_factors(grid, 2, dimension)
         assert fit_t.shape == (n, dimension) and deriv_t.shape == (dimension, n)
         assert fit_t.flags.c_contiguous and deriv_t.flags.c_contiguous
 

@@ -219,6 +219,26 @@ REF_TRANSFORMS = {
         (Transform("derivative", order=2, spline_dimension=20), Transform("normalize")),
         lambda g, v: _ref_normalize(g, _ref_derivative(g, v, 2, 20)),
     ),
+    "normalize": ((Transform("normalize"),), _ref_normalize),
+    "derivative1+normalize": (
+        (Transform("derivative", order=1, spline_dimension=12), Transform("normalize")),
+        lambda g, v: _ref_normalize(g, _ref_derivative(g, v, 1, 12)),
+    ),
+    "center+derivative+normalize": (
+        (Transform("center"), Transform("derivative", order=2, spline_dimension=20),
+         Transform("normalize")),
+        lambda g, v: _ref_normalize(g, _ref_derivative(g, _ref_center(g, v), 2, 20)),
+    ),
+    "derivative+normalize+center": (
+        (Transform("derivative", order=2, spline_dimension=20), Transform("normalize"),
+         Transform("center")),
+        lambda g, v: _ref_center(g, _ref_normalize(g, _ref_derivative(g, v, 2, 20))),
+    ),
+    "normalize+derivative+normalize": (
+        (Transform("normalize"), Transform("derivative", order=2, spline_dimension=20),
+         Transform("normalize")),
+        lambda g, v: _ref_normalize(g, _ref_derivative(g, _ref_normalize(g, v), 2, 20)),
+    ),
 }
 
 
@@ -262,6 +282,18 @@ class TestPrepareBatchAgainstPerCurveReference:
         funcs[3] = SampledFunction(g, np.full(len(g), 2.5))
         kernel = FunctionalKernel(transforms=(Transform("normalize"),))
         with pytest.raises(DegenerateFunctionError, match="function 3"):
+            prepare_batch(kernel, funcs)
+
+    def test_parabola_has_a_constant_second_derivative(self):
+        # Its smoothed second derivative is constant, so normalizing it,
+        # after the entry of the folded chain, is degenerate.
+        g, funcs = random_functions(6, grid_len=128)
+        funcs[4] = SampledFunction(g, 3.0 * g.abscissae ** 2 - g.abscissae + 0.5)
+        kernel = FunctionalKernel(
+            transforms=(Transform("derivative", order=2, spline_dimension=20),
+                        Transform("normalize")),
+            projection=BasisSpec("bspline", 16))
+        with pytest.raises(DegenerateFunctionError, match="function 4"):
             prepare_batch(kernel, funcs)
 
 

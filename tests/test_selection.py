@@ -437,6 +437,22 @@ class TestCandidateRows:
         assert row["n_support"] == int(np.sum(record.solution.alphas > 1e-8))
         assert row["budget_exhausted"] is True
 
+    def test_rounding_floor_stop_is_not_out_of_budget(self):
+        # Curves sampled over [0, 1.5e308]: the linear Gram's entries are
+        # near 1e306, and its solve stops at the rounding floor after 100
+        # updates, far inside its budget.
+        unit = two_frequency_data(40, seed=7)
+        data = LabeledDataset.from_matrix(SamplingGrid.uniform(0.0, 1.5e308, 64),
+                                          unit.value_matrix(), unit.labels)
+        grid = CandidateGrid.from_axes(
+            [FunctionalKernel(base=BaseKernel.gaussian(1.0)), FunctionalKernel()], [1.0],
+            dimensions=(3,))
+        row = select(grid, data, l=20).table[1].as_row()
+        assert row["kernel"]["base"]["kind"] == "linear"
+        assert row["error"].startswith("ConvergenceError") and "rounding floor" in row["error"]
+        assert row["iterations"] < DEFAULT_MAX_ITER
+        assert row["budget_exhausted"] is False
+
     def test_rows_without_a_solve_report_none(self):
         data = two_frequency_data(30, noise=0.3, seed=12)
         data = LabeledDataset.from_matrix(GRID, 10.0 * data.value_matrix(), data.labels)
