@@ -246,26 +246,36 @@ def center_rows(grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
     return values - (values @ w / grid.total_mass)[:, None]
 
 
+# A normalize's input is degenerate when its centred norm is at most this
+# much of the norm of the curve that entered the transform chain, times the
+# operator norm of the chain's linear map from there to that input: what is
+# left is rounding, not shape.  A floor relative to the input alone would
+# pass the noise that a derivative or a centring leaves of a constant, and
+# an absolute floor would turn small curves away.
+DEGENERACY_RTOL = 1e-12
+
+
 def normalize_rows(grid: SamplingGrid, values: np.ndarray, indices=None) -> np.ndarray:
     """Center each row, then scale it to unit quadrature norm.
 
     Constant rows are a hard error: silently mapping them to the zero
-    function would corrupt Gram matrices downstream.  The error names the
-    first such row by its entry in ``indices`` (default: its row number).
+    function would corrupt Gram matrices downstream.  A row is constant
+    when its centred norm is at most ``DEGENERACY_RTOL`` times its own
+    norm.  The error names the first such row by its entry in ``indices``
+    (default: its row number).
     """
     w = grid.weights
     c = center_rows(grid, values)
     n = np.sqrt((c * c) @ w)
-    check_normalizable(n, np.sqrt((values * values) @ w), indices)
+    check_normalizable(n, DEGENERACY_RTOL * np.sqrt((values * values) @ w), indices)
     return c / n[:, None]
 
 
-def check_normalizable(centred_norms: np.ndarray, norms: np.ndarray, indices=None) -> None:
+def check_normalizable(centred_norms: np.ndarray, floors: np.ndarray, indices=None) -> None:
     """Raise :class:`DegenerateFunctionError` for the first row whose
-    centred quadrature norm is at most 1e-12 times the larger of 1 and its
-    uncentred norm, naming it by its entry in ``indices`` (default: its row
-    number)."""
-    bad = np.flatnonzero(centred_norms <= 1e-12 * np.maximum(norms, 1.0))
+    centred quadrature norm is at most its entry of ``floors``, naming it
+    by its entry in ``indices`` (default: its row number)."""
+    bad = np.flatnonzero(centred_norms <= floors)
     if bad.size:
         k = int(bad[0])
         raise DegenerateFunctionError(

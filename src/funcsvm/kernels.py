@@ -29,6 +29,7 @@ from . import basis as basis_mod
 from .errors import ConfigurationError, DataError, GridMismatchError
 # bench/layers.py traces center, normalize and spline_derivative under these names.
 from .functions import (
+    DEGENERACY_RTOL,
     SampledFunction,
     SamplingGrid,
     center,
@@ -38,7 +39,6 @@ from .functions import (
     is_finite_number,
     is_integer,
     normalize,
-    normalize_rows,
     spline_derivative,
     spline_derivative_rows,
 )
@@ -184,14 +184,21 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
     grid, and give the prepared width.
 
     Each step's values are checked to be finite, and each normalize's
-    degeneracy test runs on the norms that the plan's products give.
+    degeneracy test (see ``DEGENERACY_RTOL``) runs on the norms that the
+    plan's products give.  Its floor scales with the curve that entered the
+    chain: the value matrix in the head, whose centrings have operator norm
+    1, and the entry's rows after it.
     """
     plan = _plan(kernel.prep_signature, grid)
+    if any(t.kind == "normalize" for t in plan.head):
+        floors = DEGENERACY_RTOL * np.sqrt((values * values) @ grid.weights)
     for t in plan.head:
-        if t.kind == "center":
-            values = center_rows(grid, values)
-        else:
-            values = normalize_rows(grid, values)
+        values = center_rows(grid, values)
+        if t.kind == "normalize":
+            norms = np.sqrt((values * values) @ grid.weights)
+            check_normalizable(norms, floors)
+            values = values / norms[:, None]
+            floors = floors / norms  # the next step's input is scaled by it
         _check_finite(values)
     if plan.entry is None:
         rows = values * plan.sqrt_weights
@@ -202,18 +209,17 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
             if plan.checks_finite:
                 _check_finite(rows)
                 _check_finite(folded)
-            rows = folded[:, : plan.width]
-            if plan.normalizes:
+            if plan.bounds:
                 blocks = folded[:, plan.width :].reshape(
-                    len(folded), 2 * plan.normalizes, plan.entry.shape[1])
-                norms = np.sqrt(np.einsum("ijk,ijk->ij", blocks, blocks))
-                # Each normalize divides by its centred norm, so the input of
-                # the next one is scaled by it.
-                scale = 1.0
-                for centred, uncentred in zip(norms[:, 0::2].T, norms[:, 1::2].T):
-                    check_normalizable(centred / scale, uncentred / scale)
-                    scale = centred
-                rows = rows / scale[:, None]
+                    len(folded), len(plan.bounds), plan.entry.shape[1])
+                centred = np.sqrt(np.einsum("ijk,ijk->ij", blocks, blocks))
+                entry_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+                for norms, bound in zip(centred.T, plan.bounds):
+                    check_normalizable(norms, DEGENERACY_RTOL * bound * entry_norms)
+                # Unscaled, the rows are divided by the last normalize's norm.
+                rows = folded[:, : plan.width] / centred[:, -1:]
+            else:
+                rows = folded[:, : plan.width]
     # NaN fails the test too; einsum sets no floating-point warning.
     if rows.size and not np.einsum("ij,ij->i", rows, rows).max() <= MAX_SQUARED_NORM:
         raise DataError("prepared curves must have squared norms below a quarter "
@@ -234,17 +240,18 @@ class _Plan:
     ``head`` runs on the value matrix, then the rows are ``values @ entry``
     (or ``values * sqrt_weights`` when ``entry`` is None), then those times
     ``fold`` when it is not None.  The first ``width`` columns of the folded
-    rows are the prepared rows before any normalize's scaling.  Then come
-    two blocks per normalize after the entry, each as wide as the entry:
-    their row norms are the quadrature norms of that step's centred and
-    uncentred input, unscaled too.
+    rows are the prepared rows before any normalize's scaling.  Then comes
+    one block per normalize after the entry, as wide as the entry: its row
+    norms are the quadrature norms of that step's centred input, unscaled
+    too.  ``bounds`` holds, per normalize, the operator norm of the map from
+    the entry's rows to that step's unscaled input.
     """
 
     head: tuple[Transform, ...]
     entry: np.ndarray | None
     fold: np.ndarray | None
     width: int
-    normalizes: int
+    bounds: tuple[float, ...]
     checks_finite: bool  # transforms follow the entry: check their values
     sqrt_weights: np.ndarray
 
@@ -260,17 +267,17 @@ def _plan(signature: tuple, grid: SamplingGrid) -> _Plan:
     state map (r x n, from spline coefficients to the current values)
     starts as the derivative's second factor and goes through each later
     step as a batch of r rows: centrings, derivatives, the projection and
-    the isometric map.  Each normalize adds two r x r norm factors beside
-    the result, ``R.T`` of a thin QR of the weighted state map's transpose,
-    centred and as it is: ``z @ R.T`` has the quadrature norm of
-    ``z @ state``.
+    the isometric map.  Each normalize adds an r x r norm factor beside the
+    result, ``R.T`` of a thin QR of the centred state map's weighted
+    transpose: ``z @ R.T`` has the quadrature norm of ``z @ centred``.  Its
+    bound is the spectral norm of the weighted state map as it is.
     """
     transforms, projection = signature
     sqrt_weights = np.sqrt(grid.weights)
     split = next((i for i, t in enumerate(transforms) if t.kind == "derivative"),
                  len(transforms))
     head, tail = transforms[:split], transforms[split:]
-    factors = []
+    factors, bounds = [], []
     if tail:
         entry, state = derivative_factors(grid, tail[0].order, tail[0].spline_dimension)
         for t in tail[1:]:
@@ -280,8 +287,8 @@ def _plan(signature: tuple, grid: SamplingGrid) -> _Plan:
                 state = spline_derivative_rows(grid, state, t.order, t.spline_dimension)
             else:
                 centred = center_rows(grid, state)
-                factors += [_norm_factor(centred, sqrt_weights),
-                            _norm_factor(state, sqrt_weights)]
+                factors.append(_norm_factor(centred, sqrt_weights))
+                bounds.append(float(np.linalg.norm(state * sqrt_weights, 2)))
                 state = centred
         if projection is not None:
             state = basis_mod.project_rows(projection, grid, state)
@@ -296,7 +303,7 @@ def _plan(signature: tuple, grid: SamplingGrid) -> _Plan:
     else:
         entry = fold = None
         width = len(grid)
-    return _Plan(head, entry, fold, width, len(factors) // 2, bool(tail), sqrt_weights)
+    return _Plan(head, entry, fold, width, tuple(bounds), bool(tail), sqrt_weights)
 
 
 def _norm_factor(state: np.ndarray, sqrt_weights: np.ndarray) -> np.ndarray:

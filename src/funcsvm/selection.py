@@ -233,10 +233,9 @@ def select(
     solve, kept with the training half's prepared curves.  Each
     preparation is applied once, and one Gram matrix is held at a time:
     it is built again only when a candidate's preparation or base kernel
-    differs from the previous candidate's.  A candidate whose Gram matrix
-    an earlier candidate already solved (same preparation and base
-    kernel, another C) starts from that solution scaled by the ratio of
-    the C values, which is feasible.
+    differs from the previous candidate's.  Every solve starts from zero,
+    so a candidate's solution does not depend on the others in the grid,
+    and is :func:`train_svm`'s on the training half, bit for bit.
     """
     if len(grid) == 0:
         raise UsageError("the candidate grid is empty")
@@ -246,7 +245,6 @@ def select(
     m = len(validation)
     table = []
     prepared: dict = {}  # prep_signature -> (train rows, validation rows)
-    seeds: dict = {}  # (prep_signature, base) -> (alphas, C) of its last solve
     gram_key = K = Kv = None  # the one Gram matrix held, with its validation rows
     for idx, cand in enumerate(grid.candidates):
         kernel = cand.kernel
@@ -262,18 +260,13 @@ def select(
                 tr, va = prepared[kernel.prep_signature]
                 K, Kv = apply_base(kernel.base, tr, tr), apply_base(kernel.base, va, tr)
                 gram_key = key
-            alpha0 = None
-            if key in seeds:
-                alphas, C_prev = seeds[key]
-                alpha0 = np.minimum(alphas * (cand.C / C_prev), cand.C)
-            sol = solve_dual(K, y, cand.C, tol=tol, max_iter=max_iter, alpha0=alpha0)
+            sol = solve_dual(K, y, cand.C, tol=tol, max_iter=max_iter)
         except FuncSvmError as exc:
             table.append(CandidateRecord(
                 cand, idx, None, None, max_iter,
                 error=f"{type(exc).__name__}: {exc}",
                 solution=exc.solution if isinstance(exc, ConvergenceError) else None))
             continue
-        seeds[key] = (sol.alphas, cand.C)
         decisions = Kv @ (sol.alphas * y) + sol.bias
         err = float(np.mean(np.where(decisions >= 0.0, 1, -1) != validation.labels))
         score = err + grid.penalty(cand.dimension) / np.sqrt(m)

@@ -8,18 +8,20 @@ Solves, for a precomputed kernel matrix K and labels y in {-1, +1},
 by repeated analytic updates of a working pair chosen with second-order
 information (Fan, Chen & Lin, JMLR 2005): ``i`` is the maximal violator
 and ``j`` the partner whose pair step gains the most, and exposes the
-resulting sign classifier.  A solve can start from any feasible point,
-which lets a search along C seed each solve from the previous one
-(DeCoste & Wagstaff, KDD 2000).  Ties in working-set selection go to the
-lowest index, which makes the solve deterministic and permutation
-equivariant.
+resulting sign classifier.  A solve starts from zero or from a given
+feasible point.  Ties in working-set selection go to the lowest index,
+which makes the solve deterministic and permutation equivariant.
 
 Pair steps find which alphas sit at 0, at C or in between early, and then
 spend most of their updates tuning the free ones.  So every
-``CHECK_EVERY`` updates the loop guesses those sets from its iterate, and
-once a guess has held for two checks it runs an active-set continuation
-from them (Scheinberg, JMLR 7, 2006).  Its point replaces the iterate only
-if it is feasible and passes the loop's own stopping test.
+:func:`guess_interval` updates, ``max(10, n // 10)`` on n points, the loop
+guesses those sets from its iterate, and once a guess has held for two
+checks it runs an active-set continuation from them (Scheinberg, JMLR 7,
+2006).  Its point replaces the iterate only if it is feasible and passes
+the loop's own stopping test.  The interval grows with n because a
+continuation's cost grows faster than a pair update's: on small problems
+an early guess pays, on large ones a continuation from sets that are not
+yet right costs more than the updates it saves.
 
 The loop keeps y*alpha and y*g (g the gradient of the dual objective) as
 its state, updates the gradient from two rows of K, and keeps the box
@@ -45,7 +47,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1_000_000  # SMO updates per solve, for train and select alike
-CHECK_EVERY = 50  # pair updates between two guesses of the sets
 EPS = float(np.finfo(float).eps)
 
 
@@ -56,6 +57,12 @@ class DualSolution:
     objective: float
     iterations: int
     kkt_violation: float
+
+
+def guess_interval(n: int) -> int:
+    """Pair updates between two guesses of the sets at 0, free and at C,
+    on a problem of ``n`` points."""
+    return max(10, n // 10)
 
 
 def solve_dual(
@@ -85,8 +92,8 @@ def solve_dual(
     budget runs out, or as soon as a continuation stops at a point whose
     gradient rounding cannot reach ``tol``.
 
-    Every ``CHECK_EVERY`` updates the solve guesses the sets at 0, free
-    and at C.  A guess equal to the previous one, and not the last
+    Every :func:`guess_interval` updates the solve guesses the sets at 0,
+    free and at C.  A guess equal to the previous one, and not the last
     rejected, starts :func:`_active_set` from the iterate; its point
     replaces the iterate if :func:`_accept` passes it, and the loop's own
     test then ends the solve.  A point it turns away whose gradient
@@ -143,6 +150,7 @@ def solve_dual(
     # second-order gain b^2 / a_it does.
     R = 1.0 / np.sqrt(np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, 1e-12))
     diag = diag.tolist()
+    interval = guess_interval(n)
     settled = None  # the sets guessed at the previous check
     rejected = None  # the sets of the last rejected continuation
     floor = 0.0  # rounding in y*g at the last point a continuation turned away
@@ -169,7 +177,7 @@ def solve_dual(
         step *= lam
         yg += step  # y times the update g += lam*y*(K[:, j] - K[:, i])
         it += 1
-        if it % CHECK_EVERY:
+        if it % interval:
             continue
         u = np.array(ya)
         level = _levels(y * u, C)
@@ -250,14 +258,14 @@ def _active_set(K, y, u, level, C, tol, box):
         F = np.flatnonzero(free)
         if F.size:
             try:
-                d, bias = _free_step(K[np.ix_(F, F)], g[F], u.sum(), scale, tol)
+                d, bias = _free_step(K.take(F, 0).take(F, 1), g[F], u.sum(), scale, tol)
             except np.linalg.LinAlgError:
                 return None
             if not np.isfinite(d).all():
                 return None
-            room = np.full(F.size, np.inf)
-            np.divide(hi[F] - u[F], d, out=room, where=d > 0)
-            np.divide(lo[F] - u[F], d, out=room, where=d < 0)
+            # How far each free coordinate can go along d before its bound.
+            room = np.divide(np.where(d > 0, hi[F], lo[F]) - u[F], d,
+                             out=np.full(F.size, np.inf), where=d != 0)
             k = int(room.argmin())
             t = room[k]
             if bias is None or t < 1.0:
@@ -298,10 +306,13 @@ def _free_step(K_FF, g_F, total, scale, tol):
     with the bias None; else the least-squares Newton step is returned.
     """
     f = g_F.size
-    system = np.full((f + 1, f + 1), scale)
+    system = np.empty((f + 1, f + 1))
     system[:f, :f] = K_FF
+    system[:f, f] = system[f, :f] = scale
     system[f, f] = 0.0
-    rhs = np.append(g_F, -scale * total)
+    rhs = np.empty(f + 1)
+    rhs[:f] = g_F
+    rhs[f] = -scale * total
     try:
         pivots = np.linalg.cholesky(K_FF).diagonal()
         regular = pivots.min() ** 2 > np.sqrt(np.finfo(float).eps) * K_FF.diagonal().max()

@@ -284,6 +284,15 @@ class TestPrepareBatchAgainstPerCurveReference:
         with pytest.raises(DegenerateFunctionError, match="function 3"):
             prepare_batch(kernel, funcs)
 
+    def test_centred_constant_curve_is_degenerate(self):
+        # Centring leaves rounding noise of a constant; the floor of the
+        # normalize after it scales with the curve before the centring.
+        g, funcs = random_functions(6)
+        funcs[3] = SampledFunction(g, np.full(len(g), 2.5))
+        kernel = FunctionalKernel(transforms=(Transform("center"), Transform("normalize")))
+        with pytest.raises(DegenerateFunctionError, match="function 3"):
+            prepare_batch(kernel, funcs)
+
     def test_parabola_has_a_constant_second_derivative(self):
         # Its smoothed second derivative is constant, so normalizing it,
         # after the entry of the folded chain, is degenerate.
@@ -295,6 +304,38 @@ class TestPrepareBatchAgainstPerCurveReference:
             projection=BasisSpec("bspline", 16))
         with pytest.raises(DegenerateFunctionError, match="function 4"):
             prepare_batch(kernel, funcs)
+
+    @pytest.mark.parametrize("curve", ["constant", "slope_2", "slope_1e6"])
+    @pytest.mark.parametrize("projection", [None, BasisSpec("bspline", 16)],
+                             ids=["raw", "bspline"])
+    def test_second_derivative_of_a_line_is_degenerate(self, curve, projection):
+        # What the smoothed second derivative leaves of a line is rounding
+        # noise, of quadrature norm near 1e-12 for the constant 2.5: small
+        # against the line, but not against an absolute floor of 1e-12.
+        # Alone or in a batch, the rounding differs, and the error holds.
+        g, funcs = random_functions(6, grid_len=128)
+        t = g.abscissae
+        funcs[2] = SampledFunction(g, {"constant": np.full(len(g), 2.5), "slope_2": 2.0 * t,
+                                       "slope_1e6": 1e6 * t}[curve])
+        kernel = FunctionalKernel(
+            transforms=(Transform("derivative", order=2, spline_dimension=20),
+                        Transform("normalize")),
+            projection=projection)
+        with pytest.raises(DegenerateFunctionError, match="function 0"):
+            prepare_batch(kernel, funcs[2:3])
+        with pytest.raises(DegenerateFunctionError, match="function 2"):
+            prepare_batch(kernel, funcs)
+
+    @pytest.mark.parametrize("transforms", [
+        (Transform("normalize"),),
+        (Transform("derivative", order=2, spline_dimension=20), Transform("normalize")),
+    ], ids=["normalize", "derivative+normalize"])
+    def test_small_curves_normalize_as_their_scaled_copies(self, transforms):
+        g, funcs = random_functions(4, grid_len=128)
+        small = [SampledFunction(g, 1e-20 * u.values) for u in funcs]
+        kernel = FunctionalKernel(transforms=transforms)
+        assert np.allclose(prepare_batch(kernel, small), prepare_batch(kernel, funcs),
+                           rtol=0.0, atol=1e-12)
 
 
 class TestIsometricRows:

@@ -18,7 +18,7 @@ from funcsvm import (
 )
 from funcsvm.basis import BasisSpec
 from funcsvm.config import build_grid
-from funcsvm import selection
+from funcsvm import selection, solver
 from funcsvm.errors import DegenerateTrainingError, UsageError
 from funcsvm.kernels import Transform, apply_base
 from funcsvm.selection import step_penalty
@@ -314,38 +314,53 @@ class TestSelect:
         assert DEFAULT_MAX_ITER == 1_000_000
 
 
-class TestSeedingAlongC:
+class TestEverySolveFromZero:
     GRID = CandidateGrid.from_axes(
         gaussian_kernels([0.5, 2.0]) + [FunctionalKernel(base=BaseKernel.linear())],
         [0.5, 5.0, 50.0], dimensions=(3, 6),
     )
 
-    def test_each_solve_starts_from_the_previous_c_on_its_gram(self, monkeypatch):
-        calls = []
+    @staticmethod
+    def train_svm_solutions(monkeypatch):
+        """Every solution that ``train_svm``'s own solve returns."""
+        solved = []
 
-        def recording(K, y, C, **kwargs):
-            sol = solve_dual(K, y, C, **kwargs)
-            calls.append((K, C, kwargs["alpha0"], sol))
-            return sol
+        def recording(*args, **kwargs):
+            solved.append(solve_dual(*args, **kwargs))
+            return solved[-1]
 
-        monkeypatch.setattr(selection, "solve_dual", recording)
-        select(self.GRID, two_frequency_data(40, noise=0.5, seed=13), l=20)
-        for k, (K, C, alpha0, _) in enumerate(calls):
-            if k % 3 == 0:  # the first C of each (dimension, kernel)
-                assert alpha0 is None
-                continue
-            K_prev, C_prev, _, prev = calls[k - 1]
-            assert np.array_equal(K_prev, K)
-            assert np.array_equal(alpha0, np.minimum(prev.alphas * (C / C_prev), C))
+        monkeypatch.setattr(solver, "solve_dual", recording)
+        return solved
 
-    def test_validation_errors_match_unseeded_solves(self):
+    @staticmethod
+    def assert_same_solution(got, ref):
+        assert got.alphas.tobytes() == ref.alphas.tobytes()
+        assert got.bias == ref.bias
+        assert (got.objective, got.iterations, got.kkt_violation) == \
+            (ref.objective, ref.iterations, ref.kkt_violation)
+
+    def test_each_solve_is_train_svms_bit_for_bit(self, monkeypatch):
+        # No solve starts from a neighbour's solution: every candidate's is
+        # the one train_svm finds on the training half.
+        data = two_frequency_data(40, noise=0.5, seed=13)
+        res = select(self.GRID, data, l=20)
+        split = split_sample(data, 20)
+        solved = self.train_svm_solutions(monkeypatch)
+        for record in res.table:
+            train_svm(record.candidate.kernel, split.train, record.candidate.C)
+            self.assert_same_solution(record.solution, solved[-1])
+        assert len(solved) == len(res.table) == 18
+
+    def test_validation_errors_match_unseeded_solves(self, monkeypatch):
         data = two_frequency_data(40, noise=0.5, seed=13)
         res = select(self.GRID, data, l=20, tol=1e-6)
         split = split_sample(data, 20)
+        solved = self.train_svm_solutions(monkeypatch)
         for record in res.table:
             model = train_svm(record.candidate.kernel, split.train, record.candidate.C,
                               tol=1e-6)
             assert empirical_error(model, split.validation) == record.validation_error
+            self.assert_same_solution(record.solution, solved[-1])
 
     def test_bitwise_repeatable(self):
         data = two_frequency_data(40, noise=0.5, seed=13)
@@ -424,11 +439,11 @@ class TestCandidateRows:
         assert res.chosen_record.as_row()["n_support"] == res.model.n_support
 
     def test_budget_failure_keeps_its_best_iterate(self):
-        # A budget that C=1 meets and C=100, seeded from it, does not.
-        data = two_frequency_data(40, noise=0.5, seed=14)
+        # One update short of what the C=100 solve needs, which C=1 meets.
+        data = two_frequency_data(40, noise=0.5, seed=13)
         first, second = select(self.GRID, data, l=20).table
-        budget = first.solution.iterations + 1
-        assert second.solution.iterations > budget
+        budget = second.solution.iterations - 1
+        assert first.solution.iterations <= budget < second.solution.iterations
         record = select(self.GRID, data, l=20, max_iter=budget).table[1]
         row = record.as_row()
         assert row["score"] is None and row["error"].startswith("ConvergenceError")

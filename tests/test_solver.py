@@ -18,11 +18,11 @@ from funcsvm import solver
 from funcsvm.errors import ConvergenceError, DataError, DegenerateTrainingError
 from funcsvm.kernels import apply_base
 from funcsvm.solver import (
-    CHECK_EVERY,
     DualSolution,
     _active_set,
     _compute_bias,
     decision_values,
+    guess_interval,
     predict_batch,
 )
 
@@ -323,7 +323,7 @@ def _second_order_reference(K, y, C, tol, max_iter, alpha0=None):
         alpha[j] -= y[j] * lam
         g += lam * y * (K[:, j] - K[:, i])
         it += 1
-        if it % CHECK_EVERY:
+        if it % guess_interval(n):
             continue
         eps = 1e-8 * C
         level = np.where(alpha >= C - eps, 2, np.where(alpha > eps, 1, 0))
@@ -396,7 +396,7 @@ def _feasible(sol, y, C):
 
 
 class TestBitIdentityWithReferenceLoop:
-    @pytest.mark.parametrize("n", [2, 3, 17, 80])
+    @pytest.mark.parametrize("n", [2, 3, 17, 80, 240])
     @pytest.mark.parametrize("kind", ["gaussian", "linear", "duplicated"])
     @pytest.mark.parametrize("C", [0.1, 1.0, 100.0])
     def test_solution_is_bitwise_the_reference(self, n, kind, C):
@@ -422,7 +422,7 @@ class TestBitIdentityWithReferenceLoop:
 
 
 class TestFirstOrderCrossCheck:
-    @pytest.mark.parametrize("n", [2, 3, 17, 80])
+    @pytest.mark.parametrize("n", [2, 3, 17, 80, 240])
     @pytest.mark.parametrize("kind", ["gaussian", "linear", "duplicated"])
     @pytest.mark.parametrize("C", [0.1, 1.0, 100.0])
     def test_objective_agrees_with_the_first_order_loop(self, n, kind, C):
@@ -556,32 +556,33 @@ class TestFinishingSteps:
                 rejected = guesses[k - 1]
         assert starts == expected
 
-    def test_singular_free_set_is_guarded(self, monkeypatch):
+    def test_singular_free_set_is_guarded(self):
         # Every point appears twice, so a free set that holds both copies of
-        # one makes the bordered system singular.
+        # one makes the bordered system singular.  The continuation starts
+        # from the first check's iterate with both copies of its first free
+        # point freed.
         rng = np.random.default_rng(1)
         X = np.repeat(rng.standard_normal((40, 3)), 2, axis=0)
         y = np.repeat(np.where(X[::2, 0] + 0.5 * rng.standard_normal(40) > 0, 1.0, -1.0), 2)
         K = np.exp(-0.5 * np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1))
         C, tol = 100.0, 1e-3
-        singular = []
-        real = solver._active_set
-
-        def spy(K_, y_, u, level, *rest):
-            copies = np.bincount(np.flatnonzero(level == 1) // 2, minlength=40)
-            singular.append(bool(np.any(copies == 2)))
-            return real(K_, y_, u, level, *rest)
-
-        monkeypatch.setattr(solver, "_active_set", spy)
-        accepted = self.spy_on_accepted(monkeypatch)
+        lo, hi = np.where(y > 0, 0.0, -C), np.where(y > 0, C, 0.0)
+        box = (lo, hi, lo + 1e-12 * C, hi - 1e-12 * C)
         sol = solve_dual(K, y, C, tol=tol)
         assert sol.kkt_violation < tol
-        assert any(singular) and accepted
-        lo, hi = np.where(y > 0, 0.0, -C), np.where(y > 0, C, 0.0)
-        for u in accepted:
-            assert np.all(u >= lo) and np.all(u <= hi)
-            assert abs(u.sum()) <= 1e-8 * C * y.size
-            assert _reference_violation(K, y, u, lo, hi, 1e-12 * C)[0] < tol
+        with pytest.raises(ConvergenceError) as first_check:
+            solve_dual(K, y, C, tol=tol, max_iter=guess_interval(y.size))
+        alpha = first_check.value.solution.alphas
+        level = solver._levels(alpha, C)
+        k = int(np.flatnonzero(level == 1)[0]) // 2
+        level[2 * k : 2 * k + 2] = 1
+        copies = np.bincount(np.flatnonzero(level == 1) // 2, minlength=40)
+        assert np.any(copies == 2)
+        u = solver._active_set(K, y, y * alpha, level, C, tol, box)
+        assert u is not None and solver._accept(K, y, u, C, tol, box) is not None
+        assert np.all(u >= lo) and np.all(u <= hi)
+        assert abs(u.sum()) <= 1e-8 * C * y.size
+        assert _reference_violation(K, y, u, lo, hi, 1e-12 * C)[0] < tol
 
     def test_huge_polynomial_gram_solves_without_warnings(self, monkeypatch):
         # (1 + <x, x'>)^400 with max <x, x> = 3.28 puts max|K| near 4e252:
@@ -615,7 +616,7 @@ class TestFinishingSteps:
         with pytest.raises(ConvergenceError, match="rounding floor") as caught:
             solve_dual(K, y, 1.0, max_iter=20_000)
         sol = caught.value.solution
-        assert sol.iterations <= 3 * CHECK_EVERY
+        assert sol.iterations <= 3 * guess_interval(y.size)
         assert np.isfinite(sol.alphas).all() and sol.kkt_violation >= 1e-3
 
     def test_accept_rejects_a_point_off_the_hyperplane(self):
@@ -639,7 +640,7 @@ class TestFinishingSteps:
         accepted = self.spy_on_accepted(monkeypatch)
         sol = solve_dual(K, y, 100.0)
         assert accepted
-        assert sol.iterations % solver.CHECK_EVERY == 0
+        assert sol.iterations % guess_interval(y.size) == 0
 
 
 class TestObjectiveStructure:
