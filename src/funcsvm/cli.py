@@ -158,8 +158,7 @@ def cmd_predict(args) -> int:
     from .solver import decision_values
 
     model = load_model(args.model)
-    curves = load_curves(args.data, model.grid)
-    values = decision_values(model, curves)
+    values = decision_values(model, load_curves(args.data, model.grid))
     labels = np.where(values >= 0.0, 1, -1)
     lines = [f"{int(y)},{repr(float(v))}" for y, v in zip(labels, values)]
     text = "label,decision\n" + "\n".join(lines) + "\n"

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError, ParseError, UsageError
 from .functions import (
-    LabeledDataset, SampledFunction, SamplingGrid, is_finite_number, is_number,
+    LabeledDataset, SamplingGrid, check_value_matrix, is_finite_number, is_number,
 )
 from .persistence import atomic_write_bytes
 
@@ -291,10 +291,14 @@ def _csv_rows_dataset(desc, header_grid, values, labels) -> LabeledDataset:
     return LabeledDataset.from_matrix(grid, values, labels)
 
 
-def load_curves(path: str, grid: SamplingGrid) -> list[SampledFunction]:
-    """Curves on ``grid`` from ``csv_rows`` rows with their labels or bare
-    value rows; a header must hold the abscissae of ``grid`` exactly (both
-    are written with ``repr``)."""
+def load_curves(path: str, grid: SamplingGrid) -> np.ndarray:
+    """The curves on ``grid`` in a ``csv_rows`` file, with their labels or
+    as bare value rows, as one read-only, C-contiguous (N, len(grid))
+    value matrix, one curve per row: what
+    :func:`~funcsvm.solver.decision_values` takes.  A header must hold the
+    abscissae of ``grid`` exactly (both are written with ``repr``).  A row
+    of the wrong width is a ``GridMismatchError``, and a value that is not
+    finite a ``DataError``."""
     n = len(grid)
     fast = _read_table(path)
     if fast is not None:
@@ -302,20 +306,27 @@ def load_curves(path: str, grid: SamplingGrid) -> list[SampledFunction]:
         if header:
             _check_header(header, grid)
         if table.shape[1] in (n, n + 1):
-            return [SampledFunction(grid, values) for values in table[:, :n]]
+            return _read_only(check_value_matrix(grid, table[:, :n]))
     header, rows = _data_rows(path, _is_header)
     if header:
         _check_header(header, grid)
-    curves = []
-    for line, row in rows:
+    values = np.empty((len(rows), n))
+    for i, (line, row) in enumerate(rows):
         if len(row) == n + 1:
             row = row[:-1]
         if len(row) != n:
             raise GridMismatchError(
                 f"line {line}: row has {len(row)} values, model grid expects {n}"
             )
-        curves.append(SampledFunction(grid, _parse_row(row, line)))
-    return curves
+        values[i] = _parse_row(row, line)
+        # Row by row, as the error of an earlier row comes first.
+        check_value_matrix(grid, values[i : i + 1])
+    return _read_only(values)
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 def _check_header(header, grid: SamplingGrid) -> None:
@@ -331,6 +342,6 @@ def write_csv(data: LabeledDataset, path: str) -> None:
     """Write a dataset in the generic csv_rows layout (inverse of loading it)."""
     header = [repr(float(t)) for t in data.grid.abscissae] + ["label"]
     lines = [",".join(header)]
-    for f, y in zip(data.functions, data.labels):
-        lines.append(",".join([repr(float(v)) for v in f.values] + [str(int(y))]))
+    for row, y in zip(data.value_matrix().tolist(), data.labels.tolist()):
+        lines.append(",".join([*map(repr, row), str(y)]))
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))

@@ -6,6 +6,7 @@ report assembly is ordered by fold/run index.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -26,6 +27,10 @@ __all__ = [
 ]
 
 VARIANCE_FLOOR = 1e-12
+# Terms of the incomplete beta's continued fraction: about sqrt(max(a, b))
+# are needed, so this covers a t-test on up to 10^7 pairs.
+BETA_FRACTION_TERMS = 10_000
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -72,7 +77,7 @@ def _run_folds(grid, folds, l, tol, key, what, protocol) -> EvaluationReport:
             excluded += 1
             chosen.append({key: i, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        pred = predict_batch(result.model, test.functions)
+        pred = predict_batch(result.model, test.value_matrix())
         errors.append(float(np.mean(pred != test.labels)))
         chosen.append(_chosen_summary(result))
     if not errors:
@@ -176,13 +181,61 @@ def paired_t_test(errors_a, errors_b) -> float:
     b = np.asarray(errors_b, dtype=float)
     if a.shape != b.shape or a.size < 2:
         raise UsageError("paired test needs two equal-length vectors of size >= 2")
-    from scipy import stats  # here, to keep scipy off the import path
-
     d = a - b
     var = float(np.var(d, ddof=1))
     var = max(var, VARIANCE_FLOOR)
     t = float(np.mean(d) / np.sqrt(var / d.size))
-    return float(2.0 * stats.t.sf(abs(t), df=d.size - 1))
+    return student_t_two_sided(t, d.size - 1)
+
+
+def student_t_two_sided(t: float, df: int) -> float:
+    """``P(|T| >= |t|)`` for Student's t with ``df`` degrees of freedom:
+    the regularized incomplete beta ``I_x(df/2, 1/2)`` at ``x = df / (df +
+    t^2)``."""
+    t2 = float(t) * float(t)
+    if math.isinf(t2):
+        return 0.0
+    x, y = df / (df + t2), t2 / (df + t2)  # y = 1 - x, without cancellation
+    return _incomplete_beta(df / 2.0, 0.5, x, y)
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta ``I_x(a, b)``, given ``y = 1 - x``,
+    from its continued fraction (Numerical Recipes, 3rd ed., section 6.4),
+    which converges fast for ``x < (a + 1) / (a + b + 2)``; past that it is
+    ``1 - I_y(b, a)``."""
+    if not x > 0.0:
+        return 0.0 if x == 0.0 else math.nan
+    if not y > 0.0:
+        return 1.0 if y == 0.0 else math.nan
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of the incomplete beta, by the modified Lentz
+    method: its even and odd terms alternate until a step changes the
+    value by less than a rounding."""
+    tiny = 1e-300  # stands in for a zero denominator
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, BETA_FRACTION_TERMS + 1):
+        m2 = 2 * m
+        for num in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+                    -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            step = c * d
+            h *= step
+        if abs(step - 1.0) < EPS:
+            break
+    return h
 
 
 def generate_synthetic(

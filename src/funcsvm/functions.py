@@ -38,6 +38,10 @@ __all__ = [
     "spline_derivative_rows",
     "derivative_factors",
     "check_normalizable",
+    "check_value_matrix",
+    "unit_rows",
+    "rows_to_rescale",
+    "largest_magnitudes",
     "is_integer",
     "is_number",
     "is_finite_number",
@@ -170,50 +174,101 @@ class SampledFunction:
         return SampledFunction(self.grid, np.asarray(values, dtype=float))
 
 
-@dataclass(frozen=True)
 class LabeledDataset:
-    """Curves on one grid with labels in {-1, +1}."""
+    """Curves on one grid with labels in {-1, +1}.
 
-    functions: tuple[SampledFunction, ...]
-    labels: np.ndarray
+    A dataset holds its grid, one read-only, C-contiguous (N, n) float
+    matrix whose rows are the curves' values, and a read-only array of N
+    integer labels: the discretized form of functional data.  Build one
+    from a value matrix with :meth:`from_matrix`, which checks the matrix
+    and the labels once, or from curves on one grid with the constructor,
+    which stacks them once.  ``functions`` gives the curves back as views
+    of the rows, built when asked.
+    """
 
-    def __post_init__(self):
-        funcs = tuple(self.functions)
-        y = np.ascontiguousarray(self.labels, dtype=int)
-        if len(funcs) != y.size:
-            raise DataError("functions and labels must have equal length")
-        if y.size and not np.all(np.isin(y, (-1, 1))):
-            raise DataError("labels must be -1 or +1")
-        if funcs:
-            grid = funcs[0].grid
-            for i, f in enumerate(funcs):
-                if not (f.grid is grid or f.grid == grid):
-                    raise GridMismatchError(f"function {i} is not on the shared grid")
-        y.setflags(write=False)
-        object.__setattr__(self, "functions", funcs)
-        object.__setattr__(self, "labels", y)
+    __slots__ = ("_grid", "_values", "_labels")
 
-    def __len__(self) -> int:
-        return len(self.functions)
+    def __init__(self, functions, labels):
+        funcs = tuple(functions)
+        if not funcs:
+            raise DataError("a dataset of no curves has no grid: use from_matrix")
+        grid = funcs[0].grid
+        for i, f in enumerate(funcs):
+            if not (f.grid is grid or f.grid == grid):
+                raise GridMismatchError(f"function {i} is not on the shared grid")
+        # Each curve checked its values when it was built.
+        values = np.array([f.values for f in funcs])
+        self._set(grid, values, _checked_labels(labels, len(funcs)))
+
+    @classmethod
+    def from_matrix(cls, grid: SamplingGrid, values, labels) -> "LabeledDataset":
+        """The dataset of the rows of an (N, len(grid)) value matrix and N
+        labels.  The matrix is always copied, so the dataset shares no
+        memory with ``values``, which stays writable.  A ``DataError`` when
+        the matrix is not 2-d, not as wide as the grid or not finite, or
+        when the labels are not N values in {-1, +1}."""
+        v = check_value_matrix(grid, np.array(values, dtype=float, order="C"))
+        data = cls.__new__(cls)
+        data._set(grid, v, _checked_labels(labels, len(v)))
+        return data
+
+    def _set(self, grid: SamplingGrid, values: np.ndarray, labels: np.ndarray) -> None:
+        """Store checked, freshly made arrays, which become read-only."""
+        values.setflags(write=False)
+        labels.setflags(write=False)
+        self._grid, self._values, self._labels = grid, values, labels
 
     @property
     def grid(self) -> SamplingGrid:
-        return self.functions[0].grid
+        return self._grid
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._labels
+
+    @property
+    def functions(self) -> tuple[SampledFunction, ...]:
+        """The curves, each a view of its row of the value matrix."""
+        return tuple(SampledFunction(self._grid, row) for row in self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
 
     def value_matrix(self) -> np.ndarray:
-        """Stack curve values into an (N, grid length) matrix."""
-        return np.stack([f.values for f in self.functions])
+        """The stored (N, grid length) value matrix, read-only, not a copy."""
+        return self._values
 
     def subset(self, indices) -> "LabeledDataset":
+        """The dataset of the rows at ``indices``, in their order."""
         idx = np.asarray(indices, dtype=int)
-        return LabeledDataset(
-            tuple(self.functions[i] for i in idx), self.labels[idx]
-        )
+        data = LabeledDataset.__new__(LabeledDataset)
+        data._set(self._grid, self._values[idx], self._labels[idx])
+        return data
 
-    @classmethod
-    def from_matrix(cls, grid: SamplingGrid, values: np.ndarray, labels) -> "LabeledDataset":
-        funcs = tuple(SampledFunction(grid, row) for row in np.asarray(values, dtype=float))
-        return cls(funcs, np.asarray(labels, dtype=int))
+
+def check_value_matrix(grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
+    """``values`` as a C-contiguous float matrix of curves on ``grid``, one
+    per row, without a copy when it already is one; a ``DataError`` when it
+    is not 2-d, not as wide as the grid or not finite."""
+    v = np.ascontiguousarray(values, dtype=float)
+    if v.ndim != 2:
+        raise DataError(f"a value matrix must be 2-d, got {v.ndim} dimension(s)")
+    if v.shape[1] != len(grid):
+        raise DataError("values length does not match the grid length")
+    if not np.isfinite(v).all():
+        raise DataError("function values must all be finite")
+    return v
+
+
+def _checked_labels(labels, count: int) -> np.ndarray:
+    """``labels`` as a fresh int array of ``count`` values in {-1, +1};
+    a ``DataError`` otherwise."""
+    y = np.array(labels, dtype=int)
+    if y.shape != (count,):
+        raise DataError("functions and labels must have equal length")
+    if not ((y == 1) | (y == -1)).all():
+        raise DataError("labels must be -1 or +1")
+    return y
 
 
 def _check_shared_grid(u: SampledFunction, v: SampledFunction) -> None:
@@ -264,11 +319,68 @@ def normalize_rows(grid: SamplingGrid, values: np.ndarray, indices=None) -> np.n
     norm.  The error names the first such row by its entry in ``indices``
     (default: its row number).
     """
+    return unit_rows(grid, center_rows(grid, values), values, indices)[0]
+
+
+def unit_rows(grid: SamplingGrid, centred: np.ndarray, values: np.ndarray, indices=None):
+    """``(rows, floors)``: the rows of ``centred``, the centred rows of
+    ``values``, scaled to unit quadrature norm, and their degeneracy floors
+    for a later normalize: ``DEGENERACY_RTOL`` times each row's norm in
+    ``values`` over its norm in ``centred``.
+
+    A :class:`DegenerateFunctionError` names the first row (see
+    :func:`check_normalizable`) whose centred norm is at most
+    ``DEGENERACY_RTOL`` times its norm in ``values``.  The norms of a row
+    that fails this test or whose squared norm is not a normal float (see
+    :func:`rows_to_rescale`) are taken again after dividing the row by its
+    largest absolute value in ``values``.
+    """
     w = grid.weights
-    c = center_rows(grid, values)
-    n = np.sqrt((c * c) @ w)
-    check_normalizable(n, DEGENERACY_RTOL * np.sqrt((values * values) @ w), indices)
-    return c / n[:, None]
+    with np.errstate(over="ignore"):
+        squares = (centred * centred) @ w
+        floors = DEGENERACY_RTOL**2 * ((values * values) @ w)
+    redo = rows_to_rescale(squares, floors)
+    if redo.size:  # every other row passed the test
+        scales = largest_magnitudes(values[redo])
+        centred = centred.copy()
+        centred[redo] /= scales
+        scaled = values[redo] / scales
+        squares[redo] = (centred[redo] * centred[redo]) @ w
+        floors[redo] = DEGENERACY_RTOL**2 * ((scaled * scaled) @ w)
+        check_normalizable(np.sqrt(squares), np.sqrt(floors), indices)
+    norms = np.sqrt(squares)
+    return centred / norms[:, None], np.sqrt(floors) / norms
+
+
+# The smallest normal float: a square below it holds few digits.
+SMALLEST_SQUARE = float(np.finfo(float).tiny)
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+def rows_to_rescale(squares: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """The rows whose norms a normalize must take again on the row divided
+    by its largest value, given the squared norms of its inputs and their
+    squared degeneracy floors: those that fail the test ``squares >
+    floors``, and those whose squared norm is not a normal float.  Squares
+    overflow for values near 1e154 or more and underflow near 1e-154 or
+    less, so the test fails on huge rows (``inf <= inf``) and tiny ones
+    (``0 <= 0``), and a centred norm can overflow alone.  With (N, m)
+    arrays of m normalizes per row, a row is taken again when any of its m
+    fails.  A batch with no such row costs one comparison and three
+    reductions."""
+    if ((squares > floors).all() and squares.min(initial=np.inf) >= SMALLEST_SQUARE
+            and squares.max(initial=0.0) < np.inf):
+        return _NO_ROWS
+    ok = (squares > floors) & (squares >= SMALLEST_SQUARE) & (squares < np.inf)
+    return np.flatnonzero(~(ok if ok.ndim == 1 else ok.all(axis=1)))
+
+
+def largest_magnitudes(rows: np.ndarray) -> np.ndarray:
+    """The (N, 1) column of each row's largest absolute value, 1 for a
+    zero row, which stays zero when divided by it."""
+    scales = np.abs(rows).max(axis=1, keepdims=True)
+    scales[scales == 0.0] = 1.0
+    return scales
 
 
 def check_normalizable(centred_norms: np.ndarray, floors: np.ndarray, indices=None) -> None:

@@ -38,9 +38,12 @@ from .functions import (
     derivative_factors,
     is_finite_number,
     is_integer,
+    largest_magnitudes,
     normalize,
+    rows_to_rescale,
     spline_derivative,
     spline_derivative_rows,
+    unit_rows,
 )
 
 __all__ = [
@@ -187,18 +190,23 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
     degeneracy test (see ``DEGENERACY_RTOL``) runs on the norms that the
     plan's products give.  Its floor scales with the curve that entered the
     chain: the value matrix in the head, whose centrings have operator norm
-    1, and the entry's rows after it.
+    1, and the entry's rows after it.  A row whose squares leave the float
+    range (see :func:`~funcsvm.functions.rows_to_rescale`) has its norms
+    taken again after dividing it by its largest value; rows pass every
+    step's test unscaled otherwise, and no other work is added for them.
     """
     plan = _plan(kernel.prep_signature, grid)
-    if any(t.kind == "normalize" for t in plan.head):
-        floors = DEGENERACY_RTOL * np.sqrt((values * values) @ grid.weights)
+    entry, floors = values, None
     for t in plan.head:
-        values = center_rows(grid, values)
-        if t.kind == "normalize":
-            norms = np.sqrt((values * values) @ grid.weights)
+        centred = center_rows(grid, values)
+        if t.kind == "center":
+            values = centred
+        elif floors is None:
+            values, floors = unit_rows(grid, centred, entry)
+        else:  # its input has unit norm: no square leaves the float range
+            norms = np.sqrt((centred * centred) @ grid.weights)
             check_normalizable(norms, floors)
-            values = values / norms[:, None]
-            floors = floors / norms  # the next step's input is scaled by it
+            values, floors = centred / norms[:, None], floors / norms
         _check_finite(values)
     if plan.entry is None:
         rows = values * plan.sqrt_weights
@@ -209,15 +217,17 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
             if plan.checks_finite:
                 _check_finite(rows)
                 _check_finite(folded)
-            if plan.bounds:
-                blocks = folded[:, plan.width :].reshape(
-                    len(folded), len(plan.bounds), plan.entry.shape[1])
-                centred = np.sqrt(np.einsum("ijk,ijk->ij", blocks, blocks))
-                entry_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-                for norms, bound in zip(centred.T, plan.bounds):
-                    check_normalizable(norms, DEGENERACY_RTOL * bound * entry_norms)
+            if plan.floor_scales.size:
+                squares, floors = _fold_squares(plan, rows, folded)
+                redo = rows_to_rescale(squares, floors)
+                if redo.size:  # every other row passed every test
+                    scaled = rows[redo] / largest_magnitudes(rows[redo])
+                    folded[redo] = scaled @ plan.fold
+                    squares[redo], floors[redo] = _fold_squares(plan, scaled, folded[redo])
+                    for step_squares, step_floors in zip(squares.T, floors.T):
+                        check_normalizable(np.sqrt(step_squares), np.sqrt(step_floors))
                 # Unscaled, the rows are divided by the last normalize's norm.
-                rows = folded[:, : plan.width] / centred[:, -1:]
+                rows = folded[:, : plan.width] / np.sqrt(squares[:, -1:])
             else:
                 rows = folded[:, : plan.width]
     # NaN fails the test too; einsum sets no floating-point warning.
@@ -225,6 +235,18 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
         raise DataError("prepared curves must have squared norms below a quarter "
                         "of the float range")
     return rows
+
+
+def _fold_squares(plan: "_Plan", rows: np.ndarray, folded: np.ndarray):
+    """``(squares, floors)``, each (N, m) for the m normalizes after the
+    entry: the squared quadrature norms of each one's centred input,
+    unscaled, from the entry's ``rows`` and their ``folded`` rows, and the
+    squared degeneracy floors they are tested against."""
+    blocks = folded[:, plan.width :].reshape(len(folded), plan.floor_scales.size,
+                                              plan.entry.shape[1])
+    squares = np.einsum("ijk,ijk->ij", blocks, blocks)
+    floors = np.einsum("ij,ij->i", rows, rows)[:, None] * plan.floor_scales
+    return squares, floors
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -243,15 +265,17 @@ class _Plan:
     rows are the prepared rows before any normalize's scaling.  Then comes
     one block per normalize after the entry, as wide as the entry: its row
     norms are the quadrature norms of that step's centred input, unscaled
-    too.  ``bounds`` holds, per normalize, the operator norm of the map from
-    the entry's rows to that step's unscaled input.
+    too.  ``floor_scales`` holds, per normalize, the square of
+    ``DEGENERACY_RTOL`` times the operator norm of the map from the entry's
+    rows to that step's unscaled input: times the squared norm of an entry
+    row, the square of its degeneracy floor.
     """
 
     head: tuple[Transform, ...]
     entry: np.ndarray | None
     fold: np.ndarray | None
     width: int
-    bounds: tuple[float, ...]
+    floor_scales: np.ndarray
     checks_finite: bool  # transforms follow the entry: check their values
     sqrt_weights: np.ndarray
 
@@ -303,7 +327,9 @@ def _plan(signature: tuple, grid: SamplingGrid) -> _Plan:
     else:
         entry = fold = None
         width = len(grid)
-    return _Plan(head, entry, fold, width, tuple(bounds), bool(tail), sqrt_weights)
+    floor_scales = (DEGENERACY_RTOL * np.array(bounds)) ** 2
+    floor_scales.setflags(write=False)
+    return _Plan(head, entry, fold, width, floor_scales, bool(tail), sqrt_weights)
 
 
 def _norm_factor(state: np.ndarray, sqrt_weights: np.ndarray) -> np.ndarray:

@@ -21,10 +21,11 @@ from .errors import (
     DataError,
     DegenerateTrainingError,
     FuncSvmError,
+    GridMismatchError,
     UsageError,
 )
 from .functions import LabeledDataset, is_finite_number
-from .kernels import FunctionalKernel, apply_base, kernel_to_dict, prepare_batch
+from .kernels import FunctionalKernel, apply_base, kernel_to_dict, prepare_rows
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -167,10 +168,13 @@ def split_sample(
 
 
 def empirical_error(model: SvmModel, data: LabeledDataset) -> float:
-    """Misclassification fraction of the model on the given data."""
+    """Misclassification fraction of the model on the given data, which
+    must be sampled on the model's grid."""
     if len(data) == 0:
         raise DataError("cannot compute an error rate on empty data")
-    pred = predict_batch(model, data.functions)
+    if data.grid != model.grid:
+        raise GridMismatchError("the data are not sampled on the model's grid")
+    pred = predict_batch(model, data.value_matrix())
     return float(np.mean(pred != data.labels))
 
 
@@ -254,8 +258,8 @@ def select(
             if key != gram_key:
                 if kernel.prep_signature not in prepared:
                     prepared[kernel.prep_signature] = (
-                        prepare_batch(kernel, train.functions),
-                        prepare_batch(kernel, validation.functions),
+                        prepare_rows(kernel, train.grid, train.value_matrix()),
+                        prepare_rows(kernel, validation.grid, validation.value_matrix()),
                     )
                 tr, va = prepared[kernel.prep_signature]
                 K, Kv = apply_base(kernel.base, tr, tr), apply_base(kernel.base, va, tr)

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DataError, DegenerateTrainingError
-from .functions import LabeledDataset, SampledFunction, SamplingGrid
-from .kernels import FunctionalKernel, apply_base, prepare_batch
+from .functions import LabeledDataset, SampledFunction, SamplingGrid, check_value_matrix
+from .kernels import FunctionalKernel, apply_base, prepare_batch, prepare_rows
 
 __all__ = [
     "DualSolution", "SvmModel", "solve_dual", "train_svm", "model_from_solution",
@@ -411,7 +411,7 @@ def train_svm(
     meta: dict | None = None,
 ) -> SvmModel:
     """Prepare the data under the kernel, solve the dual, keep the support set."""
-    prep = prepare_batch(kernel, data.functions)
+    prep = prepare_rows(kernel, data.grid, data.value_matrix())
     K = apply_base(kernel.base, prep, prep)
     sol = solve_dual(K, data.labels, C, tol=tol, max_iter=max_iter)
     return model_from_solution(kernel, prep, data, sol, C, tol, meta)
@@ -453,15 +453,25 @@ def decision_value(model: SvmModel, x: SampledFunction) -> float:
     return float(decision_values(model, [x])[0])
 
 
-def decision_values(model: SvmModel, functions) -> np.ndarray:
-    """Vectorized decision values for a batch of curves; a ``DataError``
-    when one is not finite."""
-    funcs = list(functions)
+def decision_values(model: SvmModel, curves) -> np.ndarray:
+    """Vectorized decision values for a batch of curves: a sequence of
+    curves on one grid, which :func:`~funcsvm.kernels.prepare_batch` stacks
+    once, or an (N, n) value matrix of curves on the model's grid, one per
+    row, such as :meth:`LabeledDataset.value_matrix` or
+    :func:`~funcsvm.datasets.load_curves` gives.  Both go through
+    :func:`~funcsvm.kernels.prepare_rows`, so a matrix and the list of its
+    rows as curves give the same values, bit for bit.  A ``DataError`` when
+    a matrix is not 2-d, not as wide as the grid or not finite, or when a
+    decision value is not finite.
+    """
+    matrix = isinstance(curves, np.ndarray)
+    batch = check_value_matrix(model.grid, curves) if matrix else list(curves)
     if model.n_support == 0:
-        return np.full(len(funcs), model.bias)
+        return np.full(len(batch), model.bias)
     # An overflow shows in the values, which are checked below.
     with np.errstate(all="ignore"):
-        query = prepare_batch(model.kernel, funcs)
+        query = (prepare_rows(model.kernel, model.grid, batch) if matrix
+                 else prepare_batch(model.kernel, batch))
         k = apply_base(model.kernel.base, query, model.support_vectors)
         values = k @ model.support_coeffs + model.bias
     if not np.isfinite(values).all():
@@ -474,6 +484,7 @@ def predict(model: SvmModel, x: SampledFunction) -> int:
     return 1 if decision_value(model, x) >= 0.0 else -1
 
 
-def predict_batch(model: SvmModel, functions) -> np.ndarray:
-    vals = decision_values(model, functions)
+def predict_batch(model: SvmModel, curves) -> np.ndarray:
+    """Sign decisions for a batch of curves (see :func:`decision_values`)."""
+    vals = decision_values(model, curves)
     return np.where(vals >= 0.0, 1, -1)

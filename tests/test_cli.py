@@ -952,6 +952,88 @@ class TestColdCommandImports:
                                    "funcsvm.evaluation", "numpy.ma", "scipy"})
 
 
+def _curves_built_by_main(argv):
+    """The exit status of ``cli.main(argv)`` in a new interpreter, and the
+    number of ``SampledFunction`` objects it built."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = ("import json, sys\n"
+            "from funcsvm.cli import main\n"
+            "from funcsvm.functions import SampledFunction\n"
+            "built = [0]\n"
+            "check = SampledFunction.__post_init__\n"
+            "def counted(self):\n"
+            "    built[0] += 1\n"
+            "    check(self)\n"
+            "SampledFunction.__post_init__ = counted\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(json.dumps([rc, built[0]]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, built = json.loads(proc.stdout.splitlines()[-1])
+    return rc, built
+
+
+class TestNoCurveObjects:
+    """A dataset is one value matrix: setting one up, and a cold ``select``
+    or ``predict``, build no ``SampledFunction``."""
+
+    def test_dataset_set_up_builds_none(self, monkeypatch):
+        from funcsvm.evaluation import generate_synthetic
+        from funcsvm.functions import LabeledDataset, SampledFunction, SamplingGrid
+        from funcsvm.selection import split_sample
+
+        built = []
+        check = SampledFunction.__post_init__
+        monkeypatch.setattr(SampledFunction, "__post_init__",
+                            lambda self: (built.append(1), check(self)))
+        data = generate_synthetic(40, seed=1)
+        again = LabeledDataset.from_matrix(SamplingGrid.from_abscissae(data.grid.abscissae),
+                                           data.value_matrix(), data.labels)
+        split = split_sample(again, 20, policy="seeded_shuffle", seed=2)
+        split.train.subset([3, 1]).value_matrix()
+        assert built == []
+        assert len(again.functions) == 40 and len(built) == 40  # the counter counts
+
+    def test_cold_select_and_predict_build_none(self, tmp_path, synth_csv):
+        out = tmp_path / "run"
+        assert _curves_built_by_main(["select", "--config", write_config(tmp_path, synth_csv),
+                                      "--out", str(out)]) == (0, 0)
+        assert _curves_built_by_main(["predict", "--model", str(out / "model.fsvm"),
+                                      "--data", str(synth_csv),
+                                      "--out", str(tmp_path / "pred.csv")]) == (0, 0)
+
+
+@pytest.mark.parametrize("transforms", [
+    [{"kind": "normalize"}],
+    [{"kind": "derivative", "order": 2, "spline_dimension": 20}, {"kind": "normalize"}],
+], ids=["normalize", "derivative+normalize"])
+def test_predict_on_curves_of_amplitude_1e200_exits_0(tmp_path, synth_csv, capsys, transforms):
+    # Their squares overflow: the norms of a normalize are taken on the
+    # curves divided by their largest value, so they predict as sin itself.
+    grid = {"transforms": transforms, "dimensions": [5],
+            "kernels": [{"kind": "gaussian", "sigma": [1.0]}], "C": [10.0]}
+    out = tmp_path / "run"
+    assert main(["select", "--config", write_config(tmp_path, synth_csv, grid=grid),
+                 "--out", str(out)]) == 0
+    t = load_model(str(out / "model.fsvm")).grid.abscissae
+    decisions = {}
+    for amplitude in (1e200, 1.0):
+        rows = amplitude * np.sin(2 * np.pi * np.array([[2.0], [3.0]]) * t)
+        path = tmp_path / f"curves-{amplitude:g}.csv"
+        path.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(out / "model.fsvm"), "--data", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        decisions[amplitude] = np.array(
+            [float(line.split(",")[1]) for line in captured.out.splitlines()[1:]])
+    assert np.isfinite(decisions[1e200]).all()
+    assert np.allclose(decisions[1e200], decisions[1.0], rtol=0.0, atol=1e-10)
+
+
 def test_package_exports_resolve_on_first_use(monkeypatch):
     import funcsvm
 

@@ -1,3 +1,7 @@
+import contextlib
+import io
+import json
+import shutil
 import warnings
 
 import numpy as np
@@ -5,7 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from funcsvm import DatasetDescriptor, SamplingGrid, datasets, load_dataset, write_csv
+from funcsvm import (
+    DatasetDescriptor, SamplingGrid, datasets, load_dataset, load_model, write_csv,
+)
+from funcsvm.cli import main
 from funcsvm.datasets import TECATOR_RANGE, _parse_row, _read_table
 from funcsvm.errors import FuncSvmError, ParseError, UsageError
 
@@ -302,6 +309,26 @@ def csv_files(draw):
     return blob
 
 
+@st.composite
+def loadable_files(draw, widths=(2, 3, 4)):
+    """CSV bytes in the csv_rows layout that load: an optional header of
+    abscissae on [0, 1], then 4-8 rows of finite values, the first four
+    labelled +1, -1, +1, -1, so that both halves of a first_l split hold
+    both classes."""
+    width = draw(st.sampled_from(widths))
+    values = st.one_of(st.floats(-10.0, 10.0),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join([repr(float(t)) for t in np.linspace(0.0, 1.0, width)]
+                              + ["label"]))
+    for i in range(draw(st.integers(4, 8))):
+        label = ("1", "-1")[i % 2] if i < 4 else draw(st.sampled_from(["1", "-1"]))
+        row = draw(st.lists(values, min_size=width, max_size=width))
+        lines.append(",".join([*map(repr, row), label]))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def _fresh_file(directory, blob):
     # A new file each time: rewriting one in place waits for the disk on ext4.
     path = directory / "data.csv"
@@ -351,9 +378,95 @@ class TestTableMatchesRowByRow:
 
         def load():
             curves = datasets.load_curves(str(path), grid)
-            return b"".join(f.values.tobytes() for f in curves), len(curves)
+            return curves.tobytes(), len(curves)
 
         fast = _outcome(load)
         with monkeypatch.context() as m:
             m.setattr(datasets, "_read_table", lambda p: None)
             assert _outcome(load) == fast
+
+
+def _no_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+def _run_cli(argv):
+    """``cli.main(argv)`` in this interpreter: its exit status, output lines
+    and error lines, and the warnings it emitted."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    return rc, out.getvalue().splitlines(), err.getvalue().splitlines(), caught
+
+
+def _check_contract(rc, err, caught):
+    assert rc in (0, 1, 2, 3)
+    assert [str(w.message) for w in caught] == []
+    if rc == 0:
+        assert err == []
+    else:
+        assert len(err) == 1 and err[0].startswith("FSVM-ERROR code=")
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory):
+    """Models on the 3-point grid of the generated headers."""
+    from funcsvm import BaseKernel, FunctionalKernel, Transform, save_model, train_svm
+    from funcsvm.evaluation import generate_synthetic
+
+    directory = tmp_path_factory.mktemp("cli-fuzz")
+    data = generate_synthetic(20, noise=0.3, grid_length=3, seed=5)
+    paths = []
+    for name, kernel in {
+        "normalize-gaussian": FunctionalKernel(transforms=(Transform("normalize"),),
+                                               base=BaseKernel.gaussian(1.0)),
+        "raw-linear": FunctionalKernel(),
+    }.items():
+        paths.append(str(directory / f"{name}.fsvm"))
+        save_model(train_svm(kernel, data, 10.0), paths[-1])
+    return paths
+
+
+class TestLoadersThroughCli:
+    """Generated ``csv_rows`` files through ``funcsvm select`` and ``predict``
+    in this interpreter: an exit status in {0, 1, 2, 3}, one ``FSVM-ERROR``
+    line or none, no traceback or warning, and finite outputs on exit 0."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=st.one_of(csv_files(), loadable_files()))
+    def test_select(self, tmp_path, blob):
+        path = _fresh_file(tmp_path, blob)
+        config = tmp_path / "config.json"
+        config.unlink(missing_ok=True)
+        config.write_text(json.dumps({
+            "dataset": {"path": str(path)},
+            "grid": {"transforms": [{"kind": "normalize"}], "C": [1.0],
+                     "kernels": [{"kind": "gaussian", "sigma": [1.0]}, {"kind": "linear"}]},
+        }))
+        out = tmp_path / "run"
+        shutil.rmtree(out, ignore_errors=True)
+        rc, lines, err, caught = _run_cli(["select", "--config", str(config),
+                                           "--out", str(out)])
+        _check_contract(rc, err, caught)
+        if rc == 0:
+            json.loads((out / "selection_report.json").read_text(),
+                       parse_constant=_no_constant)
+            model = load_model(str(out / "model.fsvm"))
+            assert np.isfinite(model.support_vectors).all() and np.isfinite(model.bias)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=st.one_of(csv_files(), loadable_files(widths=(3,))), model=st.integers(0, 1))
+    def test_predict(self, tmp_path, blob, model, fuzz_models):
+        path = _fresh_file(tmp_path, blob)
+        rc, lines, err, caught = _run_cli(["predict", "--model", fuzz_models[model],
+                                           "--data", str(path)])
+        _check_contract(rc, err, caught)
+        if rc == 0:
+            decisions = [float(line.split(",")[1]) for line in lines[1:]]
+            assert len(decisions) == len(datasets.load_curves(str(path), load_model(
+                fuzz_models[model]).grid))
+            assert np.isfinite(decisions).all()

@@ -220,6 +220,17 @@ class TestPairedTTest:
         expected = stats.ttest_rel(a, b).pvalue
         assert paired_t_test(a, b) == pytest.approx(expected, rel=1e-10)
 
+    def test_student_t_matches_scipy_over_df_and_t(self):
+        from scipy import stats
+
+        from funcsvm.evaluation import student_t_two_sided
+
+        for df in (1, 2, 3, 5, 9, 24, 99, 250, 1000):
+            for t in np.concatenate([np.linspace(0.0, 100.0, 41), [1e-3, 1e3, 1e200]]):
+                expected = 2.0 * stats.t.sf(t, df)
+                assert student_t_two_sided(t, df) == pytest.approx(expected, rel=1e-10)
+                assert student_t_two_sided(-t, df) == student_t_two_sided(t, df)
+
     def test_detects_a_real_gap_at_moderate_sample(self):
         rng = np.random.default_rng(15)
         a = rng.normal(0.07, 0.02, size=250)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcsvm import (
+    LabeledDataset,
     SampledFunction,
     SamplingGrid,
     center,
@@ -25,7 +26,10 @@ from funcsvm.errors import (
     GridMismatchError,
 )
 from funcsvm import splines
-from funcsvm.functions import derivative_factors, quadrature_mean, spline_derivative_rows
+from funcsvm.functions import (
+    derivative_factors, normalize_rows, quadrature_mean, spline_derivative_rows,
+)
+from funcsvm.selection import split_sample
 
 
 def grid_fn(n=256, fn=None):
@@ -167,6 +171,120 @@ class TestNormalize:
         u = SampledFunction(g, rng.standard_normal(128))
         once = normalize(u)
         assert np.allclose(normalize(once).values, once.values, atol=1e-10)
+
+
+class TestNormalizeRows:
+    @pytest.mark.parametrize("amplitude", [1e200, 1e-200])
+    def test_huge_and_tiny_rows_normalize_as_the_row_itself(self, amplitude):
+        g = SamplingGrid.uniform(0.0, 1.0, 64)
+        sine = np.sin(2 * np.pi * g.abscissae)[None]
+        got = normalize_rows(g, amplitude * sine)
+        want = normalize_rows(g, sine)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_huge_constant_row_is_still_degenerate(self):
+        g = SamplingGrid.uniform(0.0, 1.0, 64)
+        rows = np.vstack([np.sin(2 * np.pi * g.abscissae), np.full(64, 1e200)])
+        with pytest.raises(DegenerateFunctionError, match="function 7"):
+            normalize_rows(g, rows, indices=(6, 7))
+
+
+def labelled_rows(n=6, length=8, seed=0):
+    g = SamplingGrid.uniform(0.0, 1.0, length)
+    rng = np.random.default_rng(seed)
+    return g, rng.standard_normal((n, length)), np.where(np.arange(n) % 2 == 0, 1, -1)
+
+
+class TestLabeledDataset:
+    """One read-only, C-contiguous value matrix, with its grid and labels."""
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_from_matrix_rejects_a_value_that_is_not_finite(self, bad):
+        g, rows, labels = labelled_rows()
+        rows[4, 2] = float(bad)
+        with pytest.raises(DataError, match="finite"):
+            LabeledDataset.from_matrix(g, rows, labels)
+
+    @pytest.mark.parametrize("rows", [np.zeros((6, 7)), np.zeros((6, 9)), np.zeros(8),
+                                      np.zeros((6, 8, 1))],
+                             ids=["narrow", "wide", "1-d", "3-d"])
+    def test_from_matrix_rejects_a_matrix_of_another_shape(self, rows):
+        g, _, labels = labelled_rows()
+        with pytest.raises(DataError):
+            LabeledDataset.from_matrix(g, rows, labels)
+
+    @pytest.mark.parametrize("label", [0, 2, -2])
+    def test_from_matrix_rejects_a_label_not_plus_or_minus_one(self, label):
+        g, rows, labels = labelled_rows()
+        labels[3] = label
+        with pytest.raises(DataError, match="-1 or \\+1"):
+            LabeledDataset.from_matrix(g, rows, labels)
+
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_from_matrix_rejects_a_label_count_other_than_the_rows(self, count):
+        g, rows, _ = labelled_rows()
+        with pytest.raises(DataError, match="equal length"):
+            LabeledDataset.from_matrix(g, rows, np.ones(count, dtype=int))
+
+    def test_matrix_and_labels_are_read_only_and_not_copied_on_read(self):
+        g, rows, labels = labelled_rows()
+        data = LabeledDataset.from_matrix(g, rows, labels)
+        assert data.value_matrix() is data.value_matrix()
+        assert data.value_matrix().flags.c_contiguous
+        for array in (data.value_matrix(), data.labels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_from_matrix_copies_its_input(self):
+        g, rows, labels = labelled_rows()
+        kept = rows.copy()
+        data = LabeledDataset.from_matrix(g, rows, labels)
+        assert not np.shares_memory(data.value_matrix(), rows)
+        assert not np.shares_memory(data.labels, labels)
+        rows[:] = 0.0  # the caller's arrays stay writable, and are theirs
+        labels[:] = 1
+        assert np.array_equal(data.value_matrix(), kept)
+        assert np.array_equal(data.labels, np.where(np.arange(6) % 2 == 0, 1, -1))
+
+    def test_a_fortran_or_integer_matrix_is_stored_c_contiguous_as_floats(self):
+        g, rows, labels = labelled_rows()
+        data = LabeledDataset.from_matrix(g, np.asfortranarray(rows), labels)
+        assert data.value_matrix().flags.c_contiguous
+        assert data.value_matrix().tobytes() == rows.tobytes()
+        ints = LabeledDataset.from_matrix(g, np.ones((6, 8), dtype=int), labels)
+        assert ints.value_matrix().dtype == float
+
+    def test_subset_split_and_functions_give_the_rows_bit_for_bit(self):
+        g, rows, labels = labelled_rows(n=9)
+        data = LabeledDataset.from_matrix(g, rows, labels)
+        idx = [7, 0, 3, 3]
+        part = data.subset(idx)
+        assert part.value_matrix().tobytes() == rows[idx].tobytes()
+        assert np.array_equal(part.labels, labels[idx]) and part.grid is g
+        assert not part.value_matrix().flags.writeable
+        split = split_sample(data, 4, policy="seeded_shuffle", seed=3)
+        order = np.random.default_rng(3).permutation(9)
+        assert split.train.value_matrix().tobytes() == rows[order[:4]].tobytes()
+        assert split.validation.value_matrix().tobytes() == rows[order[4:]].tobytes()
+        curves = data.functions
+        assert len(curves) == 9 and all(f.grid is g for f in curves)
+        assert np.stack([f.values for f in curves]).tobytes() == rows.tobytes()
+        assert all(np.shares_memory(f.values, data.value_matrix()) for f in curves)
+
+    def test_constructor_stacks_curves_on_one_grid(self):
+        g, rows, labels = labelled_rows()
+        data = LabeledDataset([SampledFunction(g, r) for r in rows], labels)
+        assert data.value_matrix().tobytes() == rows.tobytes()
+        assert data.grid is g and len(data) == 6
+        other = SamplingGrid.uniform(0.0, 2.0, 8)
+        with pytest.raises(GridMismatchError, match="function 2"):
+            LabeledDataset([SampledFunction(other if i == 2 else g, r)
+                            for i, r in enumerate(rows)], labels)
+        with pytest.raises(DataError, match="equal length"):
+            LabeledDataset([SampledFunction(g, r) for r in rows], labels[:5])
+        with pytest.raises(DataError, match="no curves"):
+            LabeledDataset([], [])
 
 
 class TestSplineDerivative:

@@ -337,6 +337,33 @@ class TestPrepareBatchAgainstPerCurveReference:
         assert np.allclose(prepare_batch(kernel, small), prepare_batch(kernel, funcs),
                            rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("amplitude", [1e200, 1e-200])
+    @pytest.mark.parametrize("transforms", [
+        (Transform("normalize"),),
+        (Transform("derivative", order=2, spline_dimension=20), Transform("normalize")),
+    ], ids=["normalize", "derivative+normalize"])
+    def test_huge_and_tiny_curves_normalize_as_the_curve_itself(self, transforms, amplitude):
+        # Their squares leave the float range: inf <= inf and 0 <= 0 would
+        # pass the degeneracy test, and the squares would warn.
+        g = SamplingGrid.uniform(0.0, 1.0, 64)
+        sine = np.sin(2 * np.pi * g.abscissae)
+        kernel = FunctionalKernel(transforms=transforms)
+        got = prepare_batch(kernel, [SampledFunction(g, amplitude * sine)])
+        want = prepare_batch(kernel, [SampledFunction(g, sine)])
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("transforms", [
+        (Transform("normalize"),),
+        (Transform("derivative", order=2, spline_dimension=20), Transform("normalize")),
+    ], ids=["normalize", "derivative+normalize"])
+    @pytest.mark.parametrize("level", [1e200, 0.0])
+    def test_huge_or_zero_constant_curve_is_still_degenerate(self, transforms, level):
+        g, funcs = random_functions(4, grid_len=128)
+        funcs[1] = SampledFunction(g, np.full(len(g), level))
+        kernel = FunctionalKernel(transforms=transforms)
+        with pytest.raises(DegenerateFunctionError, match="function 1"):
+            prepare_batch(kernel, funcs)
+
 
 class TestIsometricRows:
     """Prepared rows have the L2 inner product as their dot product."""

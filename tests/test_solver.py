@@ -5,10 +5,12 @@ import pytest
 
 from funcsvm import (
     BaseKernel,
+    BasisSpec,
     FunctionalKernel,
     LabeledDataset,
     SampledFunction,
     SamplingGrid,
+    Transform,
     decision_value,
     predict,
     solve_dual,
@@ -738,3 +740,28 @@ class TestTrainedModel:
         vals = decision_values(model, data.functions[:3])
         assert np.all(vals == -0.25)
         assert predict(model, data.functions[0]) == -1
+
+    @pytest.mark.parametrize("kernel", [
+        FunctionalKernel(base=BaseKernel.gaussian(1.0)),
+        FunctionalKernel(transforms=(Transform("normalize"),), projection=BasisSpec("fourier", 5),
+                         base=BaseKernel.polynomial(2)),
+        FunctionalKernel(transforms=(Transform("derivative", order=2, spline_dimension=10),
+                                     Transform("normalize")),
+                         projection=BasisSpec("bspline", 8), base=BaseKernel.gaussian(0.5)),
+    ], ids=["raw-gaussian", "normalize-fourier", "derivative-bspline"])
+    def test_a_matrix_and_its_curves_give_the_same_decisions(self, kernel):
+        data = self.make_data(n=24, seed=5)
+        model = train_svm(kernel, data, C=10.0)
+        queries = self.make_data(n=10, seed=6)
+        by_matrix = decision_values(model, queries.value_matrix())
+        assert by_matrix.tobytes() == decision_values(model, queries.functions).tobytes()
+        assert by_matrix.tobytes() == decision_values(model, list(queries.functions)).tobytes()
+        assert np.array_equal(predict_batch(model, queries.value_matrix()),
+                              predict_batch(model, queries.functions))
+
+    @pytest.mark.parametrize("rows", [np.zeros((3, 31)), np.zeros(32), np.full((3, 32), np.nan)],
+                             ids=["narrow", "1-d", "nan"])
+    def test_a_matrix_off_the_grid_or_not_finite_is_a_data_error(self, rows):
+        model = train_svm(FunctionalKernel(), self.make_data(seed=7), C=1.0)
+        with pytest.raises(DataError):
+            decision_values(model, rows)
