@@ -8,9 +8,9 @@ Solves, for a precomputed kernel matrix K and labels y in {-1, +1},
 by repeated analytic updates of a working pair chosen with second-order
 information (Fan, Chen & Lin, JMLR 2005): ``i`` is the maximal violator
 and ``j`` the partner whose pair step gains the most, and exposes the
-resulting sign classifier.  A solve starts from zero or from a given
-feasible point.  Ties in working-set selection go to the lowest index,
-which makes the solve deterministic and permutation equivariant.
+resulting sign classifier.  A solve starts from zero.  Ties in
+working-set selection go to the lowest index, which makes the solve
+deterministic and permutation equivariant.
 
 Pair steps find which alphas sit at 0, at C or in between early, and then
 spend most of their updates tuning the free ones.  So every
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, DegenerateTrainingError
+from .errors import ConvergenceError, DataError, DegenerateTrainingError, GridMismatchError
 from .functions import LabeledDataset, SampledFunction, SamplingGrid, check_value_matrix
 from .kernels import FunctionalKernel, apply_base, prepare_batch, prepare_rows
 
@@ -71,7 +71,6 @@ def solve_dual(
     C: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    alpha0=None,
 ) -> DualSolution:
     """Second-order SMO on the dual problem.
 
@@ -79,18 +78,17 @@ def solve_dual(
     coordinates that can move up and ``j`` maximises ``b_t^2 / a_t`` over
     those that can move down, with ``b_t = (y*g)_i - (y*g)_t > 0`` and
     ``a_t = K_ii + K_tt - 2 K_it``: the pair whose unclipped step gains the
-    most objective.  The solve starts from ``alpha0`` if given (a feasible
-    point: ``0 <= alpha0 <= C`` and ``y'alpha0 = 0``), else from zero.
+    most objective.  The solve starts from zero.
 
     Solves with the symmetric part ``(K + K') / 2`` of ``gram``, which is
     ``gram`` itself, bit for bit, when it is symmetric.  Raises
     :class:`DegenerateTrainingError` if only one class is present or ``C``
     or ``tol`` is not a positive finite number, :class:`DataError` if the
     kernel matrix holds a NaN or infinite entry (no violation could ever be
-    compared with ``tol``) or ``alpha0`` is not feasible, and
-    :class:`ConvergenceError` (carrying the best iterate) if the iteration
-    budget runs out, or as soon as a continuation stops at a point whose
-    gradient rounding cannot reach ``tol``.
+    compared with ``tol``), and :class:`ConvergenceError` (carrying the
+    best iterate) if the iteration budget runs out, or as soon as a
+    continuation stops at a point whose gradient rounding cannot reach
+    ``tol``.
 
     Every :func:`guess_interval` updates the solve guesses the sets at 0,
     free and at C.  A guess equal to the previous one, and not the last
@@ -121,17 +119,7 @@ def solve_dual(
     # the gradient of the dual objective.  Scalars are Python floats: the
     # same IEEE doubles as numpy's, without the overhead of numpy scalars.
     C = float(C)
-    if alpha0 is None:
-        u = np.zeros(n)
-    else:
-        a0 = np.asarray(alpha0, dtype=float)
-        if a0.shape != (n,) or not np.isfinite(a0).all():
-            raise DataError(f"alpha0 must hold {n} finite values")
-        if np.any(a0 < 0.0) or np.any(a0 > C):
-            raise DataError("alpha0 must lie in the box [0, C]")
-        if abs(np.dot(y, a0)) > 1e-8 * C * n:
-            raise DataError("alpha0 must satisfy sum(alpha0 * y) = 0")
-        u = y * a0
+    u = np.zeros(n)
     # y_i * alpha_i ranges over [lo_i, hi_i]; it can still rise while below
     # hi_i - slack and fall while above lo_i + slack.
     pos = y > 0
@@ -460,12 +448,16 @@ def decision_values(model: SvmModel, curves) -> np.ndarray:
     row, such as :meth:`LabeledDataset.value_matrix` or
     :func:`~funcsvm.datasets.load_curves` gives.  Both go through
     :func:`~funcsvm.kernels.prepare_rows`, so a matrix and the list of its
-    rows as curves give the same values, bit for bit.  A ``DataError`` when
-    a matrix is not 2-d, not as wide as the grid or not finite, or when a
-    decision value is not finite.
+    rows as curves give the same values, bit for bit.  A
+    ``GridMismatchError`` when the curves are not on the model's grid, and
+    a ``DataError`` when a matrix is not 2-d, not as wide as the grid or
+    not finite, or when a decision value is not finite.
     """
     matrix = isinstance(curves, np.ndarray)
     batch = check_value_matrix(model.grid, curves) if matrix else list(curves)
+    # prepare_batch checks that the others share the first curve's grid.
+    if not matrix and batch and batch[0].grid != model.grid:
+        raise GridMismatchError("the curves are not sampled on the model's grid")
     if model.n_support == 0:
         return np.full(len(batch), model.bias)
     # An overflow shows in the values, which are checked below.

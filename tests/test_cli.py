@@ -951,6 +951,55 @@ class TestColdCommandImports:
         assert modules.isdisjoint({"funcsvm.config", "funcsvm.selection",
                                    "funcsvm.evaluation", "numpy.ma", "scipy"})
 
+    def test_spline_derivative_commands_load_no_scipy(self, tmp_path, synth_csv):
+        out = tmp_path / "run"
+        rc, modules = _modules_after_main(["select", "--config",
+                                           _spline_derivative_config(tmp_path, synth_csv),
+                                           "--out", str(out)])
+        assert rc == 0
+        assert "scipy" not in modules
+        assert load_model(str(out / "model.fsvm")).kernel.projection.family == "bspline"
+        rc, modules = _modules_after_main(["predict", "--model", str(out / "model.fsvm"),
+                                           "--data", str(synth_csv),
+                                           "--out", str(tmp_path / "pred.csv")])
+        assert rc == 0
+        assert "scipy" not in modules
+
+
+def _spline_derivative_config(tmp_path, data_path):
+    """A config whose kernels are a B-spline projection of dimension 8 of
+    the smoothed second derivative (spline dimension 10)."""
+    return write_config(
+        tmp_path, data_path,
+        grid={"basis": "bspline", "dimensions": [8],
+              "transforms": [{"kind": "derivative", "order": 2, "spline_dimension": 10}],
+              "kernels": [{"kind": "gaussian", "sigma": [0.5, 2.0]}], "C": [1.0, 10.0]},
+    )
+
+
+def test_train_and_predict_run_with_scipy_blocked(tmp_path, synth_csv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out, pred = tmp_path / "run", tmp_path / "pred.csv"
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+            "from funcsvm.cli import main\n"
+            "config, out, data, pred = sys.argv[1:]\n"
+            "print(main(['train', '--config', config, '--out', out]),\n"
+            "      main(['predict', '--model', out + '/model.fsvm', '--data', data,\n"
+            "            '--out', pred]))\n")
+    proc = subprocess.run([sys.executable, "-c", code,
+                           _spline_derivative_config(tmp_path, synth_csv), str(out),
+                           str(synth_csv), str(pred)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 0"
+    transforms = load_model(str(out / "model.fsvm")).kernel.transforms
+    assert [t.kind for t in transforms] == ["derivative"]
+    decisions = np.loadtxt(pred, delimiter=",", skiprows=1)[:, 1]
+    assert decisions.shape == (40,) and np.isfinite(decisions).all()
+
 
 def _curves_built_by_main(argv):
     """The exit status of ``cli.main(argv)`` in a new interpreter, and the

@@ -17,7 +17,13 @@ from funcsvm import (
     train_svm,
 )
 from funcsvm import solver
-from funcsvm.errors import ConvergenceError, DataError, DegenerateTrainingError
+from funcsvm.errors import (
+    ConvergenceError,
+    DataError,
+    DegenerateTrainingError,
+    GridMismatchError,
+)
+from funcsvm.evaluation import generate_synthetic
 from funcsvm.kernels import apply_base
 from funcsvm.solver import (
     DualSolution,
@@ -283,7 +289,7 @@ def _reference_violation(K, y, u, lo, hi, slack):
     return np.where(down, yg[i] - yg, -np.inf).max(), yg
 
 
-def _second_order_reference(K, y, C, tol, max_iter, alpha0=None):
+def _second_order_reference(K, y, C, tol, max_iter):
     """Plain second-order SMO: masks instead of penalty vectors, no buffers,
     each gain row computed when it is needed, and alpha and g as the state.
     It selects with the same expressions as ``solve_dual``, and finishes
@@ -294,7 +300,7 @@ def _second_order_reference(K, y, C, tol, max_iter, alpha0=None):
     y = np.asarray(y, dtype=float)
     n = y.size
 
-    alpha = np.zeros(n) if alpha0 is None else np.array(alpha0, dtype=float)
+    alpha = np.zeros(n)
     # g = gradient of the dual objective: 1 - (yy'K a)_i
     g = y * (y - K @ (y * alpha))
     pos = y > 0
@@ -438,59 +444,6 @@ class TestFirstOrderCrossCheck:
         K, y = _seeded_problem(80, "linear", seed=0)
         first = _reference_solve_dual(K, y, 100.0, 1e-3, 10**6).iterations
         assert solve_dual(K, y, 100.0).iterations <= first / 2
-
-
-class TestSeededSolve:
-    @staticmethod
-    def seed_from(K, y, C_prev, C):
-        return solve_dual(K, y, C_prev).alphas * (C / C_prev)
-
-    @pytest.mark.parametrize("n", [17, 80])
-    @pytest.mark.parametrize("kind", ["gaussian", "linear", "duplicated"])
-    def test_seeded_solution_is_bitwise_the_reference(self, n, kind):
-        K, y = _seeded_problem(n, kind, seed=n)
-        alpha0 = np.minimum(self.seed_from(K, y, 1.0, 100.0), 100.0)
-        _assert_bitwise_equal(solve_dual(K, y, 100.0, alpha0=alpha0),
-                              _second_order_reference(K, y, 100.0, 1e-3, 10**6, alpha0))
-
-    def test_seeded_solve_matches_the_qp_oracle(self):
-        # The tolerances of acceptance 1, on its problem family, seeded from
-        # the solve at the next C down (and at the next C up for the smallest).
-        rng = np.random.default_rng(2024)
-        for case in range(12):
-            kernel_kind = "linear" if case % 2 == 0 else "gaussian"
-            C = (0.1, 1.0, 10.0)[case % 3]
-            K, y = random_tiny_problem(rng, kernel_kind)
-            C_prev = 1.0 if C == 0.1 else C / 10.0
-            alpha0 = np.minimum(self.seed_from(K, y, C_prev, C), C)
-            sol = solve_dual(K, y, C, tol=1e-6, alpha0=alpha0)
-            _, ref = qp_oracle(K, y, C)
-            assert sol.kkt_violation < 1e-6
-            assert abs(sol.objective - ref) / max(abs(ref), 1.0) <= 1e-4
-
-    def test_starting_at_the_optimum_takes_no_step(self):
-        K, y = _seeded_problem(17, "gaussian", seed=17)
-        sol = solve_dual(K, y, 1.0)
-        again = solve_dual(K, y, 1.0, alpha0=sol.alphas)
-        assert again.iterations == 0
-        assert np.array_equal(again.alphas, sol.alphas)
-
-    @pytest.mark.parametrize("bad", ["shape", "nan", "negative", "above_c", "off_hyperplane"])
-    def test_infeasible_seed_raises(self, bad):
-        K, y = _seeded_problem(17, "gaussian", seed=17)
-        alpha0 = solve_dual(K, y, 1.0).alphas.copy()
-        if bad == "shape":
-            alpha0 = alpha0[:-1]
-        elif bad == "nan":
-            alpha0[3] = np.nan
-        elif bad == "negative":
-            alpha0[3] = -1e-3
-        elif bad == "above_c":
-            alpha0[3] = 1.0 + 1e-9
-        else:
-            alpha0[y > 0] *= 0.5
-        with pytest.raises(DataError, match="alpha0"):
-            solve_dual(K, y, 1.0, alpha0=alpha0)
 
 
 class TestFinishingSteps:
@@ -765,3 +718,22 @@ class TestTrainedModel:
         model = train_svm(FunctionalKernel(), self.make_data(seed=7), C=1.0)
         with pytest.raises(DataError):
             decision_values(model, rows)
+
+    def test_curves_off_the_models_grid_are_a_grid_mismatch(self):
+        # Same length, another span: prepared on their own grid, these
+        # curves scored -0.482, 0.689, 0.693 where the model's grid gives
+        # -1.0, 1.0, 1.003.
+        data = generate_synthetic(20, grid_length=32, seed=1)
+        model = train_svm(FunctionalKernel(base=BaseKernel.gaussian(1.0)), data, C=10.0)
+        off = SamplingGrid.uniform(0.0, 5.0, 32)
+        curves = [SampledFunction(off, f.values) for f in data.functions[:3]]
+        for call in (decision_values, predict_batch):
+            with pytest.raises(GridMismatchError):
+                call(model, curves)
+        with pytest.raises(GridMismatchError):
+            decision_value(model, curves[0])
+        with pytest.raises(GridMismatchError):
+            predict(model, curves[0])
+        same = [SampledFunction(data.grid, f.values) for f in data.functions[:3]]
+        assert np.array_equal(decision_values(model, same),
+                              decision_values(model, data.functions[:3]))
