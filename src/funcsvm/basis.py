@@ -72,6 +72,11 @@ class BasisSpec:
 
     @property
     def orthonormal(self) -> bool:
+        """Whether coefficients are used as L2 coordinates as they are.
+        The sampled basis is exactly orthonormal under the trapezoid
+        weights only for Fourier on uniform grids below the Nyquist limit
+        (``2 * (d // 2) < n - 1`` on n points) and Haar on power-of-two
+        grids; elsewhere the coordinates are approximate."""
         return self.family in ("fourier", "haar_wavelet")
 
 

@@ -40,7 +40,7 @@ __all__ = [
     "check_normalizable",
     "check_value_matrix",
     "unit_rows",
-    "rows_to_rescale",
+    "squares_in_range",
     "largest_magnitudes",
     "is_integer",
     "is_number",
@@ -324,55 +324,47 @@ def normalize_rows(grid: SamplingGrid, values: np.ndarray, indices=None) -> np.n
 
 def unit_rows(grid: SamplingGrid, centred: np.ndarray, values: np.ndarray, indices=None):
     """``(rows, floors)``: the rows of ``centred``, the centred rows of
-    ``values``, scaled to unit quadrature norm, and their degeneracy floors
-    for a later normalize: ``DEGENERACY_RTOL`` times each row's norm in
-    ``values`` over its norm in ``centred``.
+    ``values``, scaled to unit quadrature norm, and their squared
+    degeneracy floors for a later normalize: the square of
+    ``DEGENERACY_RTOL`` times each row's norm in ``values`` over its norm
+    in ``centred``.
 
     A :class:`DegenerateFunctionError` names the first row (see
     :func:`check_normalizable`) whose centred norm is at most
-    ``DEGENERACY_RTOL`` times its norm in ``values``.  The norms of a row
-    that fails this test or whose squared norm is not a normal float (see
-    :func:`rows_to_rescale`) are taken again after dividing the row by its
-    largest absolute value in ``values``.
+    ``DEGENERACY_RTOL`` times its norm in ``values``.  When any row fails
+    this test or its squared norm is not a normal float (see
+    :func:`squares_in_range`), the norms of the whole batch are taken
+    again after dividing each row by its largest absolute value in
+    ``values``.
     """
     w = grid.weights
     with np.errstate(over="ignore"):
         squares = (centred * centred) @ w
         floors = DEGENERACY_RTOL**2 * ((values * values) @ w)
-    redo = rows_to_rescale(squares, floors)
-    if redo.size:  # every other row passed the test
-        scales = largest_magnitudes(values[redo])
-        centred = centred.copy()
-        centred[redo] /= scales
-        scaled = values[redo] / scales
-        squares[redo] = (centred[redo] * centred[redo]) @ w
-        floors[redo] = DEGENERACY_RTOL**2 * ((scaled * scaled) @ w)
-        check_normalizable(np.sqrt(squares), np.sqrt(floors), indices)
-    norms = np.sqrt(squares)
-    return centred / norms[:, None], np.sqrt(floors) / norms
+    if not squares_in_range(squares, floors):
+        scales = largest_magnitudes(values)
+        centred, values = centred / scales, values / scales
+        squares = (centred * centred) @ w
+        floors = DEGENERACY_RTOL**2 * ((values * values) @ w)
+        check_normalizable(squares, floors, indices)
+    return centred / np.sqrt(squares)[:, None], floors / squares
 
 
 # The smallest normal float: a square below it holds few digits.
 SMALLEST_SQUARE = float(np.finfo(float).tiny)
-_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
-def rows_to_rescale(squares: np.ndarray, floors: np.ndarray) -> np.ndarray:
-    """The rows whose norms a normalize must take again on the row divided
-    by its largest value, given the squared norms of its inputs and their
-    squared degeneracy floors: those that fail the test ``squares >
-    floors``, and those whose squared norm is not a normal float.  Squares
-    overflow for values near 1e154 or more and underflow near 1e-154 or
-    less, so the test fails on huge rows (``inf <= inf``) and tiny ones
-    (``0 <= 0``), and a centred norm can overflow alone.  With (N, m)
-    arrays of m normalizes per row, a row is taken again when any of its m
-    fails.  A batch with no such row costs one comparison and three
-    reductions."""
-    if ((squares > floors).all() and squares.min(initial=np.inf) >= SMALLEST_SQUARE
-            and squares.max(initial=0.0) < np.inf):
-        return _NO_ROWS
-    ok = (squares > floors) & (squares >= SMALLEST_SQUARE) & (squares < np.inf)
-    return np.flatnonzero(~(ok if ok.ndim == 1 else ok.all(axis=1)))
+def squares_in_range(squares: np.ndarray, floors: np.ndarray) -> bool:
+    """Whether a normalize may use the squared norms of its inputs as they
+    are, given their squared degeneracy floors: every row passes the test
+    ``squares > floors``, and every squared norm is a normal float.
+    Squares overflow for values near 1e154 or more and underflow near
+    1e-154 or less, so the test fails on huge rows (``inf <= inf``) and
+    tiny ones (``0 <= 0``), and a centred norm can overflow alone.  Arrays
+    may be (N, m) for m normalizes per row.  It costs one comparison and
+    three reductions."""
+    return bool((squares > floors).all() and squares.min(initial=np.inf) >= SMALLEST_SQUARE
+                and squares.max(initial=0.0) < np.inf)
 
 
 def largest_magnitudes(rows: np.ndarray) -> np.ndarray:
@@ -383,13 +375,16 @@ def largest_magnitudes(rows: np.ndarray) -> np.ndarray:
     return scales
 
 
-def check_normalizable(centred_norms: np.ndarray, floors: np.ndarray, indices=None) -> None:
+def check_normalizable(squares: np.ndarray, floors: np.ndarray, indices=None) -> None:
     """Raise :class:`DegenerateFunctionError` for the first row whose
-    centred quadrature norm is at most its entry of ``floors``, naming it
-    by its entry in ``indices`` (default: its row number)."""
-    bad = np.flatnonzero(centred_norms <= floors)
+    centred squared quadrature norm is at most its entry of ``floors``,
+    the squared degeneracy floors, naming it by its entry in ``indices``
+    (default: its row number).  With (N, m) arrays for m normalizes in
+    turn, it names the first such row of the first normalize that has
+    one."""
+    bad = np.flatnonzero((squares <= floors).T)
     if bad.size:
-        k = int(bad[0])
+        k = int(bad[0]) % len(squares)
         raise DegenerateFunctionError(
             "cannot normalize a (near-)constant function",
             index=k if indices is None else indices[k],

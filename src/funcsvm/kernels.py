@@ -8,7 +8,8 @@ the underlying L2 geometry: :func:`isometric_rows` maps each prepared
 curve to a row whose dot product is the L2 inner product (raw curves
 times the square roots of the quadrature weights, orthonormal
 coefficients as they are, B-spline coefficients times the Cholesky
-factor of the basis Gram matrix).
+factor of the basis Gram matrix; see :func:`isometric_rows` for where
+Fourier and Haar coefficients are exact).
 
 A batch is prepared through a plan built once per preparation and grid
 (see :func:`_plan`): the steps before the first spline derivative or
@@ -40,9 +41,9 @@ from .functions import (
     is_integer,
     largest_magnitudes,
     normalize,
-    rows_to_rescale,
     spline_derivative,
     spline_derivative_rows,
+    squares_in_range,
     unit_rows,
 )
 
@@ -187,13 +188,14 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
     grid, and give the prepared width.
 
     Each step's values are checked to be finite, and each normalize's
-    degeneracy test (see ``DEGENERACY_RTOL``) runs on the norms that the
-    plan's products give.  Its floor scales with the curve that entered the
-    chain: the value matrix in the head, whose centrings have operator norm
-    1, and the entry's rows after it.  A row whose squares leave the float
-    range (see :func:`~funcsvm.functions.rows_to_rescale`) has its norms
-    taken again after dividing it by its largest value; rows pass every
-    step's test unscaled otherwise, and no other work is added for them.
+    degeneracy test (see ``DEGENERACY_RTOL``) runs on the squared norms
+    that the plan's products give.  Its floor scales with the curve that
+    entered the chain: the value matrix in the head, whose centrings have
+    operator norm 1, and the entry's rows after it.  When any row's
+    squares leave the float range (see
+    :func:`~funcsvm.functions.squares_in_range`), the whole batch's norms
+    are taken again after dividing each row by its largest value; a batch
+    whose rows all pass every step's test unscaled costs no other work.
     """
     plan = _plan(kernel.prep_signature, grid)
     entry, floors = values, None
@@ -204,32 +206,29 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
         elif floors is None:
             values, floors = unit_rows(grid, centred, entry)
         else:  # its input has unit norm: no square leaves the float range
-            norms = np.sqrt((centred * centred) @ grid.weights)
-            check_normalizable(norms, floors)
-            values, floors = centred / norms[:, None], floors / norms
+            squares = (centred * centred) @ grid.weights
+            check_normalizable(squares, floors)
+            values, floors = centred / np.sqrt(squares)[:, None], floors / squares
         _check_finite(values)
     if plan.entry is None:
-        rows = values * plan.sqrt_weights
+        rows = isometric_rows(None, grid, values)
     else:
         rows = values @ plan.entry
-        if plan.fold is not None:
-            folded = rows @ plan.fold
-            if plan.checks_finite:
-                _check_finite(rows)
-                _check_finite(folded)
-            if plan.floor_scales.size:
+    if plan.fold is not None:
+        folded = rows @ plan.fold
+        _check_finite(rows)
+        _check_finite(folded)
+        if plan.floor_scales.size:
+            squares, floors = _fold_squares(plan, rows, folded)
+            if not squares_in_range(squares, floors):
+                rows = rows / largest_magnitudes(rows)
+                folded = rows @ plan.fold
                 squares, floors = _fold_squares(plan, rows, folded)
-                redo = rows_to_rescale(squares, floors)
-                if redo.size:  # every other row passed every test
-                    scaled = rows[redo] / largest_magnitudes(rows[redo])
-                    folded[redo] = scaled @ plan.fold
-                    squares[redo], floors[redo] = _fold_squares(plan, scaled, folded[redo])
-                    for step_squares, step_floors in zip(squares.T, floors.T):
-                        check_normalizable(np.sqrt(step_squares), np.sqrt(step_floors))
-                # Unscaled, the rows are divided by the last normalize's norm.
-                rows = folded[:, : plan.width] / np.sqrt(squares[:, -1:])
-            else:
-                rows = folded[:, : plan.width]
+                check_normalizable(squares, floors)
+            # The rows are divided by the last normalize's norm.
+            rows = folded[:, : plan.width] / np.sqrt(squares[:, -1:])
+        else:
+            rows = folded[:, : plan.width]
     # NaN fails the test too; einsum sets no floating-point warning.
     if rows.size and not np.einsum("ij,ij->i", rows, rows).max() <= MAX_SQUARED_NORM:
         raise DataError("prepared curves must have squared norms below a quarter "
@@ -260,15 +259,16 @@ class _Plan:
     isometric rows under one preparation on one grid.
 
     ``head`` runs on the value matrix, then the rows are ``values @ entry``
-    (or ``values * sqrt_weights`` when ``entry`` is None), then those times
-    ``fold`` when it is not None.  The first ``width`` columns of the folded
-    rows are the prepared rows before any normalize's scaling.  Then comes
-    one block per normalize after the entry, as wide as the entry: its row
-    norms are the quadrature norms of that step's centred input, unscaled
-    too.  ``floor_scales`` holds, per normalize, the square of
-    ``DEGENERACY_RTOL`` times the operator norm of the map from the entry's
-    rows to that step's unscaled input: times the squared norm of an entry
-    row, the square of its degeneracy floor.
+    (or its :func:`isometric_rows` when ``entry`` is None), then, after a
+    derivative, those times ``fold``.  Without a derivative the entry is the
+    projector times the isometric map, and ``fold`` is None.  The first
+    ``width`` columns of the folded rows are the prepared rows before any
+    normalize's scaling.  Then comes one block per normalize after the
+    entry, as wide as the entry: its row norms are the quadrature norms of
+    that step's centred input, unscaled too.  ``floor_scales`` holds, per
+    normalize, the square of ``DEGENERACY_RTOL`` times the operator norm of
+    the map from the entry's rows to that step's unscaled input: times the
+    squared norm of an entry row, the square of its degeneracy floor.
     """
 
     head: tuple[Transform, ...]
@@ -276,8 +276,6 @@ class _Plan:
     fold: np.ndarray | None
     width: int
     floor_scales: np.ndarray
-    checks_finite: bool  # transforms follow the entry: check their values
-    sqrt_weights: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -286,24 +284,27 @@ def _plan(signature: tuple, grid: SamplingGrid) -> _Plan:
     on ``grid``.  Building it checks that every step fits the grid.
 
     The entry is the first rank-reducing factor: the spline fit ``pinv(B).T``
-    (n x r, r the spline dimension) of the first derivative, or the
-    projector when no derivative comes first.  After a derivative, the
+    (n x r, r the spline dimension) of the first derivative, or, when no
+    derivative comes first, the projector in its isometric rows (for
+    B-splines ``P @ L``, one product per batch).  After a derivative, the
     state map (r x n, from spline coefficients to the current values)
     starts as the derivative's second factor and goes through each later
     step as a batch of r rows: centrings, derivatives, the projection and
     the isometric map.  Each normalize adds an r x r norm factor beside the
-    result, ``R.T`` of a thin QR of the centred state map's weighted
+    result, ``R.T`` of a thin QR of the centred state map's isometric
     transpose: ``z @ R.T`` has the quadrature norm of ``z @ centred``.  Its
-    bound is the spectral norm of the weighted state map as it is.
+    bound is the spectral norm of the state map's isometric rows as it is.
     """
     transforms, projection = signature
-    sqrt_weights = np.sqrt(grid.weights)
     split = next((i for i, t in enumerate(transforms) if t.kind == "derivative"),
                  len(transforms))
     head, tail = transforms[:split], transforms[split:]
-    factors, bounds = [], []
+    entry = fold = None
+    width = len(grid) if projection is None else projection.dimension
+    bounds = []
     if tail:
         entry, state = derivative_factors(grid, tail[0].order, tail[0].spline_dimension)
+        factors = []
         for t in tail[1:]:
             if t.kind == "center":
                 state = center_rows(grid, state)
@@ -311,32 +312,20 @@ def _plan(signature: tuple, grid: SamplingGrid) -> _Plan:
                 state = spline_derivative_rows(grid, state, t.order, t.spline_dimension)
             else:
                 centred = center_rows(grid, state)
-                factors.append(_norm_factor(centred, sqrt_weights))
-                bounds.append(float(np.linalg.norm(state * sqrt_weights, 2)))
+                factors.append(np.linalg.qr(isometric_rows(None, grid, centred).T,
+                                            mode="r").T)
+                bounds.append(float(np.linalg.norm(isometric_rows(None, grid, state), 2)))
                 state = centred
         if projection is not None:
             state = basis_mod.project_rows(projection, grid, state)
-        state = isometric_rows(projection, grid, state)
-        width = state.shape[1]
-        fold = np.hstack([state, *factors])
+        fold = np.hstack([isometric_rows(projection, grid, state), *factors])
         fold.setflags(write=False)
     elif projection is not None:
-        entry = basis_mod.projector(projection, grid)
-        fold = None if projection.orthonormal else basis_mod.gram_factor(projection, grid)
-        width = projection.dimension
-    else:
-        entry = fold = None
-        width = len(grid)
+        entry = isometric_rows(projection, grid, basis_mod.projector(projection, grid))
+        entry.setflags(write=False)
     floor_scales = (DEGENERACY_RTOL * np.array(bounds)) ** 2
     floor_scales.setflags(write=False)
-    return _Plan(head, entry, fold, width, floor_scales, bool(tail), sqrt_weights)
-
-
-def _norm_factor(state: np.ndarray, sqrt_weights: np.ndarray) -> np.ndarray:
-    """An (r, r) matrix ``F`` with ``|z @ F| = |(z @ state) * sqrt_weights|``
-    for every r-vector ``z``, given an (r, n) state map with r <= n: the
-    transposed R factor of a thin QR of the weighted state map's transpose."""
-    return np.linalg.qr((state * sqrt_weights).T, mode="r").T
+    return _Plan(head, entry, fold, width, floor_scales)
 
 
 def isometric_rows(
@@ -346,7 +335,9 @@ def isometric_rows(
     that their dot product is the L2 inner product: raw curves times the
     square roots of the quadrature weights, orthonormal coefficients
     unchanged, B-spline coefficients times the lower Cholesky factor of
-    the basis Gram matrix."""
+    the basis Gram matrix.  Fourier and Haar coefficients are exact only
+    where their sampled basis is orthonormal (see
+    :attr:`~funcsvm.basis.BasisSpec.orthonormal`)."""
     if projection is None:
         return rows * np.sqrt(grid.weights)
     if projection.orthonormal:

@@ -310,7 +310,7 @@ def _free_step(K_FF, g_F, total, scale, tol):
         z = np.linalg.solve(system, rhs)
         return z[:f], z[f] * scale
     eig, Q = np.linalg.eigh(system)
-    null = np.abs(eig) <= np.abs(eig).max() * (f + 1) * np.finfo(float).eps
+    null = np.abs(eig) <= np.abs(eig).max() * ((f + 1) * np.finfo(float).eps)
     along_null = (Q[:, null] @ (Q[:, null].T @ rhs))[:f]
     if along_null.max() - along_null.min() >= tol:
         return along_null, None
@@ -451,14 +451,15 @@ def decision_values(model: SvmModel, curves) -> np.ndarray:
     rows as curves give the same values, bit for bit.  A
     ``GridMismatchError`` when the curves are not on the model's grid, and
     a ``DataError`` when a matrix is not 2-d, not as wide as the grid or
-    not finite, or when a decision value is not finite.
+    not finite, or when a decision value is not finite.  An empty batch,
+    a sequence or a matrix of no rows, gives an empty array.
     """
     matrix = isinstance(curves, np.ndarray)
     batch = check_value_matrix(model.grid, curves) if matrix else list(curves)
     # prepare_batch checks that the others share the first curve's grid.
     if not matrix and batch and batch[0].grid != model.grid:
         raise GridMismatchError("the curves are not sampled on the model's grid")
-    if model.n_support == 0:
+    if model.n_support == 0 or not len(batch):
         return np.full(len(batch), model.bias)
     # An overflow shows in the values, which are checked below.
     with np.errstate(all="ignore"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
@@ -14,7 +16,7 @@ from funcsvm import (
     kernel_eval,
 )
 from funcsvm.errors import ConfigurationError, DegenerateFunctionError
-from funcsvm.basis import basis_matrix, coefficient_gram, project
+from funcsvm.basis import basis_matrix, coefficient_gram, gram_factor, project, projector
 from funcsvm.kernels import kernel_from_dict, kernel_to_dict, prepare_batch
 from funcsvm.splines import SPLINE_DEGREE, design_matrix
 
@@ -365,6 +367,56 @@ class TestPrepareBatchAgainstPerCurveReference:
             prepare_batch(kernel, funcs)
 
 
+MIXED_CHAINS = [
+    ((Transform("normalize"),), None),
+    ((Transform("center"), Transform("normalize")), None),
+    ((Transform("derivative", order=2, spline_dimension=20), Transform("normalize")), None),
+    ((Transform("derivative", order=2, spline_dimension=20), Transform("normalize")),
+     BasisSpec("bspline", 16)),
+]
+MIXED_IDS = ["normalize", "center+normalize", "derivative+normalize",
+             "derivative+normalize+bspline"]
+
+
+class TestOutOfRangeRowsInABatch:
+    """A batch with a row whose squares leave the float range has its norms
+    taken again as a whole: every row still prepares as it does alone."""
+
+    @pytest.mark.parametrize("transforms,projection", MIXED_CHAINS, ids=MIXED_IDS)
+    def test_each_row_prepares_as_it_does_alone(self, transforms, projection):
+        g, funcs = random_functions(4, grid_len=128)
+        sine = np.sin(2 * np.pi * g.abscissae)
+        funcs.insert(1, SampledFunction(g, 1e200 * sine))
+        funcs.append(SampledFunction(g, 1e-200 * funcs[0].values))
+        kernel = FunctionalKernel(transforms=transforms, projection=projection)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = prepare_batch(kernel, funcs)
+            for row, u in zip(batch, funcs):
+                alone = prepare_batch(kernel, [u])[0]
+                assert np.linalg.norm(row - alone) <= 1e-14 * np.linalg.norm(alone)
+
+    @pytest.mark.parametrize("transforms,projection", MIXED_CHAINS, ids=MIXED_IDS)
+    def test_a_huge_constant_row_is_named(self, transforms, projection):
+        g, funcs = random_functions(5, grid_len=128)
+        funcs[3] = SampledFunction(g, np.full(len(g), 1e200))
+        kernel = FunctionalKernel(transforms=transforms, projection=projection)
+        with pytest.raises(DegenerateFunctionError, match="function 3"):
+            prepare_batch(kernel, funcs)
+
+    @pytest.mark.parametrize("transforms", [(), (Transform("center"),)], ids=["none", "center"])
+    def test_bspline_first_rows_are_the_projector_times_the_gram_factor(self, transforms):
+        g, funcs = random_functions(6, grid_len=128)
+        spec = BasisSpec("bspline", 16)
+        values = np.array([u.values for u in funcs])
+        if transforms:
+            values = values - (values @ g.weights / g.total_mass)[:, None]
+        rows = prepare_batch(FunctionalKernel(transforms=transforms, projection=spec), funcs)
+        want = values @ projector(spec, g) @ gram_factor(spec, g)
+        assert np.linalg.norm(rows - want, axis=1).max() <= (
+            1e-14 * np.linalg.norm(want, axis=1).min())
+
+
 class TestIsometricRows:
     """Prepared rows have the L2 inner product as their dot product."""
 
@@ -379,6 +431,29 @@ class TestIsometricRows:
         rows = prepare_batch(FunctionalKernel(), funcs)
         ref = np.array([[inner_product(u, v) for v in funcs] for u in funcs])
         assert np.max(np.abs(rows @ rows.T - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def assert_exact_l2_coordinates(self, spec, g):
+        # The rows' dot products are the quadrature inner products of the
+        # curves that they expand to.
+        rng = np.random.default_rng(len(g))
+        rows = prepare_batch(FunctionalKernel(projection=spec),
+                             [SampledFunction(g, v) for v in rng.standard_normal((6, len(g)))])
+        curves = rows @ basis_matrix(spec, g).T
+        ref = (curves * g.weights) @ curves.T
+        assert np.max(np.abs(rows @ rows.T - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [64, 100, 128])
+    @pytest.mark.parametrize("span", [(0.0, 1.0), (850.0, 1050.0)])
+    def test_fourier_rows_are_exact_on_uniform_grids(self, n, span):
+        g = SamplingGrid.uniform(*span, n)
+        for d in (1, 2, 5, n // 8, n // 4):
+            self.assert_exact_l2_coordinates(BasisSpec("fourier", d), g)
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_haar_rows_are_exact_on_power_of_two_grids(self, n):
+        g = SamplingGrid.uniform(0.0, 1.0, n)
+        for d in (1, 3, 8, n // 4, n):
+            self.assert_exact_l2_coordinates(BasisSpec("haar_wavelet", d), g)
 
     def test_bspline_rows_give_the_coefficient_gram_inner_product(self):
         g, funcs = self.curves()

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -18,13 +19,14 @@ from funcsvm import (
 )
 from funcsvm import solver
 from funcsvm.errors import (
+    ConfigurationError,
     ConvergenceError,
     DataError,
     DegenerateTrainingError,
     GridMismatchError,
 )
 from funcsvm.evaluation import generate_synthetic
-from funcsvm.kernels import apply_base
+from funcsvm.kernels import apply_base, gram_matrix, prepare_batch
 from funcsvm.solver import (
     DualSolution,
     _active_set,
@@ -562,17 +564,19 @@ class TestFinishingSteps:
         # A rank-5 linear Gram scaled to 1e306, the scale of the Fourier Gram
         # of curves sampled over [0, 1.5e308]: its optimum has alphas at C,
         # where rounding in y*g is about 4e291, and pair steps of about 1e-306
-        # would spend the whole budget.
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((20, 5))
-        y = np.where(rng.random(20) < 0.5, 1, -1)
-        K = X @ X.T
-        K *= 1e306 / np.abs(K).max()
-        with pytest.raises(ConvergenceError, match="rounding floor") as caught:
-            solve_dual(K, y, 1.0, max_iter=20_000)
-        sol = caught.value.solution
-        assert sol.iterations <= 3 * guess_interval(y.size)
-        assert np.isfinite(sol.alphas).all() and sol.kkt_violation >= 1e-3
+        # would spend the whole budget.  From 1e307 on, the largest eigenvalue
+        # of the continuation's bordered system times its order overflows.
+        for seed, scale in itertools.product((0, 1, 2), (1e306, 1e307, 3e307)):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((20, 5))
+            y = np.where(rng.random(20) < 0.5, 1, -1)
+            K = X @ X.T
+            K *= scale / np.abs(K).max()
+            with pytest.raises(ConvergenceError, match="rounding floor") as caught:
+                solve_dual(K, y, 1.0, max_iter=20_000)
+            sol = caught.value.solution
+            assert sol.iterations <= 3 * guess_interval(y.size)
+            assert np.isfinite(sol.alphas).all() and sol.kkt_violation >= 1e-3
 
     def test_accept_rejects_a_point_off_the_hyperplane(self):
         # Moving one free alpha by 1e-5 breaks y'alpha = 0 by more than
@@ -718,6 +722,22 @@ class TestTrainedModel:
         model = train_svm(FunctionalKernel(), self.make_data(seed=7), C=1.0)
         with pytest.raises(DataError):
             decision_values(model, rows)
+
+    @pytest.mark.parametrize("batch", [[], (), np.empty((0, 32))],
+                             ids=["list", "tuple", "matrix"])
+    def test_an_empty_batch_scores_as_an_empty_array(self, batch):
+        model = train_svm(FunctionalKernel(transforms=(Transform("normalize"),)),
+                          self.make_data(seed=8), C=1.0)
+        values = decision_values(model, batch)
+        assert values.shape == (0,) and values.dtype == float
+        assert predict_batch(model, batch).shape == (0,)
+
+    def test_an_empty_sequence_still_cannot_be_prepared(self):
+        kernel = FunctionalKernel()
+        with pytest.raises(ConfigurationError, match="empty batch"):
+            prepare_batch(kernel, [])
+        with pytest.raises(ConfigurationError, match="empty batch"):
+            gram_matrix(kernel, [])
 
     def test_curves_off_the_models_grid_are_a_grid_mismatch(self):
         # Same length, another span: prepared on their own grid, these
