@@ -66,11 +66,11 @@ def _flag(flag: str, text: str, parse):
 
 def _common_overrides(args) -> dict:
     overrides = {"seed": args.seed}
-    if getattr(args, "c_grid", None):
+    if args.c_grid:
         overrides["C"] = _flag("--c-grid", args.c_grid, _floats)
-    if getattr(args, "sigma_grid", None):
+    if args.sigma_grid:
         overrides["sigma"] = _flag("--sigma-grid", args.sigma_grid, _floats)
-    if getattr(args, "d_range", None):
+    if args.d_range:
         overrides["dimensions"] = _flag("--d-range", args.d_range, _dimensions)
     return overrides
 
@@ -251,12 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON run configuration")
-            p.add_argument("--c-grid", help="override C grid, comma separated")
-            p.add_argument("--sigma-grid", help="override Gaussian sigma grid")
-            p.add_argument("--d-range", help="override dimensions: lo:hi or comma list")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON run configuration")
+        p.add_argument("--c-grid", help="override C grid, comma separated")
+        p.add_argument("--sigma-grid", help="override Gaussian sigma grid")
+        p.add_argument("--d-range", help="override dimensions: lo:hi or comma list")
         p.add_argument("--seed", type=int, default=None, help="seed override")
 
     p = sub.add_parser("train", help="train a model from a config")
@@ -270,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("predict", help="predict labels for curves")
-    add_common(p, config=False)
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--data", required=True, help="CSV of curves")
     p.add_argument("--out", help="output CSV (stdout if omitted)")
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate a synthetic sinusoid dataset")
-    add_common(p, config=False)
+    p.add_argument("--seed", type=int, default=None, help="random seed")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--noise", type=float, default=0.2)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DataError, FuncSvmError, UsageError
 from .functions import LabeledDataset, SamplingGrid
-from .selection import CandidateGrid, select, split_sample
-from .solver import DEFAULT_TOL, predict_batch
+from .selection import CandidateGrid, empirical_error, select, split_sample
+from .solver import DEFAULT_TOL
 
 __all__ = [
     "EvaluationReport",
@@ -77,8 +77,7 @@ def _run_folds(grid, folds, l, tol, key, what, protocol) -> EvaluationReport:
             excluded += 1
             chosen.append({key: i, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        pred = predict_batch(result.model, test.value_matrix())
-        errors.append(float(np.mean(pred != test.labels)))
+        errors.append(empirical_error(result.model, test))
         chosen.append(_chosen_summary(result))
     if not errors:
         raise DataError(f"every {what} failed")

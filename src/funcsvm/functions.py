@@ -39,7 +39,6 @@ __all__ = [
     "derivative_factors",
     "check_normalizable",
     "check_value_matrix",
-    "unit_rows",
     "squares_in_range",
     "largest_magnitudes",
     "is_integer",
@@ -316,28 +315,14 @@ def normalize_rows(grid: SamplingGrid, values: np.ndarray, indices=None) -> np.n
     Constant rows are a hard error: silently mapping them to the zero
     function would corrupt Gram matrices downstream.  A row is constant
     when its centred norm is at most ``DEGENERACY_RTOL`` times its own
-    norm.  The error names the first such row by its entry in ``indices``
-    (default: its row number).
-    """
-    return unit_rows(grid, center_rows(grid, values), values, indices)[0]
-
-
-def unit_rows(grid: SamplingGrid, centred: np.ndarray, values: np.ndarray, indices=None):
-    """``(rows, floors)``: the rows of ``centred``, the centred rows of
-    ``values``, scaled to unit quadrature norm, and their squared
-    degeneracy floors for a later normalize: the square of
-    ``DEGENERACY_RTOL`` times each row's norm in ``values`` over its norm
-    in ``centred``.
-
-    A :class:`DegenerateFunctionError` names the first row (see
-    :func:`check_normalizable`) whose centred norm is at most
-    ``DEGENERACY_RTOL`` times its norm in ``values``.  When any row fails
-    this test or its squared norm is not a normal float (see
-    :func:`squares_in_range`), the norms of the whole batch are taken
-    again after dividing each row by its largest absolute value in
-    ``values``.
+    norm, and a :class:`DegenerateFunctionError` names the first such row
+    (see :func:`check_normalizable`).  When any row fails this test or its
+    squared norm is not a normal float (see :func:`squares_in_range`), the
+    norms of the whole batch are taken again after dividing each row by
+    its largest absolute value.
     """
     w = grid.weights
+    centred = center_rows(grid, values)
     with np.errstate(over="ignore"):
         squares = (centred * centred) @ w
         floors = DEGENERACY_RTOL**2 * ((values * values) @ w)
@@ -347,7 +332,7 @@ def unit_rows(grid: SamplingGrid, centred: np.ndarray, values: np.ndarray, indic
         squares = (centred * centred) @ w
         floors = DEGENERACY_RTOL**2 * ((values * values) @ w)
         check_normalizable(squares, floors, indices)
-    return centred / np.sqrt(squares)[:, None], floors / squares
+    return centred / np.sqrt(squares)[:, None]
 
 
 # The smallest normal float: a square below it holds few digits.
@@ -360,9 +345,8 @@ def squares_in_range(squares: np.ndarray, floors: np.ndarray) -> bool:
     ``squares > floors``, and every squared norm is a normal float.
     Squares overflow for values near 1e154 or more and underflow near
     1e-154 or less, so the test fails on huge rows (``inf <= inf``) and
-    tiny ones (``0 <= 0``), and a centred norm can overflow alone.  Arrays
-    may be (N, m) for m normalizes per row.  It costs one comparison and
-    three reductions."""
+    tiny ones (``0 <= 0``), and a centred norm can overflow alone.  It
+    costs one comparison and three reductions."""
     return bool((squares > floors).all() and squares.min(initial=np.inf) >= SMALLEST_SQUARE
                 and squares.max(initial=0.0) < np.inf)
 
@@ -379,12 +363,10 @@ def check_normalizable(squares: np.ndarray, floors: np.ndarray, indices=None) ->
     """Raise :class:`DegenerateFunctionError` for the first row whose
     centred squared quadrature norm is at most its entry of ``floors``,
     the squared degeneracy floors, naming it by its entry in ``indices``
-    (default: its row number).  With (N, m) arrays for m normalizes in
-    turn, it names the first such row of the first normalize that has
-    one."""
-    bad = np.flatnonzero((squares <= floors).T)
+    (default: its row number)."""
+    bad = np.flatnonzero(squares <= floors)
     if bad.size:
-        k = int(bad[0]) % len(squares)
+        k = int(bad[0])
         raise DegenerateFunctionError(
             "cannot normalize a (near-)constant function",
             index=k if indices is None else indices[k],

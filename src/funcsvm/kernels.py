@@ -1,10 +1,10 @@
 """Kernels on curves: transform chains, basis projections, base kernels.
 
 A :class:`FunctionalKernel` evaluates ``K(P(u), P(v))`` where ``P`` is an
-optional pipeline of functional transforms (center, normalize, spline
-derivative) followed by an optional basis projection, and ``K`` is a
-linear, Gaussian or polynomial base kernel.  All inner products respect
-the underlying L2 geometry: :func:`isometric_rows` maps each prepared
+optional pipeline of functional transforms (center, normalize, at most
+one spline derivative) followed by an optional basis projection, and
+``K`` is a linear, Gaussian or polynomial base kernel.  All inner
+products respect the underlying L2 geometry: :func:`isometric_rows` maps each prepared
 curve to a row whose dot product is the L2 inner product (raw curves
 times the square roots of the quadrature weights, orthonormal
 coefficients as they are, B-spline coefficients times the Cholesky
@@ -12,7 +12,7 @@ factor of the basis Gram matrix; see :func:`isometric_rows` for where
 Fourier and Haar coefficients are exact).
 
 A batch is prepared through a plan built once per preparation and grid
-(see :func:`_plan`): the steps before the first spline derivative or
+(see :func:`_plan`): the steps before the spline derivative or
 projection run on the (N, n) value matrix, and everything from there on
 is two thin products, because the only nonlinear step, ``normalize``, is
 a centring followed by a row scaling, which commutes with every linear
@@ -41,10 +41,9 @@ from .functions import (
     is_integer,
     largest_magnitudes,
     normalize,
+    normalize_rows,
     spline_derivative,
-    spline_derivative_rows,
     squares_in_range,
-    unit_rows,
 )
 
 __all__ = [
@@ -151,7 +150,10 @@ class FunctionalKernel:
     base: BaseKernel = field(default_factory=BaseKernel.linear)
 
     def __post_init__(self):
-        object.__setattr__(self, "transforms", tuple(self.transforms))
+        transforms = tuple(self.transforms)
+        if sum(t.kind == "derivative" for t in transforms) > 1:
+            raise ConfigurationError("a transform chain holds at most one derivative")
+        object.__setattr__(self, "transforms", transforms)
 
     @property
     def prep_signature(self) -> tuple:
@@ -187,28 +189,20 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
     value matrix on ``grid``.  Zero rows check that every step fits the
     grid, and give the prepared width.
 
-    Each step's values are checked to be finite, and each normalize's
-    degeneracy test (see ``DEGENERACY_RTOL``) runs on the squared norms
-    that the plan's products give.  Its floor scales with the curve that
-    entered the chain: the value matrix in the head, whose centrings have
-    operator norm 1, and the entry's rows after it.  When any row's
-    squares leave the float range (see
+    The chain runs in the form :func:`_plan` gives it.  Each step's values
+    are checked to be finite, and each normalization's degeneracy test
+    (see ``DEGENERACY_RTOL``) has a floor that scales with the curve that
+    entered the chain: the value matrix before the derivative, and the
+    entry's rows after it.  After the derivative, when any row's squares
+    leave the float range (see
     :func:`~funcsvm.functions.squares_in_range`), the whole batch's norms
-    are taken again after dividing each row by its largest value; a batch
-    whose rows all pass every step's test unscaled costs no other work.
+    are taken again after dividing each row by its largest value, as
+    :func:`~funcsvm.functions.normalize_rows` does before it; a batch whose
+    rows all pass the test unscaled costs no other work.
     """
     plan = _plan(kernel.prep_signature, grid)
-    entry, floors = values, None
     for t in plan.head:
-        centred = center_rows(grid, values)
-        if t.kind == "center":
-            values = centred
-        elif floors is None:
-            values, floors = unit_rows(grid, centred, entry)
-        else:  # its input has unit norm: no square leaves the float range
-            squares = (centred * centred) @ grid.weights
-            check_normalizable(squares, floors)
-            values, floors = centred / np.sqrt(squares)[:, None], floors / squares
+        values = (center_rows if t.kind == "center" else normalize_rows)(grid, values)
         _check_finite(values)
     if plan.entry is None:
         rows = isometric_rows(None, grid, values)
@@ -218,15 +212,14 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
         folded = rows @ plan.fold
         _check_finite(rows)
         _check_finite(folded)
-        if plan.floor_scales.size:
+        if plan.floor_scale is not None:
             squares, floors = _fold_squares(plan, rows, folded)
             if not squares_in_range(squares, floors):
                 rows = rows / largest_magnitudes(rows)
                 folded = rows @ plan.fold
                 squares, floors = _fold_squares(plan, rows, folded)
                 check_normalizable(squares, floors)
-            # The rows are divided by the last normalize's norm.
-            rows = folded[:, : plan.width] / np.sqrt(squares[:, -1:])
+            rows = folded[:, : plan.width] / np.sqrt(squares)[:, None]
         else:
             rows = folded[:, : plan.width]
     # NaN fails the test too; einsum sets no floating-point warning.
@@ -237,14 +230,13 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
 
 
 def _fold_squares(plan: "_Plan", rows: np.ndarray, folded: np.ndarray):
-    """``(squares, floors)``, each (N, m) for the m normalizes after the
-    entry: the squared quadrature norms of each one's centred input,
-    unscaled, from the entry's ``rows`` and their ``folded`` rows, and the
-    squared degeneracy floors they are tested against."""
-    blocks = folded[:, plan.width :].reshape(len(folded), plan.floor_scales.size,
-                                              plan.entry.shape[1])
-    squares = np.einsum("ijk,ijk->ij", blocks, blocks)
-    floors = np.einsum("ij,ij->i", rows, rows)[:, None] * plan.floor_scales
+    """``(squares, floors)`` of the normalization after the entry: the
+    squared quadrature norms of its centred input, unscaled, from the
+    entry's ``rows`` and their ``folded`` rows, and the squared degeneracy
+    floors they are tested against."""
+    norms = folded[:, plan.width :]
+    squares = np.einsum("ij,ij->i", norms, norms)
+    floors = np.einsum("ij,ij->i", rows, rows) * plan.floor_scale
     return squares, floors
 
 
@@ -258,24 +250,26 @@ class _Plan:
     """How :func:`prepare_rows` maps an (N, n) value matrix to its
     isometric rows under one preparation on one grid.
 
-    ``head`` runs on the value matrix, then the rows are ``values @ entry``
-    (or its :func:`isometric_rows` when ``entry`` is None), then, after a
-    derivative, those times ``fold``.  Without a derivative the entry is the
-    projector times the isometric map, and ``fold`` is None.  The first
-    ``width`` columns of the folded rows are the prepared rows before any
-    normalize's scaling.  Then comes one block per normalize after the
-    entry, as wide as the entry: its row norms are the quadrature norms of
-    that step's centred input, unscaled too.  ``floor_scales`` holds, per
-    normalize, the square of ``DEGENERACY_RTOL`` times the operator norm of
-    the map from the entry's rows to that step's unscaled input: times the
-    squared norm of an entry row, the square of its degeneracy floor.
+    ``head`` runs on the value matrix: centrings, or one normalization.
+    Then the rows are ``values @ entry`` (or its :func:`isometric_rows`
+    when ``entry`` is None), then, after the derivative, those times
+    ``fold``.  Without a derivative the entry is the projector times the
+    isometric map, and ``fold`` is None.  The first ``width`` columns of
+    the folded rows are the prepared rows before the normalization's
+    scaling.  When a normalization follows the derivative, one r x r norm
+    factor comes next: its row norms are the quadrature norms of that
+    step's centred input, unscaled too.  ``floor_scale`` is then the
+    square of ``DEGENERACY_RTOL`` times the operator norm of the map from
+    the entry's rows to that step's unscaled input: times the squared norm
+    of an entry row, the square of its degeneracy floor.  Otherwise it is
+    None.
     """
 
     head: tuple[Transform, ...]
     entry: np.ndarray | None
     fold: np.ndarray | None
     width: int
-    floor_scales: np.ndarray
+    floor_scale: float | None
 
 
 @lru_cache(maxsize=64)
@@ -283,49 +277,58 @@ def _plan(signature: tuple, grid: SamplingGrid) -> _Plan:
     """The :class:`_Plan` of a preparation (``FunctionalKernel.prep_signature``)
     on ``grid``.  Building it checks that every step fits the grid.
 
+    The chain is a run of centrings and normalizations, at most one
+    derivative, then another run.  A run ends at its first normalization:
+    later steps leave a centred, unit-norm curve unchanged up to rounding.
+    Before the derivative, a run with a normalization is that normalization
+    alone, since it centres its input and its floor refers to the curve
+    that entered the chain.
+
     The entry is the first rank-reducing factor: the spline fit ``pinv(B).T``
-    (n x r, r the spline dimension) of the first derivative, or, when no
-    derivative comes first, the projector in its isometric rows (for
-    B-splines ``P @ L``, one product per batch).  After a derivative, the
-    state map (r x n, from spline coefficients to the current values)
-    starts as the derivative's second factor and goes through each later
-    step as a batch of r rows: centrings, derivatives, the projection and
-    the isometric map.  Each normalize adds an r x r norm factor beside the
-    result, ``R.T`` of a thin QR of the centred state map's isometric
-    transpose: ``z @ R.T`` has the quadrature norm of ``z @ centred``.  Its
-    bound is the spectral norm of the state map's isometric rows as it is.
+    (n x r, r the spline dimension) of the derivative, or, without one, the
+    projector in its isometric rows (for B-splines ``P @ L``, one product
+    per batch).  After the derivative, the state map (r x n, from spline
+    coefficients to the current values) starts as the derivative's second
+    factor and goes through the centrings, the projection and the
+    isometric map as a batch of r rows.  A normalization adds an r x r
+    norm factor beside the result, ``R.T`` of a thin QR of the centred
+    state map's isometric transpose: ``z @ R.T`` has the quadrature norm of
+    ``z @ centred``.  Its bound is the spectral norm of the state map's
+    isometric rows as it is.
     """
     transforms, projection = signature
     split = next((i for i, t in enumerate(transforms) if t.kind == "derivative"),
                  len(transforms))
-    head, tail = transforms[:split], transforms[split:]
-    entry = fold = None
+    head = transforms[:split]
+    if any(t.kind == "normalize" for t in head):
+        head = (Transform("normalize"),)
+    entry = fold = floor_scale = None
     width = len(grid) if projection is None else projection.dimension
-    bounds = []
-    if tail:
-        entry, state = derivative_factors(grid, tail[0].order, tail[0].spline_dimension)
-        factors = []
-        for t in tail[1:]:
-            if t.kind == "center":
-                state = center_rows(grid, state)
-            elif t.kind == "derivative":
-                state = spline_derivative_rows(grid, state, t.order, t.spline_dimension)
-            else:
-                centred = center_rows(grid, state)
-                factors.append(np.linalg.qr(isometric_rows(None, grid, centred).T,
-                                            mode="r").T)
-                bounds.append(float(np.linalg.norm(isometric_rows(None, grid, state), 2)))
-                state = centred
+    if split < len(transforms):
+        derivative = transforms[split]
+        entry, state = derivative_factors(grid, derivative.order,
+                                          derivative.spline_dimension)
+        kinds = [t.kind for t in transforms[split + 1 :]]
+        centrings = kinds.index("normalize") if "normalize" in kinds else len(kinds)
+        for _ in range(centrings):
+            state = center_rows(grid, state)
+        norm_factor = ()
+        if centrings < len(kinds):
+            centred = center_rows(grid, state)
+            norm_factor = (np.linalg.qr(isometric_rows(None, grid, centred).T,
+                                        mode="r").T,)
+            floor = DEGENERACY_RTOL * float(
+                np.linalg.norm(isometric_rows(None, grid, state), 2))
+            floor_scale = floor * floor
+            state = centred
         if projection is not None:
             state = basis_mod.project_rows(projection, grid, state)
-        fold = np.hstack([isometric_rows(projection, grid, state), *factors])
+        fold = np.hstack([isometric_rows(projection, grid, state), *norm_factor])
         fold.setflags(write=False)
     elif projection is not None:
         entry = isometric_rows(projection, grid, basis_mod.projector(projection, grid))
         entry.setflags(write=False)
-    floor_scales = (DEGENERACY_RTOL * np.array(bounds)) ** 2
-    floor_scales.setflags(write=False)
-    return _Plan(head, entry, fold, width, floor_scales)
+    return _Plan(head, entry, fold, width, floor_scale)
 
 
 def isometric_rows(

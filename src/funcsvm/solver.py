@@ -38,7 +38,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError, DegenerateTrainingError, GridMismatchError
 from .functions import LabeledDataset, SampledFunction, SamplingGrid, check_value_matrix
-from .kernels import FunctionalKernel, apply_base, prepare_batch, prepare_rows
+from .kernels import (
+    MAX_SQUARED_NORM, FunctionalKernel, apply_base, prepare_batch, prepare_rows,
+)
 
 __all__ = [
     "DualSolution", "SvmModel", "solve_dual", "train_svm", "model_from_solution",
@@ -85,7 +87,8 @@ def solve_dual(
     :class:`DegenerateTrainingError` if only one class is present or ``C``
     or ``tol`` is not a positive finite number, :class:`DataError` if the
     kernel matrix holds a NaN or infinite entry (no violation could ever be
-    compared with ``tol``), and :class:`ConvergenceError` (carrying the
+    compared with ``tol``) or one of at least a quarter of the float range
+    (see :data:`~funcsvm.kernels.MAX_SQUARED_NORM`), and :class:`ConvergenceError` (carrying the
     best iterate) if the iteration budget runs out, or as soon as a
     continuation stops at a point whose gradient rounding cannot reach
     ``tol``.
@@ -105,9 +108,13 @@ def solve_dual(
     n = y.size
     if n < 2 or K.shape != (n, n):
         raise DegenerateTrainingError("need at least two labeled examples")
-    K = (K + K.T) / 2.0  # the loop reads row K[i] as the column K[:, i]
-    if not np.isfinite(K).all():
+    peak = np.abs(K).max()
+    if not np.isfinite(peak):
         raise DataError("kernel matrix has non-finite entries")
+    # Below it, neither the symmetric part nor a pair's curvature overflows.
+    if peak >= MAX_SQUARED_NORM:
+        raise DataError("kernel matrix entries must be below a quarter of the float range")
+    K = (K + K.T) / 2.0  # the loop reads row K[i] as the column K[:, i]
     if np.all(y > 0) or np.all(y < 0):
         raise DegenerateTrainingError("training data contains a single class")
     if not 0.0 < C < np.inf:

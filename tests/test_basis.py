@@ -60,6 +60,17 @@ class TestProject:
             project(random_function(g, 2), BasisSpec("fourier", 17))
 
 
+class TestSpecChecks:
+    def test_bspline_dimension_below_degree_plus_one_is_rejected(self):
+        BasisSpec("bspline", 4)
+        with pytest.raises(ConfigurationError, match="spline degree"):
+            BasisSpec("bspline", 3)
+
+    def test_coefficients_of_another_length_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="basis dimension"):
+            CoefficientVector(np.zeros(4), BasisSpec("fourier", 5))
+
+
 class TestReconstruct:
     def test_zero_coefficients_give_zero_function(self):
         g = SamplingGrid.uniform(0.0, 1.0, 64)

@@ -208,6 +208,13 @@ def _derivative(doc, order=2, spline_dimension=10):
     return doc
 
 
+def _two_derivatives(doc):
+    doc["kernel"]["transforms"] = [
+        {"kind": "derivative", "order": 2, "spline_dimension": 10}, {"kind": "normalize"},
+        {"kind": "derivative", "order": 1, "spline_dimension": 10}]
+    return doc
+
+
 def _huge_coefficients(doc):
     # Every kernel value is near 1, so the decisions sum to about -N * 1e308.
     doc = _base_kernel(_as_raw(doc), kind="polynomial", degree=2)
@@ -244,6 +251,7 @@ class TestCorruptModelFile:
         lambda doc: _derivative(doc, order=2.0),
         lambda doc: _derivative(doc, order=True),
         lambda doc: _derivative(doc, spline_dimension=len(doc["grid"]["abscissae"]) + 1),
+        _two_derivatives,
         _huge_coefficients,
         _huge_weights,
     ], ids=["truncated-coeffs", "wrong-vector-width", "json-list", "unknown-kernel-kind",
@@ -252,7 +260,7 @@ class TestCorruptModelFile:
             "sigma-NaN", "polynomial-degree-2.5", "polynomial-degree-true",
             "polynomial-degree-past-the-float-range",
             "derivative-dimension-10.0", "derivative-order-2.0", "derivative-order-true",
-            "derivative-wider-than-grid", "raw-polynomial-coeffs-1e308",
+            "derivative-wider-than-grid", "two-derivatives", "raw-polynomial-coeffs-1e308",
             "fourier-weights-1e308"])
     def test_predict_exits_2_with_a_data_error(self, tmp_path, synth_csv, capsys, mutate):
         cfg = write_config(tmp_path, synth_csv)
@@ -551,6 +559,17 @@ class TestInvalidGridValues:
         assert len(err) == 1
         assert err[0].startswith("FSVM-ERROR code=usage msg=derivative")
 
+    def test_two_derivatives_are_a_usage_error(self, tmp_path, synth_csv, capsys):
+        grid = {"dimensions": [3], "kernels": [{"kind": "linear"}], "C": [1.0],
+                "transforms": [{"kind": "derivative", "order": 2, "spline_dimension": 10},
+                               {"kind": "derivative", "order": 1, "spline_dimension": 10}]}
+        cfg = write_config(tmp_path, synth_csv, grid=grid)
+        assert main(["select", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FSVM-ERROR code=usage msg=")
+        assert "at most one derivative" in err[0]
+
     def test_integral_sigma_is_stored_as_a_float(self):
         grid = {"kernels": [{"kind": "gaussian", "sigma": 2}], "C": [1.0]}
         (cand,) = parse_config({"grid": grid}).grid.candidates
@@ -772,6 +791,13 @@ class TestInvalidFlagValues:
         assert len(err) == 1
         assert err[0].startswith("FSVM-ERROR code=usage msg=")
         assert not out.exists()
+
+    def test_predict_has_no_seed(self, tmp_path, synth_csv, capsys):
+        # Accepted, the flag would reach the missing model file: exit 2.
+        argv = ["predict", "--seed", "1", "--model", str(tmp_path / "missing.fsvm"),
+                "--data", str(synth_csv)]
+        assert main(argv) == 1
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestTrain:

@@ -53,6 +53,11 @@ class TestGridInvariants:
         with pytest.raises(ConfigurationError):
             SamplingGrid(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 1.0]))
 
+    def test_values_of_another_length_are_a_data_error(self):
+        g = SamplingGrid.uniform(0.0, 1.0, 8)
+        with pytest.raises(DataError, match="grid length"):
+            SampledFunction(g, np.zeros(7))
+
     def test_uniform_weights_are_spacing_with_halved_endpoints(self):
         g = SamplingGrid.uniform(0.0, 1.0, 11)
         h = 0.1

@@ -15,7 +15,7 @@ from funcsvm import (
     inner_product,
     kernel_eval,
 )
-from funcsvm.errors import ConfigurationError, DegenerateFunctionError
+from funcsvm.errors import ConfigurationError, DegenerateFunctionError, GridMismatchError
 from funcsvm.basis import basis_matrix, coefficient_gram, gram_factor, project, projector
 from funcsvm.kernels import kernel_from_dict, kernel_to_dict, prepare_batch
 from funcsvm.splines import SPLINE_DEGREE, design_matrix
@@ -40,6 +40,18 @@ class TestSpecs:
         with pytest.raises(ConfigurationError):
             Transform("derivative", order=2, spline_dimension=5)
         Transform("derivative", order=2, spline_dimension=6)
+
+    def test_a_chain_holds_at_most_one_derivative(self):
+        d = Transform("derivative", order=2, spline_dimension=10)
+        FunctionalKernel(transforms=(Transform("center"), d, Transform("normalize")))
+        with pytest.raises(ConfigurationError, match="at most one derivative"):
+            FunctionalKernel(transforms=(d, Transform("normalize"), d))
+
+    def test_curves_on_two_grids_are_a_grid_mismatch(self):
+        _, funcs = random_functions(3, grid_len=64)
+        _, other = random_functions(1, grid_len=64, interval=(0.0, 2.0))
+        with pytest.raises(GridMismatchError):
+            prepare_batch(FunctionalKernel(), funcs + other)
 
 
 class TestKernelEval:
@@ -240,6 +252,25 @@ REF_TRANSFORMS = {
         (Transform("normalize"), Transform("derivative", order=2, spline_dimension=20),
          Transform("normalize")),
         lambda g, v: _ref_normalize(g, _ref_derivative(g, _ref_normalize(g, v), 2, 20)),
+    ),
+    # Chains whose runs of centrings and normalizations go on past their
+    # first normalization.
+    "normalize+center+normalize": (
+        (Transform("normalize"), Transform("center"), Transform("normalize")),
+        lambda g, v: _ref_normalize(g, _ref_center(g, _ref_normalize(g, v))),
+    ),
+    "center+normalize+derivative+normalize+center": (
+        (Transform("center"), Transform("normalize"),
+         Transform("derivative", order=2, spline_dimension=20), Transform("normalize"),
+         Transform("center")),
+        lambda g, v: _ref_center(g, _ref_normalize(g, _ref_derivative(
+            g, _ref_normalize(g, _ref_center(g, v)), 2, 20))),
+    ),
+    "derivative+center+normalize+normalize": (
+        (Transform("derivative", order=2, spline_dimension=20), Transform("center"),
+         Transform("normalize"), Transform("normalize")),
+        lambda g, v: _ref_normalize(g, _ref_normalize(g, _ref_center(
+            g, _ref_derivative(g, v, 2, 20)))),
     ),
 }
 

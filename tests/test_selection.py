@@ -19,7 +19,7 @@ from funcsvm import (
 from funcsvm.basis import BasisSpec
 from funcsvm.config import build_grid
 from funcsvm import selection, solver
-from funcsvm.errors import DegenerateTrainingError, UsageError
+from funcsvm.errors import DataError, DegenerateTrainingError, GridMismatchError, UsageError
 from funcsvm.kernels import Transform, apply_base
 from funcsvm.selection import step_penalty
 from funcsvm.solver import DEFAULT_MAX_ITER, solve_dual
@@ -102,6 +102,19 @@ class TestEmpiricalError:
             data.grid, data.value_matrix(), -data.labels
         )
         assert empirical_error(model, flipped) == 1.0
+
+    def test_empty_data_is_a_data_error(self):
+        data = two_frequency_data(20, noise=0.05)
+        model = train_svm(FunctionalKernel(), data, C=10.0)
+        with pytest.raises(DataError, match="empty data"):
+            empirical_error(model, data.subset([]))
+
+    def test_data_off_the_models_grid_is_a_grid_mismatch(self):
+        data = two_frequency_data(20, noise=0.05)
+        model = train_svm(FunctionalKernel(), data, C=10.0)
+        other = two_frequency_data(20, noise=0.05, grid=SamplingGrid.uniform(0.0, 2.0, 64))
+        with pytest.raises(GridMismatchError):
+            empirical_error(model, other)
 
 
 class TestGridConstruction:

@@ -578,6 +578,22 @@ class TestFinishingSteps:
             assert sol.iterations <= 3 * guess_interval(y.size)
             assert np.isfinite(sol.alphas).all() and sol.kkt_violation >= 1e-3
 
+    @pytest.mark.parametrize("scale", [6e307, 1e308])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gram_near_the_float_maximum_is_a_data_error(self, seed, scale):
+        # Its symmetric part, or a pair's curvature K_ii + K_jj - 2 K_ij,
+        # would overflow: the bound of prepared rows' squared norms holds.
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((20, 5))
+        y = np.where(rng.random(20) < 0.5, 1, -1)
+        K = X @ X.T
+        K *= scale / np.abs(K).max()
+        assert np.isfinite(K).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="quarter of the float range"):
+                solve_dual(K, y, 1.0, max_iter=20_000)
+
     def test_accept_rejects_a_point_off_the_hyperplane(self):
         # Moving one free alpha by 1e-5 breaks y'alpha = 0 by more than
         # 1e-8*C*n but moves the gradient by less than tol: only the
