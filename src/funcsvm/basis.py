@@ -17,15 +17,16 @@ Three families are supported:
   basis Gram matrix (see :func:`coefficient_gram` and :func:`gram_factor`).
 
 For a fixed grid each projection is one linear map from samples to
-coefficients: :func:`projector` builds it once as an (n, d) matrix, and
-:func:`project_rows` is one product with it, for every family.
+coefficients: :func:`projector` builds it as an (n, d) matrix, and
+:func:`project_rows` is one product with it, for every family.  The
+tables here are computed on each call and cached nowhere: a kernel's
+preparation plan (:func:`funcsvm.kernels._plan`) folds what it needs of
+them into its own read-only arrays, once per preparation and grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import ConfigurationError
@@ -189,7 +190,6 @@ def _haar_reconstruct(grid: SamplingGrid, coeffs: np.ndarray) -> np.ndarray:
 
 # -- B-spline --------------------------------------------------------------
 
-@lru_cache(maxsize=64)
 def _bspline_tables(spec: BasisSpec, grid: SamplingGrid):
     B, _ = splines.design_matrix(grid.abscissae, spec.dimension, spec.spline_degree)
     W = grid.weights
@@ -201,14 +201,11 @@ def _bspline_tables(spec: BasisSpec, grid: SamplingGrid):
             f"bspline basis of dimension {spec.dimension} is singular on a grid of "
             f"{len(grid)} points: too few samples under some basis function"
         ) from exc
-    for table in (B, G, chol):
-        table.setflags(write=False)
     return B, G, chol
 
 
 # -- Public API ------------------------------------------------------------
 
-@lru_cache(maxsize=64)
 def basis_matrix(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     """Sampled basis functions as columns of an (n, d) matrix."""
     _check_compatible(spec, grid)
@@ -218,29 +215,23 @@ def basis_matrix(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
         cols = _haar_reconstruct(grid, np.eye(spec.dimension)).T
     else:
         cols = _bspline_tables(spec, grid)[0]
-    cols = np.ascontiguousarray(cols)
-    cols.setflags(write=False)
-    return cols
+    return np.ascontiguousarray(cols)
 
 
-@lru_cache(maxsize=64)
 def coefficient_gram(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     """Metric for coefficient inner products: identity except for B-splines."""
     if not spec.orthonormal:
         return _bspline_tables(spec, grid)[1]
-    g = np.eye(spec.dimension)
-    g.setflags(write=False)
-    return g
+    return np.eye(spec.dimension)
 
 
 def gram_factor(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     """Lower Cholesky factor ``L`` of the B-spline coefficient Gram matrix,
-    ``G = L @ L.T`` (cached with it): coefficient rows times ``L`` have the
+    ``G = L @ L.T``: coefficient rows times ``L`` have the
     L2 inner product as their dot product."""
     return _bspline_tables(spec, grid)[2]
 
 
-@lru_cache(maxsize=64)
 def projector(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     """The (n, d) matrix ``P`` that maps an (N, n) value matrix to its
     projection coefficients, ``values @ P``: quadrature-weighted basis
@@ -255,14 +246,12 @@ def projector(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     else:
         B, G, _ = _bspline_tables(spec, grid)
         P = np.linalg.solve(G, (grid.weights[:, None] * B).T).T
-    P = np.ascontiguousarray(P)
-    P.setflags(write=False)
-    return P
+    return np.ascontiguousarray(P)
 
 
 def project_rows(spec: BasisSpec, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
     """Projection coefficients of each row of an (N, n) value matrix, as an
-    (N, d) matrix: one product with the cached :func:`projector`."""
+    (N, d) matrix: one product with the :func:`projector`."""
     return values @ projector(spec, grid)
 
 

@@ -185,7 +185,8 @@ def _map_label(raw: str, label_map: dict | None, line: int) -> int:
         mapped = int(label_map[raw])
     else:
         value = _parse_float(raw, line)
-        mapped = int(value) if math.isfinite(value) else value
+        # Compared as a float first: int() would cut 1.5 to 1.
+        mapped = int(value) if value in (-1.0, 1.0) else value
     if mapped not in (-1, 1):
         raise ParseError(f"label {raw!r} maps to {mapped}, expected -1 or +1", line=line)
     return mapped

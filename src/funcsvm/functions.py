@@ -204,9 +204,9 @@ class LabeledDataset:
         """The dataset of the rows of an (N, len(grid)) value matrix and N
         labels.  The matrix is always copied, so the dataset shares no
         memory with ``values``, which stays writable.  A ``DataError`` when
-        the matrix is not 2-d, not as wide as the grid or not finite, or
-        when the labels are not N values in {-1, +1}."""
-        v = check_value_matrix(grid, np.array(values, dtype=float, order="C"))
+        the matrix is not real numbers, not 2-d, not as wide as the grid or
+        not finite, or when the labels are not N numbers equal to -1 or +1."""
+        v = check_value_matrix(grid, np.array(_real_array(values), dtype=float, order="C"))
         data = cls.__new__(cls)
         data._set(grid, v, _checked_labels(labels, len(v)))
         return data
@@ -248,8 +248,8 @@ class LabeledDataset:
 def check_value_matrix(grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
     """``values`` as a C-contiguous float matrix of curves on ``grid``, one
     per row, without a copy when it already is one; a ``DataError`` when it
-    is not 2-d, not as wide as the grid or not finite."""
-    v = np.ascontiguousarray(values, dtype=float)
+    is not real numbers, not 2-d, not as wide as the grid or not finite."""
+    v = np.ascontiguousarray(_real_array(values), dtype=float)
     if v.ndim != 2:
         raise DataError(f"a value matrix must be 2-d, got {v.ndim} dimension(s)")
     if v.shape[1] != len(grid):
@@ -259,15 +259,29 @@ def check_value_matrix(grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
     return v
 
 
+def _real_array(values, what: str = "function values") -> np.ndarray:
+    """``values`` as an array of booleans, integers or floats, which
+    convert to float as they are.  A ``DataError`` for ragged rows, and for
+    strings, complex numbers or other objects, which a float conversion
+    would parse, cut to their real part or reject."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # rows of unequal length
+        raise DataError(f"{what} do not form a rectangular array") from None
+    if a.dtype.kind not in "biuf":
+        raise DataError(f"{what} must be real numbers, got an array of {a.dtype}")
+    return a
+
+
 def _checked_labels(labels, count: int) -> np.ndarray:
-    """``labels`` as a fresh int array of ``count`` values in {-1, +1};
-    a ``DataError`` otherwise."""
-    y = np.array(labels, dtype=int)
+    """``labels`` as a fresh int array of ``count`` numbers equal to -1
+    or +1, compared before they are converted; a ``DataError`` otherwise."""
+    y = _real_array(labels, "labels")
     if y.shape != (count,):
         raise DataError("functions and labels must have equal length")
     if not ((y == 1) | (y == -1)).all():
         raise DataError("labels must be -1 or +1")
-    return y
+    return y.astype(int)
 
 
 def _check_shared_grid(u: SampledFunction, v: SampledFunction) -> None:

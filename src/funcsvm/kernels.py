@@ -173,14 +173,19 @@ def prepare_batch(kernel: FunctionalKernel, functions) -> np.ndarray:
     as the (N, width) matrix of their :func:`isometric_rows`.
 
     The curves, which share one grid, are stacked once into an (N, n) value
-    matrix for :func:`prepare_rows`.
+    matrix for :func:`prepare_rows`.  A ``DataError`` when one is not a
+    :class:`~funcsvm.functions.SampledFunction`.
     """
     funcs = list(functions)
     if not funcs:
         raise ConfigurationError("cannot prepare an empty batch")
-    grid = funcs[0].grid
-    if any(f.grid is not grid and f.grid != grid for f in funcs):
-        raise GridMismatchError("functions are sampled on different grids")
+    grid = funcs[0].grid if isinstance(funcs[0], SampledFunction) else None
+    # One pass on the predict path; which test failed is sorted out after.
+    if not all(isinstance(f, SampledFunction) and (f.grid is grid or f.grid == grid)
+               for f in funcs):
+        if all(isinstance(f, SampledFunction) for f in funcs):
+            raise GridMismatchError("functions are sampled on different grids")
+        raise DataError("a batch of curves holds SampledFunction objects only")
     return prepare_rows(kernel, grid, np.array([f.values for f in funcs]))
 
 
@@ -277,6 +282,14 @@ def _plan(signature: tuple, grid: SamplingGrid) -> _Plan:
     """The :class:`_Plan` of a preparation (``FunctionalKernel.prep_signature``)
     on ``grid``.  Building it checks that every step fits the grid.
 
+    The plan is the one cache of the tables a batch reads: the
+    :mod:`~funcsvm.basis` tables are computed as it is built, and it marks
+    every array it holds read-only.  It owns them all but the derivative's
+    entry, which plans that differ only in projection share through the
+    cached :func:`~funcsvm.functions.derivative_factors`.  A grid on which
+    a table is not finite, such as one with weights near the float range,
+    is a ``ConfigurationError``.
+
     The chain is a run of centrings and normalizations, at most one
     derivative, then another run.  A run ends at its first normalization:
     later steps leave a centred, unit-norm curve unchanged up to rounding.
@@ -296,6 +309,23 @@ def _plan(signature: tuple, grid: SamplingGrid) -> _Plan:
     ``z @ centred``.  Its bound is the spectral norm of the state map's
     isometric rows as it is.
     """
+    # An overflow shows in the tables, which are checked below.
+    with np.errstate(all="ignore"):
+        try:
+            plan = _build_plan(signature, grid)
+            tables = [t for t in (plan.entry, plan.fold) if t is not None]
+            finite = (all(np.isfinite(t).all() for t in tables)
+                      and np.isfinite(plan.floor_scale or 0.0))
+        except np.linalg.LinAlgError:  # a factorization of a table that is not finite
+            finite = False
+    if not finite:
+        raise ConfigurationError("the preparation's tables are not finite on this grid")
+    for table in tables:
+        table.setflags(write=False)
+    return plan
+
+
+def _build_plan(signature: tuple, grid: SamplingGrid) -> _Plan:
     transforms, projection = signature
     split = next((i for i, t in enumerate(transforms) if t.kind == "derivative"),
                  len(transforms))
@@ -324,10 +354,8 @@ def _plan(signature: tuple, grid: SamplingGrid) -> _Plan:
         if projection is not None:
             state = basis_mod.project_rows(projection, grid, state)
         fold = np.hstack([isometric_rows(projection, grid, state), *norm_factor])
-        fold.setflags(write=False)
     elif projection is not None:
         entry = isometric_rows(projection, grid, basis_mod.projector(projection, grid))
-        entry.setflags(write=False)
     return _Plan(head, entry, fold, width, floor_scale)
 
 
@@ -374,17 +402,31 @@ def apply_base(base: BaseKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def kernel_eval(
     kernel: FunctionalKernel, u: SampledFunction, v: SampledFunction
 ) -> float:
-    """Evaluate the composed kernel on a single pair of curves."""
-    prep = prepare_batch(kernel, [u, v])
-    k = apply_base(kernel.base, prep[:1], prep[1:])
-    return float(k[0, 0])
+    """Evaluate the composed kernel on a single pair of curves; a
+    ``DataError`` when the value is not finite."""
+    # An overflow shows in the value, which is checked below.
+    with np.errstate(all="ignore"):
+        prep = prepare_batch(kernel, [u, v])
+        k = apply_base(kernel.base, prep[:1], prep[1:])
+    return float(_check_kernel_values(k)[0, 0])
 
 
 def gram_matrix(kernel: FunctionalKernel, functions) -> np.ndarray:
-    """Symmetric kernel matrix; transforms are applied once per input."""
-    prep = prepare_batch(kernel, functions)
-    K = apply_base(kernel.base, prep, prep)
-    return (K + K.T) / 2.0
+    """Symmetric kernel matrix; transforms are applied once per input.  A
+    ``DataError`` when an entry is not finite, such as a polynomial kernel
+    past the float range."""
+    # An overflow shows in the values, which are checked below.
+    with np.errstate(all="ignore"):
+        prep = prepare_batch(kernel, functions)
+        K = apply_base(kernel.base, prep, prep)
+        K = (K + K.T) / 2.0
+    return _check_kernel_values(K)
+
+
+def _check_kernel_values(K: np.ndarray) -> np.ndarray:
+    if not np.isfinite(K).all():
+        raise DataError("kernel values are not all finite")
+    return K
 
 
 # -- Serialization ---------------------------------------------------------

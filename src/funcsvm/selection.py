@@ -255,23 +255,29 @@ def select(
         key = (kernel.prep_signature, kernel.base)
         try:
             # from_axes lists each Gram matrix's candidates together: built once.
+            # An overflow shows in K, which solve_dual checks, or in the
+            # decisions, which are checked below.
             if key != gram_key:
-                if kernel.prep_signature not in prepared:
-                    prepared[kernel.prep_signature] = (
-                        prepare_rows(kernel, train.grid, train.value_matrix()),
-                        prepare_rows(kernel, validation.grid, validation.value_matrix()),
-                    )
-                tr, va = prepared[kernel.prep_signature]
-                K, Kv = apply_base(kernel.base, tr, tr), apply_base(kernel.base, va, tr)
+                with np.errstate(all="ignore"):
+                    if kernel.prep_signature not in prepared:
+                        prepared[kernel.prep_signature] = (
+                            prepare_rows(kernel, train.grid, train.value_matrix()),
+                            prepare_rows(kernel, validation.grid, validation.value_matrix()),
+                        )
+                    tr, va = prepared[kernel.prep_signature]
+                    K, Kv = apply_base(kernel.base, tr, tr), apply_base(kernel.base, va, tr)
                 gram_key = key
             sol = solve_dual(K, y, cand.C, tol=tol, max_iter=max_iter)
+            with np.errstate(all="ignore"):
+                decisions = Kv @ (sol.alphas * y) + sol.bias
+            if not np.isfinite(decisions).all():
+                raise DataError("decision values are not all finite")
         except FuncSvmError as exc:
             table.append(CandidateRecord(
                 cand, idx, None, None, max_iter,
                 error=f"{type(exc).__name__}: {exc}",
                 solution=exc.solution if isinstance(exc, ConvergenceError) else None))
             continue
-        decisions = Kv @ (sol.alphas * y) + sol.bias
         err = float(np.mean(np.where(decisions >= 0.0, 1, -1) != validation.labels))
         score = err + grid.penalty(cand.dimension) / np.sqrt(m)
         table.append(CandidateRecord(cand, idx, err, float(score), max_iter, solution=sol))

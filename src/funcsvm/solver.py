@@ -406,8 +406,10 @@ def train_svm(
     meta: dict | None = None,
 ) -> SvmModel:
     """Prepare the data under the kernel, solve the dual, keep the support set."""
-    prep = prepare_rows(kernel, data.grid, data.value_matrix())
-    K = apply_base(kernel.base, prep, prep)
+    # An overflow shows in the Gram matrix, which solve_dual checks.
+    with np.errstate(all="ignore"):
+        prep = prepare_rows(kernel, data.grid, data.value_matrix())
+        K = apply_base(kernel.base, prep, prep)
     sol = solve_dual(K, data.labels, C, tol=tol, max_iter=max_iter)
     return model_from_solution(kernel, prep, data, sol, C, tol, meta)
 
@@ -457,15 +459,19 @@ def decision_values(model: SvmModel, curves) -> np.ndarray:
     :func:`~funcsvm.kernels.prepare_rows`, so a matrix and the list of its
     rows as curves give the same values, bit for bit.  A
     ``GridMismatchError`` when the curves are not on the model's grid, and
-    a ``DataError`` when a matrix is not 2-d, not as wide as the grid or
-    not finite, or when a decision value is not finite.  An empty batch,
+    a ``DataError`` when a matrix is not real numbers, not 2-d, not as wide
+    as the grid or not finite, when a sequence holds an object that is not
+    a curve, or when a decision value is not finite.  An empty batch,
     a sequence or a matrix of no rows, gives an empty array.
     """
     matrix = isinstance(curves, np.ndarray)
     batch = check_value_matrix(model.grid, curves) if matrix else list(curves)
-    # prepare_batch checks that the others share the first curve's grid.
-    if not matrix and batch and batch[0].grid != model.grid:
-        raise GridMismatchError("the curves are not sampled on the model's grid")
+    # prepare_batch checks that the others are curves on the first one's grid.
+    if not matrix and batch:
+        if not isinstance(batch[0], SampledFunction):
+            raise DataError("a batch is a value matrix or a sequence of SampledFunction curves")
+        if batch[0].grid != model.grid:
+            raise GridMismatchError("the curves are not sampled on the model's grid")
     if model.n_support == 0 or not len(batch):
         return np.full(len(batch), model.bias)
     # An overflow shows in the values, which are checked below.

@@ -250,6 +250,19 @@ class TestCsvFaults:
             load_dataset(DatasetDescriptor(path))
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("label", ["1.5", "-1.9", "0.99999", "-1.0000001"])
+    def test_a_fractional_label_is_a_parse_error(self, tmp_path, label):
+        path = write(tmp_path, "a.csv", f"0.0,1.0,1\n2.0,3.0,{label}\n4.0,5.0,-1\n")
+        with pytest.raises(ParseError, match=f"line 2: label '{label}' maps to {label}"):
+            load_dataset(DatasetDescriptor(path))
+
+    @pytest.mark.parametrize("label, sign", [("1", 1), ("1.0", 1), ("1e0", 1), ("+1", 1),
+                                             ("-1", -1), ("-1.0", -1), ("-1e0", -1)])
+    def test_a_label_equal_to_plus_or_minus_one_is_its_sign(self, tmp_path, label, sign):
+        assert datasets._map_label(label, None, 1) == sign
+        path = write(tmp_path, "a.csv", f"0.0,1.0,{label}\n2.0,3.0,{-sign}\n")
+        assert load_dataset(DatasetDescriptor(path)).labels.tolist() == [sign, -sign]
+
     @pytest.mark.parametrize("text", ["", "\n\n", "0.0,1.0,label\n", "\n0.0,1.0,label\n\n"])
     def test_no_data_rows_warn_nothing(self, tmp_path, text):
         path = write(tmp_path, "a.csv", text)

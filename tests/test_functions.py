@@ -27,7 +27,8 @@ from funcsvm.errors import (
 )
 from funcsvm import splines
 from funcsvm.functions import (
-    derivative_factors, normalize_rows, quadrature_mean, spline_derivative_rows,
+    check_value_matrix, derivative_factors, normalize_rows, quadrature_mean,
+    spline_derivative_rows,
 )
 from funcsvm.selection import split_sample
 
@@ -224,6 +225,57 @@ class TestLabeledDataset:
         labels[3] = label
         with pytest.raises(DataError, match="-1 or \\+1"):
             LabeledDataset.from_matrix(g, rows, labels)
+
+    @pytest.mark.parametrize("label", [1.5, -1.9, 0.5, 1 + 1e-15, float("nan")])
+    def test_a_fractional_label_is_not_cut_to_plus_or_minus_one(self, label):
+        g, rows, labels = labelled_rows()
+        labels = labels.astype(float)
+        labels[3] = label
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="-1 or \\+1"):
+                LabeledDataset.from_matrix(g, rows, labels)
+
+    @pytest.mark.parametrize("labels", [[1, -1] * 3, [1.0, -1.0] * 3, [1e0, -1e0] * 3,
+                                        np.array([1, -1] * 3, dtype=np.int8)])
+    def test_labels_equal_to_plus_or_minus_one_are_stored_as_ints(self, labels):
+        g, rows, _ = labelled_rows()
+        data = LabeledDataset.from_matrix(g, rows, labels)
+        assert data.labels.dtype == int and data.labels.tolist() == [1, -1] * 3
+
+    @pytest.mark.parametrize("labels", [["1", "-1"] * 3, [1, "-1"] * 3, [1j, -1] * 3,
+                                        [None] * 6, [[1], [-1, 1]] + [1] * 4],
+                             ids=["strings", "mixed", "complex", "none", "ragged"])
+    def test_labels_that_are_not_real_numbers_are_a_data_error(self, labels):
+        g, rows, _ = labelled_rows()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="labels"):
+                LabeledDataset.from_matrix(g, rows, labels)
+
+    @pytest.mark.parametrize("values", [
+        [["0.5"] * 8] * 6,
+        [["a"] * 8] * 6,
+        [[0.0] * 8] * 5 + [[0.0] * 7],
+        np.full((6, 8), 1 + 2j),
+        np.full((6, 8), None),
+    ], ids=["numeric-strings", "strings", "ragged", "complex", "objects"])
+    def test_values_that_are_not_real_numbers_are_a_data_error(self, values):
+        g, _, labels = labelled_rows()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="values"):
+                LabeledDataset.from_matrix(g, values, labels)
+
+    @pytest.mark.parametrize("values", [np.full((6, 8), "0.5"), np.full((6, 8), 1 + 0j),
+                                        np.full((6, 8), 0.5, dtype=object)],
+                             ids=["strings", "complex", "objects"])
+    def test_a_value_matrix_of_another_kind_is_a_data_error(self, values):
+        g, _, _ = labelled_rows()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="real numbers"):
+                check_value_matrix(g, values)
 
     @pytest.mark.parametrize("count", [5, 7])
     def test_from_matrix_rejects_a_label_count_other_than_the_rows(self, count):

@@ -15,9 +15,13 @@ from funcsvm import (
     inner_product,
     kernel_eval,
 )
-from funcsvm.errors import ConfigurationError, DegenerateFunctionError, GridMismatchError
+from funcsvm.errors import (
+    ConfigurationError, DataError, DegenerateFunctionError, GridMismatchError,
+)
 from funcsvm.basis import basis_matrix, coefficient_gram, gram_factor, project, projector
-from funcsvm.kernels import kernel_from_dict, kernel_to_dict, prepare_batch
+from funcsvm.kernels import (
+    _plan, kernel_from_dict, kernel_to_dict, prepare_batch, prepare_rows,
+)
 from funcsvm.splines import SPLINE_DEGREE, design_matrix
 
 
@@ -144,6 +148,108 @@ class TestGramMatrix:
         assert np.all(K <= 1.0)
         off = K[~np.eye(8, dtype=bool)]
         assert np.all(off < 1.0)  # distinct random inputs
+
+
+class TestBuildersRaisePackageErrors:
+    """The kernel builders end in finite values or a ``funcsvm.errors``
+    class, and never let a numpy warning out."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_a_polynomial_past_the_float_range_is_a_data_error(self):
+        _, funcs = random_functions(4)
+        kernel = FunctionalKernel(base=BaseKernel.polynomial(3000))
+        with pytest.raises(DataError, match="not all finite"):
+            gram_matrix(kernel, funcs)
+        with pytest.raises(DataError, match="not all finite"):
+            kernel_eval(kernel, funcs[0], funcs[0])
+
+    def test_a_huge_sigma_gives_the_clamped_gaussian(self):
+        _, funcs = random_functions(3)
+        kernel = FunctionalKernel(base=BaseKernel.gaussian(1e308))
+        K = gram_matrix(kernel, funcs)
+        # The rounding of a zero distance may clamp the diagonal too.
+        assert np.all(K[~np.eye(3, dtype=bool)] == np.exp(-700.0))
+        assert np.all((np.exp(-700.0) <= K) & (K <= 1.0))
+        assert kernel_eval(kernel, funcs[0], funcs[1]) == np.exp(-700.0)
+
+    @pytest.mark.parametrize("batch", [[np.zeros(64)], [None, None], ["curve"]],
+                             ids=["arrays", "none", "string"])
+    def test_a_batch_that_is_not_curves_is_a_data_error(self, batch):
+        _, (u,) = random_functions(1)
+        with pytest.raises(DataError, match="SampledFunction"):
+            prepare_batch(FunctionalKernel(), batch)
+        with pytest.raises(DataError, match="SampledFunction"):
+            gram_matrix(FunctionalKernel(), [u, *batch])
+        with pytest.raises(DataError, match="SampledFunction"):
+            kernel_eval(FunctionalKernel(), u, batch[0])
+
+
+PLAN_CHAINS = [
+    ((), BasisSpec("fourier", 7)),
+    ((), BasisSpec("haar_wavelet", 8)),
+    ((Transform("center"),), BasisSpec("bspline", 9)),
+    ((Transform("derivative", order=2, spline_dimension=12),), None),
+    ((Transform("derivative", order=1, spline_dimension=10), Transform("normalize")),
+     BasisSpec("fourier", 5)),
+    ((Transform("normalize"), Transform("derivative", order=2, spline_dimension=12),
+      Transform("center"), Transform("normalize")), BasisSpec("bspline", 8)),
+]
+
+
+class TestPlanTables:
+    """The preparation plan is the one cache of the tables a batch reads."""
+
+    @pytest.mark.parametrize("grid", [
+        SamplingGrid.uniform(0.0, 1.0, 40),
+        SamplingGrid.from_abscissae(np.sort(np.random.default_rng(4).uniform(0.0, 2.0, 50))),
+    ], ids=["uniform", "random"])
+    @pytest.mark.parametrize("transforms,projection", PLAN_CHAINS)
+    def test_every_array_a_plan_holds_is_read_only(self, transforms, projection, grid):
+        plan = _plan(FunctionalKernel(transforms=transforms,
+                                      projection=projection).prep_signature, grid)
+        tables = [t for t in (plan.entry, plan.fold) if t is not None]
+        assert tables
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    @pytest.mark.parametrize("transforms,projection", PLAN_CHAINS[-2:])
+    def test_a_grid_whose_tables_overflow_is_a_configuration_error(self, transforms,
+                                                                    projection):
+        # Its centred derivative's weighted means overflow.
+        weights = np.full(40, 1.0 / 39.0)
+        weights[0] = 1e308
+        grid = SamplingGrid(np.linspace(0.0, 1.0, 40), weights)
+        kernel = FunctionalKernel(transforms=transforms, projection=projection)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="not finite on this grid"):
+                prepare_rows(kernel, grid, np.zeros((0, 40)))
+
+    @pytest.mark.parametrize("family", ["fourier", "haar_wavelet", "bspline"])
+    def test_basis_tables_are_the_callers_own(self, family):
+        g = SamplingGrid.from_abscissae(np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 48)))
+        spec = BasisSpec(family, 8)
+        kernel = FunctionalKernel(projection=spec)
+        _, funcs = random_functions(3, grid_len=48)
+        funcs = [SampledFunction(g, u.values) for u in funcs]
+        before = prepare_batch(kernel, funcs)
+        tables = [basis_matrix(spec, g), coefficient_gram(spec, g), projector(spec, g)]
+        if family == "bspline":
+            tables.append(gram_factor(spec, g))
+        for table in tables:
+            kept = table.copy()
+            table[...] = np.nan  # writable, and not shared with a later call
+            assert not np.shares_memory(table, kept)
+        again = [basis_matrix(spec, g), coefficient_gram(spec, g), projector(spec, g)]
+        assert all(np.isfinite(t).all() for t in again)
+        assert prepare_batch(kernel, funcs).tobytes() == before.tobytes()
 
 
 class TestProjectionConsistency:

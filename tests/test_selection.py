@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,26 @@ class TestSelect:
         poly, gauss = res.table
         assert poly.score is None and poly.error.startswith("DataError")
         assert res.chosen is gauss.candidate
+
+    def test_non_finite_validation_decisions_fail_the_candidate(self):
+        # The training Gram is finite, but (1 + <u, v>)^121 overflows between
+        # the training curves and the validation curves, 1000 times larger.
+        grid = SamplingGrid.uniform(0.0, 1.0, 16)
+        rng = np.random.default_rng(1)
+        rows = np.vstack([rng.normal(size=(20, 16)), 1e3 * rng.normal(size=(20, 16))])
+        data = LabeledDataset.from_matrix(grid, rows, [1, -1] * 20)
+        poly = Candidate(0, FunctionalKernel(base=BaseKernel.polynomial(121)), 1.0)
+        gauss = Candidate(0, FunctionalKernel(base=BaseKernel.gaussian(1e-6)), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateTrainingError,
+                               match="decision values are not all finite"):
+                select(CandidateGrid((poly,)), data, l=20)
+            res = select(CandidateGrid((poly, gauss)), data, l=20)
+        failed, chosen = res.table
+        assert failed.error == "DataError: decision values are not all finite"
+        assert failed.validation_error is None and failed.score is None
+        assert res.chosen_record is chosen and chosen.score is not None
 
     def test_reproducible_under_seeded_shuffle(self):
         data = two_frequency_data(50, noise=0.5, seed=7)

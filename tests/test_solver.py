@@ -748,6 +748,26 @@ class TestTrainedModel:
         assert values.shape == (0,) and values.dtype == float
         assert predict_batch(model, batch).shape == (0,)
 
+    @pytest.mark.parametrize("batch", [
+        [np.zeros(32)], "curves", [None], np.full((3, 32), 1 + 0j), np.full((3, 32), "0.5"),
+        np.full((3, 32), 0.5, dtype=object),
+    ], ids=["list-of-arrays", "string", "list-of-none", "complex-matrix", "string-matrix",
+            "object-matrix"])
+    def test_a_batch_that_is_not_curves_is_a_data_error(self, batch):
+        model = train_svm(FunctionalKernel(), self.make_data(seed=9), C=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (decision_values, predict_batch):
+                with pytest.raises(DataError):
+                    call(model, batch)
+
+    def test_an_overflowing_gram_is_a_data_error_without_a_warning(self):
+        data = self.make_data(seed=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="non-finite"):
+                train_svm(FunctionalKernel(base=BaseKernel.polynomial(3000)), data, C=1.0)
+
     def test_an_empty_sequence_still_cannot_be_prepared(self):
         kernel = FunctionalKernel()
         with pytest.raises(ConfigurationError, match="empty batch"):
