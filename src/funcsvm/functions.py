@@ -27,6 +27,8 @@ __all__ = [
     "SamplingGrid",
     "SampledFunction",
     "LabeledDataset",
+    "stack_curves",
+    "check_finite",
     "inner_product",
     "norm",
     "quadrature_mean",
@@ -36,11 +38,9 @@ __all__ = [
     "center_rows",
     "normalize_rows",
     "spline_derivative_rows",
+    "normalize_by",
     "derivative_factors",
-    "check_normalizable",
     "check_value_matrix",
-    "squares_in_range",
-    "largest_magnitudes",
     "is_integer",
     "is_number",
     "is_finite_number",
@@ -164,8 +164,7 @@ class SampledFunction:
         v = np.ascontiguousarray(self.values, dtype=float)
         if v.shape != self.grid.abscissae.shape:
             raise DataError("values length does not match the grid length")
-        if not np.all(np.isfinite(v)):
-            raise DataError("function values must all be finite")
+        check_finite(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -188,16 +187,8 @@ class LabeledDataset:
     __slots__ = ("_grid", "_values", "_labels")
 
     def __init__(self, functions, labels):
-        funcs = tuple(functions)
-        if not funcs:
-            raise DataError("a dataset of no curves has no grid: use from_matrix")
-        grid = funcs[0].grid
-        for i, f in enumerate(funcs):
-            if not (f.grid is grid or f.grid == grid):
-                raise GridMismatchError(f"function {i} is not on the shared grid")
-        # Each curve checked its values when it was built.
-        values = np.array([f.values for f in funcs])
-        self._set(grid, values, _checked_labels(labels, len(funcs)))
+        grid, values = stack_curves(functions)
+        self._set(grid, values, _checked_labels(labels, len(values)))
 
     @classmethod
     def from_matrix(cls, grid: SamplingGrid, values, labels) -> "LabeledDataset":
@@ -254,9 +245,32 @@ def check_value_matrix(grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
         raise DataError(f"a value matrix must be 2-d, got {v.ndim} dimension(s)")
     if v.shape[1] != len(grid):
         raise DataError("values length does not match the grid length")
-    if not np.isfinite(v).all():
-        raise DataError("function values must all be finite")
+    check_finite(v)
     return v
+
+
+def check_finite(values: np.ndarray) -> None:
+    """A ``DataError`` unless every entry of ``values`` is finite."""
+    if not np.isfinite(values).all():
+        raise DataError("function values must all be finite")
+
+
+def stack_curves(curves) -> tuple[SamplingGrid, np.ndarray]:
+    """The grid of a sequence of curves and their (N, n) value matrix,
+    stacked once.  A ``DataError`` when the sequence is empty or an item is
+    not a :class:`SampledFunction`, and a ``GridMismatchError`` naming the
+    first curve that is not on the first one's grid.  Each curve checked
+    its values when it was built."""
+    funcs = tuple(curves)
+    if not funcs:
+        raise DataError("a sequence of no curves has no grid")
+    grid = funcs[0].grid if isinstance(funcs[0], SampledFunction) else None
+    for i, f in enumerate(funcs):
+        if not isinstance(f, SampledFunction):
+            raise DataError(f"item {i} of a sequence of curves is not a SampledFunction")
+        if not (f.grid is grid or f.grid == grid):
+            raise GridMismatchError(f"function {i} is not on the shared grid")
+    return grid, np.array([f.values for f in funcs])
 
 
 def _real_array(values, what: str = "function values") -> np.ndarray:
@@ -284,15 +298,10 @@ def _checked_labels(labels, count: int) -> np.ndarray:
     return y.astype(int)
 
 
-def _check_shared_grid(u: SampledFunction, v: SampledFunction) -> None:
-    if not (u.grid is v.grid or u.grid == v.grid):
-        raise GridMismatchError("functions are sampled on different grids")
-
-
 def inner_product(u: SampledFunction, v: SampledFunction) -> float:
     """Quadrature approximation of ``integral(u * v)``."""
-    _check_shared_grid(u, v)
-    return float(np.dot(u.grid.weights, u.values * v.values))
+    grid, (a, b) = stack_curves((u, v))
+    return float(np.dot(grid.weights, a * b))
 
 
 def norm(u: SampledFunction) -> float:
@@ -329,31 +338,44 @@ def normalize_rows(grid: SamplingGrid, values: np.ndarray, indices=None) -> np.n
     Constant rows are a hard error: silently mapping them to the zero
     function would corrupt Gram matrices downstream.  A row is constant
     when its centred norm is at most ``DEGENERACY_RTOL`` times its own
-    norm, and a :class:`DegenerateFunctionError` names the first such row
-    (see :func:`check_normalizable`).  When any row fails this test or its
-    squared norm is not a normal float (see :func:`squares_in_range`), the
-    norms of the whole batch are taken again after dividing each row by
-    its largest absolute value.
+    norm (see :func:`normalize_by`).
     """
     w = grid.weights
-    centred = center_rows(grid, values)
-    with np.errstate(over="ignore"):
-        squares = (centred * centred) @ w
-        floors = DEGENERACY_RTOL**2 * ((values * values) @ w)
-    if not squares_in_range(squares, floors):
-        scales = largest_magnitudes(values)
-        centred, values = centred / scales, values / scales
-        squares = (centred * centred) @ w
-        floors = DEGENERACY_RTOL**2 * ((values * values) @ w)
-        check_normalizable(squares, floors, indices)
-    return centred / np.sqrt(squares)[:, None]
+
+    def measure(rows):
+        centred = center_rows(grid, rows)
+        with np.errstate(over="ignore"):
+            return (centred, (centred * centred) @ w,
+                    DEGENERACY_RTOL**2 * ((rows * rows) @ w))
+
+    return normalize_by(values, measure, indices)
+
+
+def normalize_by(rows: np.ndarray, measure, indices=None) -> np.ndarray:
+    """The normalization of the rows of an (N, m) matrix: ``measure(rows)``
+    gives ``(out, squares, floors)``, the rows to scale, their squared
+    norms and the squared degeneracy floors those are tested against, and
+    each row of ``out`` is divided by its norm.
+
+    When any row fails the test ``squares > floors`` or its square is not a
+    normal float (see :func:`_squares_in_range`), the whole batch is
+    measured again after dividing each row by its largest absolute value,
+    and a :class:`DegenerateFunctionError` names the first row that still
+    fails, by its entry in ``indices`` (default: its row number).  A batch
+    whose rows all pass unscaled costs no other work.
+    """
+    out, squares, floors = measure(rows)
+    if not _squares_in_range(squares, floors):
+        out, squares, floors = measure(rows / _largest_magnitudes(rows))
+        _check_normalizable(squares, floors, indices)
+    return out / np.sqrt(squares)[:, None]
 
 
 # The smallest normal float: a square below it holds few digits.
 SMALLEST_SQUARE = float(np.finfo(float).tiny)
 
 
-def squares_in_range(squares: np.ndarray, floors: np.ndarray) -> bool:
+def _squares_in_range(squares: np.ndarray, floors: np.ndarray) -> bool:
     """Whether a normalize may use the squared norms of its inputs as they
     are, given their squared degeneracy floors: every row passes the test
     ``squares > floors``, and every squared norm is a normal float.
@@ -365,7 +387,7 @@ def squares_in_range(squares: np.ndarray, floors: np.ndarray) -> bool:
                 and squares.max(initial=0.0) < np.inf)
 
 
-def largest_magnitudes(rows: np.ndarray) -> np.ndarray:
+def _largest_magnitudes(rows: np.ndarray) -> np.ndarray:
     """The (N, 1) column of each row's largest absolute value, 1 for a
     zero row, which stays zero when divided by it."""
     scales = np.abs(rows).max(axis=1, keepdims=True)
@@ -373,11 +395,10 @@ def largest_magnitudes(rows: np.ndarray) -> np.ndarray:
     return scales
 
 
-def check_normalizable(squares: np.ndarray, floors: np.ndarray, indices=None) -> None:
+def _check_normalizable(squares: np.ndarray, floors: np.ndarray, indices=None) -> None:
     """Raise :class:`DegenerateFunctionError` for the first row whose
-    centred squared quadrature norm is at most its entry of ``floors``,
-    the squared degeneracy floors, naming it by its entry in ``indices``
-    (default: its row number)."""
+    squared norm is at most its entry of ``floors``, naming it by its entry
+    in ``indices`` (default: its row number)."""
     bad = np.flatnonzero(squares <= floors)
     if bad.size:
         k = int(bad[0])

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import basis as basis_mod
-from .errors import ConfigurationError, DataError, GridMismatchError
+from .errors import ConfigurationError, DataError
 # bench/layers.py traces center, normalize and spline_derivative under these names.
 from .functions import (
     DEGENERACY_RTOL,
@@ -35,15 +35,15 @@ from .functions import (
     SamplingGrid,
     center,
     center_rows,
-    check_normalizable,
+    check_finite,
     derivative_factors,
     is_finite_number,
     is_integer,
-    largest_magnitudes,
     normalize,
+    normalize_by,
     normalize_rows,
     spline_derivative,
-    squares_in_range,
+    stack_curves,
 )
 
 __all__ = [
@@ -173,20 +173,13 @@ def prepare_batch(kernel: FunctionalKernel, functions) -> np.ndarray:
     as the (N, width) matrix of their :func:`isometric_rows`.
 
     The curves, which share one grid, are stacked once into an (N, n) value
-    matrix for :func:`prepare_rows`.  A ``DataError`` when one is not a
-    :class:`~funcsvm.functions.SampledFunction`.
+    matrix for :func:`prepare_rows` (see
+    :func:`~funcsvm.functions.stack_curves`).
     """
-    funcs = list(functions)
+    funcs = tuple(functions)
     if not funcs:
         raise ConfigurationError("cannot prepare an empty batch")
-    grid = funcs[0].grid if isinstance(funcs[0], SampledFunction) else None
-    # One pass on the predict path; which test failed is sorted out after.
-    if not all(isinstance(f, SampledFunction) and (f.grid is grid or f.grid == grid)
-               for f in funcs):
-        if all(isinstance(f, SampledFunction) for f in funcs):
-            raise GridMismatchError("functions are sampled on different grids")
-        raise DataError("a batch of curves holds SampledFunction objects only")
-    return prepare_rows(kernel, grid, np.array([f.values for f in funcs]))
+    return prepare_rows(kernel, *stack_curves(funcs))
 
 
 def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
@@ -198,56 +191,29 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
     are checked to be finite, and each normalization's degeneracy test
     (see ``DEGENERACY_RTOL``) has a floor that scales with the curve that
     entered the chain: the value matrix before the derivative, and the
-    entry's rows after it.  After the derivative, when any row's squares
-    leave the float range (see
-    :func:`~funcsvm.functions.squares_in_range`), the whole batch's norms
-    are taken again after dividing each row by its largest value, as
-    :func:`~funcsvm.functions.normalize_rows` does before it; a batch whose
-    rows all pass the test unscaled costs no other work.
+    entry's rows after it.  Both normalizations go through
+    :func:`~funcsvm.functions.normalize_by`.
     """
     plan = _plan(kernel.prep_signature, grid)
     for t in plan.head:
         values = (center_rows if t.kind == "center" else normalize_rows)(grid, values)
-        _check_finite(values)
+        check_finite(values)
     if plan.entry is None:
         rows = isometric_rows(None, grid, values)
     else:
         rows = values @ plan.entry
     if plan.fold is not None:
-        folded = rows @ plan.fold
-        _check_finite(rows)
-        _check_finite(folded)
-        if plan.floor_scale is not None:
-            squares, floors = _fold_squares(plan, rows, folded)
-            if not squares_in_range(squares, floors):
-                rows = rows / largest_magnitudes(rows)
-                folded = rows @ plan.fold
-                squares, floors = _fold_squares(plan, rows, folded)
-                check_normalizable(squares, floors)
-            rows = folded[:, : plan.width] / np.sqrt(squares)[:, None]
+        check_finite(rows)
+        if plan.floor_scale is None:
+            rows = rows @ plan.fold
+            check_finite(rows)
         else:
-            rows = folded[:, : plan.width]
+            rows = normalize_by(rows, plan.measure)
     # NaN fails the test too; einsum sets no floating-point warning.
     if rows.size and not np.einsum("ij,ij->i", rows, rows).max() <= MAX_SQUARED_NORM:
         raise DataError("prepared curves must have squared norms below a quarter "
                         "of the float range")
     return rows
-
-
-def _fold_squares(plan: "_Plan", rows: np.ndarray, folded: np.ndarray):
-    """``(squares, floors)`` of the normalization after the entry: the
-    squared quadrature norms of its centred input, unscaled, from the
-    entry's ``rows`` and their ``folded`` rows, and the squared degeneracy
-    floors they are tested against."""
-    norms = folded[:, plan.width :]
-    squares = np.einsum("ij,ij->i", norms, norms)
-    floors = np.einsum("ij,ij->i", rows, rows) * plan.floor_scale
-    return squares, floors
-
-
-def _check_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise DataError("function values must all be finite")
 
 
 @dataclass(frozen=True)
@@ -275,6 +241,16 @@ class _Plan:
     fold: np.ndarray | None
     width: int
     floor_scale: float | None
+
+    def measure(self, rows: np.ndarray):
+        """The normalization after the derivative's measure (see
+        :func:`~funcsvm.functions.normalize_by`) of the entry's ``rows``:
+        their folded rows before the scaling, the squared quadrature norms
+        of that step's centred input, and its squared degeneracy floors."""
+        folded = rows @ self.fold
+        norms = folded[:, self.width :]
+        return (folded[:, : self.width], np.einsum("ij,ij->i", norms, norms),
+                np.einsum("ij,ij->i", rows, rows) * self.floor_scale)
 
 
 @lru_cache(maxsize=64)
@@ -382,10 +358,15 @@ def inner_product_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def squared_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances between two prepared batches."""
+    """Pairwise squared distances between two prepared batches.  A batch's
+    distances to itself have an exact zero diagonal, which the rounding of
+    ``|a|^2 + |a|^2 - 2<a, a>`` would not give."""
     na = np.einsum("ij,ij->i", a, a)
     nb = np.einsum("ij,ij->i", b, b)
-    return np.maximum(na[:, None] + nb[None, :] - 2.0 * inner_product_matrix(a, b), 0.0)
+    d = np.maximum(na[:, None] + nb[None, :] - 2.0 * inner_product_matrix(a, b), 0.0)
+    if a is b:
+        np.fill_diagonal(d, 0.0)
+    return d
 
 
 def apply_base(base: BaseKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -247,8 +247,8 @@ def _active_set(K, y, u, level, C, tol, box):
     u = np.where(level == 1, u, np.where(level == 2, y * C, 0.0))
     free = level == 1
     scale = max(float(np.abs(K.diagonal()).max()), np.finfo(float).tiny)
+    g = y - K @ u
     for _ in range(5 * u.size):
-        g = y - K @ u
         bias = None
         F = np.flatnonzero(free)
         if F.size:
@@ -269,6 +269,7 @@ def _active_set(K, y, u, level, C, tol, box):
                 u[F] += t * d
                 u[F[k]] = hi[F[k]] if d[k] > 0 else lo[F[k]]
                 free[F[k]] = False
+                g = y - K @ u
                 continue
             u[F] += d
             g = y - K @ u

@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -1152,3 +1153,139 @@ def test_no_module_uses_a_private_name_of_another():
                     and node.value.id in modules):
                 private.append(f"{path.stem}: {node.value.id}.{node.attr}")
     assert private == []
+
+
+# -- The CLI contract under generated configs and flag strings ----------------
+
+CONTRACT_CONFIG = {
+    "dataset": {"path": None, "format": "csv_rows", "fat_threshold": 20.0},
+    "grid": {
+        "transforms": [{"kind": "derivative", "order": 2, "spline_dimension": 8},
+                       {"kind": "normalize"}],
+        "kernels": [{"kind": "gaussian", "sigma": [1.0]}, {"kind": "polynomial", "degree": 2}],
+        "C": [1.0, 10.0],
+        "dimensions": [0, 3],
+        "basis": "fourier",
+        "spline_degree": 3,
+        "penalty": {"kind": "step", "cap": 100, "high": 1000.0},
+    },
+    "split": {"policy": "first_l", "l": 10},
+    "seed": 0,
+    "tol": 1e-3,
+    "protocol": {},
+}
+
+# Where a generated value replaces the config's: every section and field the
+# commands read, except the dataset path.
+CONTRACT_PATHS = [
+    (), ("grid",), ("grid", "C"), ("grid", "C", 0), ("grid", "dimensions"),
+    ("grid", "dimensions", 1), ("grid", "kernels"), ("grid", "kernels", 0),
+    ("grid", "kernels", 0, "kind"), ("grid", "kernels", 0, "sigma"),
+    ("grid", "kernels", 0, "sigma", 0), ("grid", "kernels", 1, "degree"),
+    ("grid", "transforms"), ("grid", "transforms", 0), ("grid", "transforms", 0, "kind"),
+    ("grid", "transforms", 0, "order"), ("grid", "transforms", 0, "spline_dimension"),
+    ("grid", "basis"), ("grid", "spline_degree"), ("grid", "penalty"),
+    ("grid", "penalty", "kind"), ("grid", "penalty", "cap"), ("grid", "penalty", "high"),
+    ("dataset",), ("dataset", "format"), ("dataset", "label_map"),
+    ("dataset", "fat_threshold"), ("dataset", "interval"), ("dataset", "abscissae"),
+    ("split",), ("split", "policy"), ("split", "l"), ("seed",), ("tol",), ("protocol",),
+]
+
+_json_atoms = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 10), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    st.sampled_from(["linear", "gaussian", "polynomial", "center", "normalize",
+                     "derivative", "bspline", "haar_wavelet", "seeded_shuffle", "table"]),
+)
+# Numbers (NaN and +-Infinity too), wrong types, empty and 200-long lists,
+# and nested nulls.
+_json_values = st.one_of(
+    st.recursive(_json_atoms, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["kind", "sigma", "degree", "l", "policy", "x"]),
+                        inner, max_size=3)), max_leaves=6),
+    _json_atoms.map(lambda atom: [atom] * 200),
+    st.sampled_from([[], {}, [None], [[None]], {"kind": None}, [{"kind": None}]]),
+)
+# Each piece is small, so a range gives a few dimensions at most.
+_flag_text = st.one_of(
+    st.sampled_from(["", ":", ",", "1,,2", " 1", "1_000", "0x10", "٣", "1:2:3", "1:3",
+                     "3:1", "0:0", "2,3", "99999999999999999999"]),
+    st.tuples(st.lists(st.sampled_from(["0", "1", "2", "-1", "0.5", "nan", "inf", "-inf",
+                                        "1e308", "1e400", "x", ""]), min_size=1, max_size=3),
+              st.sampled_from([",", ":", ";"])).map(lambda t: t[1].join(t[0])),
+)
+
+
+@pytest.fixture(scope="module")
+def contract_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli-contract") / "data.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", str(path), "--n", "20", "--grid-length", "16",
+                     "--noise", "0.3", "--seed", "2"]) == 0
+    return path
+
+
+def _replace(doc, path, value):
+    """``doc`` with the value at ``path`` replaced."""
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _run_contract(config_doc, directory, flags=()):
+    """``funcsvm select`` on ``config_doc`` through ``cli.main``: it ends in
+    exit 0-3, with at most one ``FSVM-ERROR`` line and only that on stderr,
+    no traceback and no warning, and with a loadable, finite model on exit 0."""
+    config = directory / "config.json"
+    config.unlink(missing_ok=True)
+    config.write_text(json.dumps(config_doc))
+    out = directory / "run"
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["select", "--config", str(config), "--out", str(out), *flags])
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 1, 2, 3)
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err.getvalue()
+    errors = [line for line in lines if line.startswith("FSVM-ERROR")]
+    assert len(errors) <= 1 and (not errors or lines == errors)
+    if rc == 0:
+        assert lines == []
+        model = load_model(str(out / "model.fsvm"))
+        assert np.isfinite(model.support_vectors).all() and np.isfinite(model.bias)
+
+
+class TestConfigAndFlagsThroughCli:
+    """The CLI contract for generated configs and flag strings."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(CONTRACT_PATHS), value=_json_values)
+    def test_generated_configs_keep_the_contract(self, contract_csv, path, value):
+        # One change per run: two 200-long axes would make a grid of 80,000
+        # candidates.
+        doc = copy.deepcopy(CONTRACT_CONFIG)
+        doc["dataset"]["path"] = str(contract_csv)
+        _run_contract(_replace(doc, path, value), contract_csv.parent)
+
+    @settings(max_examples=40, deadline=None)
+    # A C of 1e20 or more with a projection of dimension 1 or 2 can spend the
+    # solver's whole budget of 1,000,000 updates, 13-26 s a run (a fault
+    # recorded in CHANGES.md): the contract holds, but the test would not
+    # keep to its time.
+    @given(flags=st.fixed_dictionaries({}, optional={
+        "--c-grid": _flag_text.filter(lambda text: "1e308" not in text and "9999" not in text),
+        "--sigma-grid": _flag_text, "--d-range": _flag_text,
+        "--seed": st.one_of(st.integers(-2, 2**70).map(str), _flag_text)}))
+    def test_generated_flag_strings_keep_the_contract(self, contract_csv, flags):
+        doc = copy.deepcopy(CONTRACT_CONFIG)
+        doc["dataset"]["path"] = str(contract_csv)
+        _run_contract(doc, contract_csv.parent,
+                      [f"{flag}={text}" for flag, text in flags.items()])

@@ -115,6 +115,14 @@ class TestInnerProduct:
         with pytest.raises(GridMismatchError):
             inner_product(u, v)
 
+    def test_a_non_curve_is_a_data_error(self):
+        _, u = grid_fn(64)
+        for other in (np.ones(64), None):
+            with pytest.raises(DataError, match="SampledFunction"):
+                inner_product(u, other)
+            with pytest.raises(DataError, match="SampledFunction"):
+                inner_product(other, u)
+
 
 class TestNorm:
     def test_zero_function(self):
@@ -342,6 +350,10 @@ class TestLabeledDataset:
             LabeledDataset([SampledFunction(g, r) for r in rows], labels[:5])
         with pytest.raises(DataError, match="no curves"):
             LabeledDataset([], [])
+        with pytest.raises(DataError, match="item 0 .* not a SampledFunction"):
+            LabeledDataset([np.zeros(3)], [1])
+        with pytest.raises(DataError, match="item 1 .* not a SampledFunction"):
+            LabeledDataset([SampledFunction(g, rows[0]), rows[1]], labels[:2])
 
 
 class TestSplineDerivative:

@@ -20,7 +20,8 @@ from funcsvm.errors import (
 )
 from funcsvm.basis import basis_matrix, coefficient_gram, gram_factor, project, projector
 from funcsvm.kernels import (
-    _plan, kernel_from_dict, kernel_to_dict, prepare_batch, prepare_rows,
+    _plan, apply_base, kernel_from_dict, kernel_to_dict, prepare_batch, prepare_rows,
+    squared_distance_matrix,
 )
 from funcsvm.splines import SPLINE_DEGREE, design_matrix
 
@@ -55,6 +56,14 @@ class TestSpecs:
         _, funcs = random_functions(3, grid_len=64)
         _, other = random_functions(1, grid_len=64, interval=(0.0, 2.0))
         with pytest.raises(GridMismatchError):
+            prepare_batch(FunctionalKernel(), funcs + other)
+
+    def test_the_first_curve_off_the_grid_is_named(self):
+        _, funcs = random_functions(4, grid_len=64)
+        _, other = random_functions(2, grid_len=64, interval=(0.0, 2.0))
+        with pytest.raises(GridMismatchError, match="function 1 "):
+            prepare_batch(FunctionalKernel(), funcs[:1] + other + funcs[1:])
+        with pytest.raises(GridMismatchError, match="function 4 "):
             prepare_batch(FunctionalKernel(), funcs + other)
 
 
@@ -172,10 +181,21 @@ class TestBuildersRaisePackageErrors:
         _, funcs = random_functions(3)
         kernel = FunctionalKernel(base=BaseKernel.gaussian(1e308))
         K = gram_matrix(kernel, funcs)
-        # The rounding of a zero distance may clamp the diagonal too.
         assert np.all(K[~np.eye(3, dtype=bool)] == np.exp(-700.0))
         assert np.all((np.exp(-700.0) <= K) & (K <= 1.0))
         assert kernel_eval(kernel, funcs[0], funcs[1]) == np.exp(-700.0)
+
+    @pytest.mark.parametrize("sigma", [1e10, 1e14, 1e308])
+    def test_a_self_gram_has_a_gaussian_diagonal_of_exactly_one(self, sigma):
+        # The rounding of |u|^2 + |u|^2 - 2<u, u> read 0.99999778, 0.978 and
+        # 9.9e-305 on these curves' diagonal.
+        _, funcs = random_functions(3)
+        kernel = FunctionalKernel(base=BaseKernel.gaussian(sigma))
+        assert np.all(gram_matrix(kernel, funcs).diagonal() == 1.0)
+        prep = prepare_batch(kernel, funcs)
+        with np.errstate(over="ignore"):  # as in train_svm and select, which build so
+            assert np.all(apply_base(kernel.base, prep, prep).diagonal() == 1.0)
+        assert np.all(squared_distance_matrix(prep, prep).diagonal() == 0.0)
 
     @pytest.mark.parametrize("batch", [[np.zeros(64)], [None, None], ["curve"]],
                              ids=["arrays", "none", "string"])
