@@ -159,8 +159,8 @@ def build_grid(doc: dict) -> CandidateGrid:
         cap = penalty_doc.get("cap", STEP_PENALTY_CAP)
         high = penalty_doc.get("high", STEP_PENALTY_HIGH)
         for name, value in (("cap", cap), ("high", high)):
-            if not is_number(value):
-                raise UsageError(f"penalty {name} must be a number, got {value!r}")
+            if not is_finite_number(value):
+                raise UsageError(f"penalty {name} must be a finite number, got {value!r}")
         penalties = {d: step_penalty(d, cap, high) for d in dimensions}
         default = 0.0
     elif penalty_doc.get("kind") == "table":

@@ -265,12 +265,16 @@ def stack_curves(curves) -> tuple[SamplingGrid, np.ndarray]:
     if not funcs:
         raise DataError("a sequence of no curves has no grid")
     grid = funcs[0].grid if isinstance(funcs[0], SampledFunction) else None
-    for i, f in enumerate(funcs):
-        if not isinstance(f, SampledFunction):
-            raise DataError(f"item {i} of a sequence of curves is not a SampledFunction")
-        if not (f.grid is grid or f.grid == grid):
-            raise GridMismatchError(f"function {i} is not on the shared grid")
-    return grid, np.array([f.values for f in funcs])
+    # One pass for the common batch, curves on the first one's grid object;
+    # the item loop runs only to accept equal grids or name a bad item.
+    if grid is None or not all(isinstance(f, SampledFunction) and f.grid is grid
+                               for f in funcs):
+        for i, f in enumerate(funcs):
+            if not isinstance(f, SampledFunction):
+                raise DataError(f"item {i} of a sequence of curves is not a SampledFunction")
+            if not (f.grid is grid or f.grid == grid):
+                raise GridMismatchError(f"function {i} is not on the shared grid")
+    return grid, np.concatenate([f.values for f in funcs]).reshape(len(funcs), len(grid))
 
 
 def _real_array(values, what: str = "function values") -> np.ndarray:
@@ -358,14 +362,17 @@ def normalize_by(rows: np.ndarray, measure, indices=None) -> np.ndarray:
     each row of ``out`` is divided by its norm.
 
     When any row fails the test ``squares > floors`` or its square is not a
-    normal float (see :func:`_squares_in_range`), the whole batch is
-    measured again after dividing each row by its largest absolute value,
-    and a :class:`DegenerateFunctionError` names the first row that still
-    fails, by its entry in ``indices`` (default: its row number).  A batch
+    normal float (see :func:`_squares_in_range`), ``rows`` are checked to
+    be finite (see :func:`check_finite`), the whole batch is measured again
+    after dividing each row by its largest absolute value, and a
+    :class:`DegenerateFunctionError` names the first row that still fails,
+    by its entry in ``indices`` (default: its row number).  A row that is
+    not finite fails the test, as its floor is not finite either.  A batch
     whose rows all pass unscaled costs no other work.
     """
     out, squares, floors = measure(rows)
     if not _squares_in_range(squares, floors):
+        check_finite(rows)
         out, squares, floors = measure(rows / _largest_magnitudes(rows))
         _check_normalizable(squares, floors, indices)
     return out / np.sqrt(squares)[:, None]

@@ -192,7 +192,9 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
     (see ``DEGENERACY_RTOL``) has a floor that scales with the curve that
     entered the chain: the value matrix before the derivative, and the
     entry's rows after it.  Both normalizations go through
-    :func:`~funcsvm.functions.normalize_by`.
+    :func:`~funcsvm.functions.normalize_by`, which checks the entry's rows
+    to be finite when one fails its range test, as a row that is not
+    finite does.
     """
     plan = _plan(kernel.prep_signature, grid)
     for t in plan.head:
@@ -203,8 +205,8 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
     else:
         rows = values @ plan.entry
     if plan.fold is not None:
-        check_finite(rows)
         if plan.floor_scale is None:
+            check_finite(rows)
             rows = rows @ plan.fold
             check_finite(rows)
         else:
@@ -358,12 +360,18 @@ def inner_product_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def squared_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances between two prepared batches.  A batch's
-    distances to itself have an exact zero diagonal, which the rounding of
-    ``|a|^2 + |a|^2 - 2<a, a>`` would not give."""
+    """Pairwise squared distances between two prepared batches,
+    ``max(|a|^2 + |b|^2 - 2<a, b>, 0)``, in a fresh buffer that the caller
+    may overwrite.  A batch's distances to itself have an exact zero
+    diagonal, which the rounding of ``|a|^2 + |a|^2 - 2<a, a>`` would not
+    give."""
     na = np.einsum("ij,ij->i", a, a)
     nb = np.einsum("ij,ij->i", b, b)
-    d = np.maximum(na[:, None] + nb[None, :] - 2.0 * inner_product_matrix(a, b), 0.0)
+    ip = inner_product_matrix(a, b)
+    d = np.add(na[:, None], nb[None, :])
+    ip *= 2.0
+    d -= ip
+    np.maximum(d, 0.0, out=d)
     if a is b:
         np.fill_diagonal(d, 0.0)
     return d
@@ -371,12 +379,17 @@ def squared_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def apply_base(base: BaseKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Base kernel matrix between two prepared batches: the Gaussian kernel
-    maps their squared distances, the others their inner products."""
+    maps their squared distances, the others their inner products.  Each
+    kernel is applied in place on the fresh matrix of its statistic."""
     if base.kind == "gaussian":
-        return np.exp(np.maximum(-base.sigma * squared_distance_matrix(a, b), EXP_FLOOR))
+        k = squared_distance_matrix(a, b)
+        k *= -base.sigma
+        np.maximum(k, EXP_FLOOR, out=k)
+        return np.exp(k, out=k)
     stat = inner_product_matrix(a, b)
     if base.kind == "polynomial":
-        return (1.0 + stat) ** base.degree
+        stat += 1.0
+        stat **= base.degree
     return stat
 
 

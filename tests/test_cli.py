@@ -589,8 +589,12 @@ class TestInvalidPenalty:
         {"kind": "step", "cap": 3, "high": None},
         {"kind": "step", "cap": 3, "high": True},
         {"kind": "table", "table": {"3": "1"}},
+        {"kind": "step", "cap": float("nan"), "high": 1.0},
+        {"kind": "step", "cap": float("inf"), "high": 1.0},
+        {"kind": "step", "cap": 3, "high": float("inf")},
     ], ids=["high-NaN", "table-Infinity", "default-minus-Infinity", "high-string",
-            "high-null", "high-true", "table-string"])
+            "high-null", "high-true", "table-string", "cap-NaN", "cap-Infinity",
+            "high-Infinity"])
     def test_is_one_usage_error(self, tmp_path, synth_csv, capsys, penalty):
         grid = {"dimensions": [3, 5], "kernels": [{"kind": "gaussian", "sigma": 1.0}],
                 "C": [1.0], "penalty": penalty}

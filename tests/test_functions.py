@@ -28,7 +28,7 @@ from funcsvm.errors import (
 from funcsvm import splines
 from funcsvm.functions import (
     check_value_matrix, derivative_factors, normalize_rows, quadrature_mean,
-    spline_derivative_rows,
+    spline_derivative_rows, stack_curves,
 )
 from funcsvm.selection import split_sample
 
@@ -354,6 +354,32 @@ class TestLabeledDataset:
             LabeledDataset([np.zeros(3)], [1])
         with pytest.raises(DataError, match="item 1 .* not a SampledFunction"):
             LabeledDataset([SampledFunction(g, rows[0]), rows[1]], labels[:2])
+
+
+class TestStackCurves:
+    """Curves on the first one's grid object stack in one copy; curves on
+    an equal grid and curves of a subclass give the same matrix."""
+
+    def test_equal_grids_and_subclasses_stack_as_one_grid_does(self):
+        g, rows, _ = labelled_rows(n=5, length=16)
+        grid, fast = stack_curves([SampledFunction(g, r) for r in rows])
+        assert grid is g and fast.tobytes() == rows.tobytes()
+        assert fast.shape == (5, 16) and fast.dtype == float and fast.flags.c_contiguous
+
+        class Tagged(SampledFunction):
+            pass
+
+        twin = SamplingGrid(g.abscissae.copy(), g.weights.copy())
+        assert twin is not g and twin == g
+        mixed = [SampledFunction(twin if i % 2 else g, r) for i, r in enumerate(rows)]
+        mixed[2] = Tagged(g, rows[2])
+        for curves in (mixed, [Tagged(g, r) for r in rows], [Tagged(twin, r) for r in rows]):
+            grid, values = stack_curves(curves)
+            assert grid is curves[0].grid
+            assert values.shape == fast.shape and values.flags.c_contiguous
+            assert values.tobytes() == fast.tobytes()
+            assert values.flags.writeable
+            assert not any(np.shares_memory(values, u.values) for u in curves)
 
 
 class TestSplineDerivative:

@@ -8,6 +8,7 @@ from funcsvm import (
     BasisSpec,
     BaseKernel,
     FunctionalKernel,
+    LabeledDataset,
     SampledFunction,
     SamplingGrid,
     Transform,
@@ -20,9 +21,10 @@ from funcsvm.errors import (
 )
 from funcsvm.basis import basis_matrix, coefficient_gram, gram_factor, project, projector
 from funcsvm.kernels import (
-    _plan, apply_base, kernel_from_dict, kernel_to_dict, prepare_batch, prepare_rows,
-    squared_distance_matrix,
+    EXP_FLOOR, _plan, apply_base, kernel_from_dict, kernel_to_dict, prepare_batch,
+    prepare_rows, squared_distance_matrix,
 )
+from funcsvm.solver import decision_values, train_svm
 from funcsvm.splines import SPLINE_DEGREE, design_matrix
 
 
@@ -572,6 +574,86 @@ class TestOutOfRangeRowsInABatch:
         want = values @ projector(spec, g) @ gram_factor(spec, g)
         assert np.linalg.norm(rows - want, axis=1).max() <= (
             1e-14 * np.linalg.norm(want, axis=1).min())
+
+
+class TestEntryRowsPastTheFloatRange:
+    """After ``derivative(2, 20)``, the normalization's own measure finds an
+    entry row that is not finite: the one finiteness error, for a matrix
+    and for a list of curves, in preparation and in decision values."""
+
+    kernel = FunctionalKernel(
+        transforms=(Transform("derivative", order=2, spline_dimension=20),
+                    Transform("normalize")),
+        projection=BasisSpec("bspline", 16), base=BaseKernel.gaussian(1.0))
+
+    def batch(self):
+        # Values of 1e308 signed as the widest column of the spline fit
+        # give a coefficient of about 5.6e308, past the float range.
+        g, funcs = random_functions(4, grid_len=128)
+        fit = _plan(self.kernel.prep_signature, g).entry
+        widest = np.abs(fit).sum(axis=0).argmax()
+        funcs[2] = SampledFunction(g, 1e308 * np.sign(fit[:, widest]))
+        return g, funcs
+
+    def test_prepare_rows_and_prepare_batch(self):
+        g, funcs = self.batch()
+        values = np.array([u.values for u in funcs])
+        with np.errstate(all="ignore"):  # as every caller prepares
+            assert not np.isfinite(values @ _plan(self.kernel.prep_signature, g).entry).all()
+            with pytest.raises(DataError, match="function values must all be finite"):
+                prepare_rows(self.kernel, g, values)
+            with pytest.raises(DataError, match="function values must all be finite"):
+                prepare_batch(self.kernel, funcs)
+
+    def test_decision_values(self):
+        g, funcs = self.batch()
+        _, train = random_functions(10, grid_len=128, seed=3)
+        model = train_svm(self.kernel, LabeledDataset(train, [1, -1] * 5), 10.0)
+        assert model.n_support > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for batch in (funcs, np.array([u.values for u in funcs])):
+                with pytest.raises(DataError, match="function values must all be finite"):
+                    decision_values(model, batch)
+
+
+class TestApplyBase:
+    """Each base kernel is applied in place on the fresh matrix of its
+    statistic, with the float operations of the written-out formula."""
+
+    def batches(self):
+        _, funcs = random_functions(7, grid_len=64, seed=5)
+        prep = prepare_batch(FunctionalKernel(), funcs)
+        return prep[:4], prep[4:]
+
+    @staticmethod
+    def written_out(base, a, b):
+        inner = a @ b.T
+        if base.kind == "linear":
+            return inner
+        if base.kind == "polynomial":
+            return (1.0 + inner) ** base.degree
+        na, nb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
+        d = np.maximum(na[:, None] + nb[None, :] - 2.0 * inner, 0.0)
+        if a is b:
+            np.fill_diagonal(d, 0.0)
+        return np.exp(np.maximum(-base.sigma * d, EXP_FLOOR))
+
+    @pytest.mark.parametrize("base", [
+        BaseKernel.gaussian(0.7), BaseKernel.gaussian(1000.0), BaseKernel.polynomial(1),
+        BaseKernel.polynomial(2), BaseKernel.polynomial(5), BaseKernel.linear(),
+    ], ids=["gaussian", "gaussian-floor", "poly1", "poly2", "poly5", "linear"])
+    def test_equals_the_written_out_formula_bit_for_bit(self, base):
+        a, b = self.batches()
+        for left, right in ((a, b), (b, a), (a, a)):
+            got = apply_base(base, left, right)
+            assert got.shape == (len(left), len(right)) and got.flags.c_contiguous
+            assert got.tobytes() == self.written_out(base, left, right).tobytes()
+            assert not (np.shares_memory(got, left) or np.shares_memory(got, right))
+        if base.kind == "gaussian":
+            assert np.all(apply_base(base, a, a).diagonal() == 1.0)
+        if base.sigma == 1000.0:
+            assert (apply_base(base, a, b) == np.exp(EXP_FLOOR)).any()
 
 
 class TestIsometricRows:
