@@ -265,16 +265,12 @@ def stack_curves(curves) -> tuple[SamplingGrid, np.ndarray]:
     if not funcs:
         raise DataError("a sequence of no curves has no grid")
     grid = funcs[0].grid if isinstance(funcs[0], SampledFunction) else None
-    # One pass for the common batch, curves on the first one's grid object;
-    # the item loop runs only to accept equal grids or name a bad item.
-    if grid is None or not all(isinstance(f, SampledFunction) and f.grid is grid
-                               for f in funcs):
-        for i, f in enumerate(funcs):
-            if not isinstance(f, SampledFunction):
-                raise DataError(f"item {i} of a sequence of curves is not a SampledFunction")
-            if not (f.grid is grid or f.grid == grid):
-                raise GridMismatchError(f"function {i} is not on the shared grid")
-    return grid, np.concatenate([f.values for f in funcs]).reshape(len(funcs), len(grid))
+    for i, f in enumerate(funcs):
+        if not isinstance(f, SampledFunction):
+            raise DataError(f"item {i} of a sequence of curves is not a SampledFunction")
+        if not (f.grid is grid or f.grid == grid):
+            raise GridMismatchError(f"function {i} is not on the shared grid")
+    return grid, np.array([f.values for f in funcs])
 
 
 def _real_array(values, what: str = "function values") -> np.ndarray:

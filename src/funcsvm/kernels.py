@@ -194,7 +194,11 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
     entry's rows after it.  Both normalizations go through
     :func:`~funcsvm.functions.normalize_by`, which checks the entry's rows
     to be finite when one fails its range test, as a row that is not
-    finite does.
+    finite does.  The prepared rows' squared norms are then tested against
+    ``MAX_SQUARED_NORM``, unless a normalization after the derivative ends
+    the chain: it divides by norms that passed its range test, so its rows
+    are finite and of unit norm at most (the projection after it does not
+    lengthen a curve).
     """
     plan = _plan(kernel.prep_signature, grid)
     for t in plan.head:
@@ -205,12 +209,11 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
     else:
         rows = values @ plan.entry
     if plan.fold is not None:
-        if plan.floor_scale is None:
-            check_finite(rows)
-            rows = rows @ plan.fold
-            check_finite(rows)
-        else:
-            rows = normalize_by(rows, plan.measure)
+        if plan.floor_scale is not None:
+            return normalize_by(rows, plan.measure)
+        check_finite(rows)
+        rows = rows @ plan.fold
+        check_finite(rows)
     # NaN fails the test too; einsum sets no floating-point warning.
     if rows.size and not np.einsum("ij,ij->i", rows, rows).max() <= MAX_SQUARED_NORM:
         raise DataError("prepared curves must have squared norms below a quarter "
@@ -360,18 +363,12 @@ def inner_product_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def squared_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances between two prepared batches,
-    ``max(|a|^2 + |b|^2 - 2<a, b>, 0)``, in a fresh buffer that the caller
-    may overwrite.  A batch's distances to itself have an exact zero
-    diagonal, which the rounding of ``|a|^2 + |a|^2 - 2<a, a>`` would not
-    give."""
+    """Pairwise squared distances between two prepared batches.  A batch's
+    distances to itself have an exact zero diagonal, which the rounding of
+    ``|a|^2 + |a|^2 - 2<a, a>`` would not give."""
     na = np.einsum("ij,ij->i", a, a)
     nb = np.einsum("ij,ij->i", b, b)
-    ip = inner_product_matrix(a, b)
-    d = np.add(na[:, None], nb[None, :])
-    ip *= 2.0
-    d -= ip
-    np.maximum(d, 0.0, out=d)
+    d = np.maximum(na[:, None] + nb[None, :] - 2.0 * inner_product_matrix(a, b), 0.0)
     if a is b:
         np.fill_diagonal(d, 0.0)
     return d
@@ -379,17 +376,12 @@ def squared_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def apply_base(base: BaseKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Base kernel matrix between two prepared batches: the Gaussian kernel
-    maps their squared distances, the others their inner products.  Each
-    kernel is applied in place on the fresh matrix of its statistic."""
+    maps their squared distances, the others their inner products."""
     if base.kind == "gaussian":
-        k = squared_distance_matrix(a, b)
-        k *= -base.sigma
-        np.maximum(k, EXP_FLOOR, out=k)
-        return np.exp(k, out=k)
+        return np.exp(np.maximum(-base.sigma * squared_distance_matrix(a, b), EXP_FLOOR))
     stat = inner_product_matrix(a, b)
     if base.kind == "polynomial":
-        stat += 1.0
-        stat **= base.degree
+        return (1.0 + stat) ** base.degree
     return stat
 
 

@@ -357,14 +357,14 @@ class TestLabeledDataset:
 
 
 class TestStackCurves:
-    """Curves on the first one's grid object stack in one copy; curves on
-    an equal grid and curves of a subclass give the same matrix."""
+    """Curves on an equal but distinct grid object, and curves of a
+    subclass, stack as the curves on the first one's grid object do."""
 
     def test_equal_grids_and_subclasses_stack_as_one_grid_does(self):
         g, rows, _ = labelled_rows(n=5, length=16)
-        grid, fast = stack_curves([SampledFunction(g, r) for r in rows])
-        assert grid is g and fast.tobytes() == rows.tobytes()
-        assert fast.shape == (5, 16) and fast.dtype == float and fast.flags.c_contiguous
+        grid, one_grid = stack_curves([SampledFunction(g, r) for r in rows])
+        assert grid is g and one_grid.tobytes() == rows.tobytes()
+        assert one_grid.shape == (5, 16) and one_grid.dtype == float and one_grid.flags.c_contiguous
 
         class Tagged(SampledFunction):
             pass
@@ -376,8 +376,8 @@ class TestStackCurves:
         for curves in (mixed, [Tagged(g, r) for r in rows], [Tagged(twin, r) for r in rows]):
             grid, values = stack_curves(curves)
             assert grid is curves[0].grid
-            assert values.shape == fast.shape and values.flags.c_contiguous
-            assert values.tobytes() == fast.tobytes()
+            assert values.shape == one_grid.shape and values.flags.c_contiguous
+            assert values.tobytes() == one_grid.tobytes()
             assert values.flags.writeable
             assert not any(np.shares_memory(values, u.values) for u in curves)
 

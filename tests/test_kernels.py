@@ -21,8 +21,8 @@ from funcsvm.errors import (
 )
 from funcsvm.basis import basis_matrix, coefficient_gram, gram_factor, project, projector
 from funcsvm.kernels import (
-    EXP_FLOOR, _plan, apply_base, kernel_from_dict, kernel_to_dict, prepare_batch,
-    prepare_rows, squared_distance_matrix,
+    _plan, apply_base, kernel_from_dict, kernel_to_dict, prepare_batch, prepare_rows,
+    squared_distance_matrix,
 )
 from funcsvm.solver import decision_values, train_svm
 from funcsvm.splines import SPLINE_DEGREE, design_matrix
@@ -617,43 +617,31 @@ class TestEntryRowsPastTheFloatRange:
                     decision_values(model, batch)
 
 
-class TestApplyBase:
-    """Each base kernel is applied in place on the fresh matrix of its
-    statistic, with the float operations of the written-out formula."""
+class TestNormalizedRowsHaveUnitNorm:
+    """A normalization after the derivative ends the chain with rows of unit
+    norm at most, which is why they skip the test against
+    ``MAX_SQUARED_NORM``: on its fast path and on its rescaled retry, with
+    and without a projection after it."""
 
-    def batches(self):
-        _, funcs = random_functions(7, grid_len=64, seed=5)
-        prep = prepare_batch(FunctionalKernel(), funcs)
-        return prep[:4], prep[4:]
-
-    @staticmethod
-    def written_out(base, a, b):
-        inner = a @ b.T
-        if base.kind == "linear":
-            return inner
-        if base.kind == "polynomial":
-            return (1.0 + inner) ** base.degree
-        na, nb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
-        d = np.maximum(na[:, None] + nb[None, :] - 2.0 * inner, 0.0)
-        if a is b:
-            np.fill_diagonal(d, 0.0)
-        return np.exp(np.maximum(-base.sigma * d, EXP_FLOOR))
-
-    @pytest.mark.parametrize("base", [
-        BaseKernel.gaussian(0.7), BaseKernel.gaussian(1000.0), BaseKernel.polynomial(1),
-        BaseKernel.polynomial(2), BaseKernel.polynomial(5), BaseKernel.linear(),
-    ], ids=["gaussian", "gaussian-floor", "poly1", "poly2", "poly5", "linear"])
-    def test_equals_the_written_out_formula_bit_for_bit(self, base):
-        a, b = self.batches()
-        for left, right in ((a, b), (b, a), (a, a)):
-            got = apply_base(base, left, right)
-            assert got.shape == (len(left), len(right)) and got.flags.c_contiguous
-            assert got.tobytes() == self.written_out(base, left, right).tobytes()
-            assert not (np.shares_memory(got, left) or np.shares_memory(got, right))
-        if base.kind == "gaussian":
-            assert np.all(apply_base(base, a, a).diagonal() == 1.0)
-        if base.sigma == 1000.0:
-            assert (apply_base(base, a, b) == np.exp(EXP_FLOOR)).any()
+    @pytest.mark.parametrize("projection", [None, BasisSpec("bspline", 16),
+                                            BasisSpec("fourier", 9),
+                                            BasisSpec("haar_wavelet", 8)])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e150, 1e300])
+    def test_prepared_squared_norms_are_at_most_one(self, projection, scale):
+        g, funcs = random_functions(6, grid_len=128, seed=9)
+        values = scale * np.array([u.values for u in funcs])
+        for chain in (("derivative", "normalize"), ("derivative", "center", "normalize")):
+            kernel = FunctionalKernel(
+                transforms=tuple(Transform(k, order=1, spline_dimension=12) for k in chain),
+                projection=projection)
+            assert _plan(kernel.prep_signature, g).floor_scale is not None
+            with np.errstate(all="ignore"):  # as every caller prepares
+                rows = prepare_rows(kernel, g, values)
+            squares = np.einsum("ij,ij->i", rows, rows)
+            assert np.isfinite(rows).all()
+            assert (squares <= 1.0 + 1e-9).all()
+            if projection is None:
+                np.testing.assert_allclose(squares, 1.0, rtol=1e-9)
 
 
 class TestIsometricRows:
