@@ -1,27 +1,33 @@
 """Finite-dimensional basis projections of sampled curves.
 
-Three families are supported:
+Three families are supported; they differ only in their sampled basis
+functions, :func:`basis_matrix`:
 
 * ``fourier`` -- constant mode first, then (cos, sin) pairs of increasing
   frequency on the observed interval rescaled to [0, 1], each scaled to
   unit quadrature norm.
-* ``haar_wavelet`` -- weight-adjusted orthonormal Haar system: the scaling
-  coefficient first, then detail coefficients coarsest to finest.  On
-  power-of-two grids the decomposition is exact (Parseval holds to float
-  precision); other lengths are handled by symmetric zero padding of the
-  mean-removed signal, with the mean folded back into the scaling
-  coefficient, and are only approximately invertible.
-* ``bspline`` -- L2-orthogonal projection onto a clamped cubic spline
-  space; the stored coefficients are the (non-orthonormal) B-spline
-  coordinates, so coefficient inner products must be taken through the
-  basis Gram matrix (see :func:`coefficient_gram` and :func:`gram_factor`).
+* ``haar_wavelet`` -- weight-adjusted Haar system: the scaling function
+  first, then wavelets coarsest to finest (see :func:`_haar_columns` for
+  grids whose length is not a power of two).
+* ``bspline`` -- clamped splines of degree ``spline_degree``.
+
+Every family is projected by one rule, the L2 projection onto the span of
+its first d functions, ``P = W B G^-1`` with ``B`` the (n, d)
+:func:`basis_matrix`, ``W`` the quadrature weights and ``G = B' W B`` the
+basis Gram matrix (:func:`coefficient_gram`).  Coefficient inner
+products go through ``G``: coefficient rows times its lower Cholesky
+factor ``L`` (:func:`gram_factor`) have the L2 inner product as their dot
+product.  ``G`` is the identity, to rounding, only for Fourier on uniform
+grids and Haar on power-of-two grids.  A grid on which ``G`` is
+numerically singular is a ``ConfigurationError``.
 
 For a fixed grid each projection is one linear map from samples to
 coefficients: :func:`projector` builds it as an (n, d) matrix, and
-:func:`project_rows` is one product with it, for every family.  The
-tables here are computed on each call and cached nowhere: a kernel's
-preparation plan (:func:`funcsvm.kernels._plan`) folds what it needs of
-them into its own read-only arrays, once per preparation and grid.
+:func:`project_rows` is one product with it.  The tables here are
+computed on each call and cached nowhere: a kernel's preparation plan
+(:func:`funcsvm.kernels._plan`) folds what it needs of them, from one
+:func:`projection_tables` call, into its own read-only arrays, once per
+preparation and grid.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ __all__ = [
     "project",
     "project_rows",
     "projector",
+    "projection_tables",
     "reconstruct",
     "basis_matrix",
     "coefficient_gram",
@@ -70,15 +77,6 @@ class BasisSpec:
             raise ConfigurationError(
                 "bspline basis dimension must be >= spline degree + 1"
             )
-
-    @property
-    def orthonormal(self) -> bool:
-        """Whether coefficients are used as L2 coordinates as they are.
-        The sampled basis is exactly orthonormal under the trapezoid
-        weights only for Fourier on uniform grids below the Nyquist limit
-        (``2 * (d // 2) < n - 1`` on n points) and Haar on power-of-two
-        grids; elsewhere the coordinates are approximate."""
-        return self.family in ("fourier", "haar_wavelet")
 
 
 @dataclass(frozen=True)
@@ -124,19 +122,10 @@ def _fourier_columns(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
 
 # -- Haar ------------------------------------------------------------------
 
-def _haar_forward(y: np.ndarray) -> np.ndarray:
-    """Full orthonormal Haar transform of each power-of-two-length row."""
-    s = y
-    details = []
-    while s.shape[1] > 1:
-        d = (s[:, 0::2] - s[:, 1::2]) / np.sqrt(2.0)
-        s = (s[:, 0::2] + s[:, 1::2]) / np.sqrt(2.0)
-        details.append(d)
-    return np.concatenate([s] + details[::-1], axis=1)
-
-
 def _haar_inverse(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_haar_forward`, row by row."""
+    """Samples of the Haar expansion with each row of ``c`` as its
+    coefficients, for power-of-two lengths: scaling function first, then
+    wavelets coarsest to finest, each of unit Euclidean norm."""
     s = c[:, :1]
     while s.shape[1] < c.shape[1]:
         k = s.shape[1]
@@ -153,55 +142,22 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def _haar_rows(spec: BasisSpec, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
-    n = len(grid)
-    w = grid.weights
-    sw = np.sqrt(w)
-    p = _next_pow2(n)
-    if p == n:
-        return _haar_forward(values * sw)[:, : spec.dimension]
-    # Padded fallback: remove the quadrature mean, pad symmetrically, fold
-    # the mean back into the scaling coefficient.
-    mass = grid.total_mass
-    m = values @ w / mass
-    left = (p - n) // 2
-    padded = np.zeros((values.shape[0], p))
-    padded[:, left : left + n] = (values - m[:, None]) * sw
-    c = _haar_forward(padded)
-    c[:, 0] += m * np.sqrt(mass)
-    return c[:, : spec.dimension]
-
-
-def _haar_reconstruct(grid: SamplingGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Samples of the expansion with each row of ``coeffs`` as coefficients,
-    one row per curve (the inverse of :func:`_haar_rows` at full dimension)."""
+def _haar_columns(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
+    """The first d weight-adjusted Haar functions on ``grid``, one per row:
+    on a grid of p = 2^k points, the unit-norm Haar vectors divided by the
+    square roots of the weights; otherwise the functions of the next
+    power of two, centred in it and cut to the grid, with the scaling
+    function replaced by a constant of unit quadrature norm."""
     n = len(grid)
     sw = np.sqrt(grid.weights)
     p = _next_pow2(n)
-    full = np.zeros((coeffs.shape[0], p))
-    full[:, : coeffs.shape[1]] = coeffs
+    full = np.eye(spec.dimension, p)
     if p == n:
         return _haar_inverse(full) / sw
     m = full[:, :1] / np.sqrt(grid.total_mass)
     full[:, 0] = 0.0
     left = (p - n) // 2
     return _haar_inverse(full)[:, left : left + n] / sw + m
-
-
-# -- B-spline --------------------------------------------------------------
-
-def _bspline_tables(spec: BasisSpec, grid: SamplingGrid):
-    B, _ = splines.design_matrix(grid.abscissae, spec.dimension, spec.spline_degree)
-    W = grid.weights
-    G = B.T @ (W[:, None] * B)
-    try:
-        chol = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigurationError(
-            f"bspline basis of dimension {spec.dimension} is singular on a grid of "
-            f"{len(grid)} points: too few samples under some basis function"
-        ) from exc
-    return B, G, chol
 
 
 # -- Public API ------------------------------------------------------------
@@ -212,41 +168,67 @@ def basis_matrix(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     if spec.family == "fourier":
         cols = _fourier_columns(spec, grid)
     elif spec.family == "haar_wavelet":
-        cols = _haar_reconstruct(grid, np.eye(spec.dimension)).T
+        cols = _haar_columns(spec, grid).T
     else:
-        cols = _bspline_tables(spec, grid)[0]
+        cols = splines.design_matrix(grid.abscissae, spec.dimension, spec.spline_degree)[0]
     return np.ascontiguousarray(cols)
 
 
+def _tables(spec: BasisSpec, grid: SamplingGrid):
+    """``(W B, G, L)``: the weighted basis matrix, the basis Gram matrix
+    ``G = B' W B`` and its lower Cholesky factor ``L`` (``B`` the
+    :func:`basis_matrix`, ``W`` the quadrature weights).
+
+    A ``ConfigurationError`` when ``G`` is not finite, or is numerically
+    singular: some basis function keeps at most ``n * eps`` of its squared
+    quadrature norm outside the span of the ones before it (a squared
+    Cholesky pivot over its diagonal entry of ``G``, on n points).
+    """
+    B = basis_matrix(spec, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in G
+        WB = grid.weights[:, None] * B
+        G = B.T @ WB
+    if not np.isfinite(G).all():
+        raise ConfigurationError(
+            f"the {spec.family} basis Gram matrix is not finite on this grid")
+    n = len(grid)
+    try:
+        L = np.linalg.cholesky(G)
+        regular = (L.diagonal() ** 2 / G.diagonal()).min() > n * np.finfo(float).eps
+    except np.linalg.LinAlgError:
+        regular = False
+    if not regular:
+        raise ConfigurationError(
+            f"{spec.family} basis of dimension {spec.dimension} is singular on a grid "
+            f"of {n} points: its sampled functions are numerically dependent"
+        )
+    return WB, G, L
+
+
 def coefficient_gram(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
-    """Metric for coefficient inner products: identity except for B-splines."""
-    if not spec.orthonormal:
-        return _bspline_tables(spec, grid)[1]
-    return np.eye(spec.dimension)
+    """The basis Gram matrix ``G = B' W B``, the metric of coefficient
+    inner products."""
+    return _tables(spec, grid)[1]
 
 
 def gram_factor(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
-    """Lower Cholesky factor ``L`` of the B-spline coefficient Gram matrix,
-    ``G = L @ L.T``: coefficient rows times ``L`` have the
-    L2 inner product as their dot product."""
-    return _bspline_tables(spec, grid)[2]
+    """Lower Cholesky factor ``L`` of the coefficient Gram matrix,
+    ``G = L @ L.T``: coefficient rows times ``L`` have the L2 inner
+    product as their dot product."""
+    return _tables(spec, grid)[2]
+
+
+def projection_tables(spec: BasisSpec, grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`projector` and the :func:`gram_factor`, from one build of
+    the tables."""
+    WB, G, L = _tables(spec, grid)
+    return np.ascontiguousarray(np.linalg.solve(G, WB.T).T), L
 
 
 def projector(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
-    """The (n, d) matrix ``P`` that maps an (N, n) value matrix to its
-    projection coefficients, ``values @ P``: quadrature-weighted basis
-    columns for Fourier, the Haar transform of the identity, and
-    ``W B G^-1`` for B-splines (``B`` the design matrix, ``W`` the
-    weights, ``G`` the basis Gram matrix)."""
-    _check_compatible(spec, grid)
-    if spec.family == "fourier":
-        P = grid.weights[:, None] * basis_matrix(spec, grid)
-    elif spec.family == "haar_wavelet":
-        P = _haar_rows(spec, grid, np.eye(len(grid)))
-    else:
-        B, G, _ = _bspline_tables(spec, grid)
-        P = np.linalg.solve(G, (grid.weights[:, None] * B).T).T
-    return np.ascontiguousarray(P)
+    """The (n, d) matrix ``P = W B G^-1`` that maps an (N, n) value matrix
+    to the coefficients of its rows' L2 projections, ``values @ P``."""
+    return projection_tables(spec, grid)[0]
 
 
 def project_rows(spec: BasisSpec, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:

@@ -6,10 +6,9 @@ one spline derivative) followed by an optional basis projection, and
 ``K`` is a linear, Gaussian or polynomial base kernel.  All inner
 products respect the underlying L2 geometry: :func:`isometric_rows` maps each prepared
 curve to a row whose dot product is the L2 inner product (raw curves
-times the square roots of the quadrature weights, orthonormal
-coefficients as they are, B-spline coefficients times the Cholesky
-factor of the basis Gram matrix; see :func:`isometric_rows` for where
-Fourier and Haar coefficients are exact).
+times the square roots of the quadrature weights, the coefficients of
+the L2 projection onto a basis span times the Cholesky factor of the
+basis Gram matrix).
 
 A batch is prepared through a plan built once per preparation and grid
 (see :func:`_plan`): the steps before the spline derivative or
@@ -280,8 +279,9 @@ def _plan(signature: tuple, grid: SamplingGrid) -> _Plan:
 
     The entry is the first rank-reducing factor: the spline fit ``pinv(B).T``
     (n x r, r the spline dimension) of the derivative, or, without one, the
-    projector in its isometric rows (for B-splines ``P @ L``, one product
-    per batch).  After the derivative, the state map (r x n, from spline
+    projector in its isometric rows, ``P @ L`` (one product per batch), from
+    one :func:`~funcsvm.basis.projection_tables` call.  After the
+    derivative, the state map (r x n, from spline
     coefficients to the current values) starts as the derivative's second
     factor and goes through the centrings, the projection and the
     isometric map as a batch of r rows.  A normalization adds an r x r
@@ -332,11 +332,15 @@ def _build_plan(signature: tuple, grid: SamplingGrid) -> _Plan:
                 np.linalg.norm(isometric_rows(None, grid, state), 2))
             floor_scale = floor * floor
             state = centred
-        if projection is not None:
-            state = basis_mod.project_rows(projection, grid, state)
-        fold = np.hstack([isometric_rows(projection, grid, state), *norm_factor])
+        if projection is None:
+            state = isometric_rows(None, grid, state)
+        else:
+            P, L = basis_mod.projection_tables(projection, grid)
+            state = state @ P @ L
+        fold = np.hstack([state, *norm_factor])
     elif projection is not None:
-        entry = isometric_rows(projection, grid, basis_mod.projector(projection, grid))
+        P, L = basis_mod.projection_tables(projection, grid)
+        entry = P @ L
     return _Plan(head, entry, fold, width, floor_scale)
 
 
@@ -345,15 +349,11 @@ def isometric_rows(
 ) -> np.ndarray:
     """Rows of curves on ``grid`` prepared under ``projection``, mapped so
     that their dot product is the L2 inner product: raw curves times the
-    square roots of the quadrature weights, orthonormal coefficients
-    unchanged, B-spline coefficients times the lower Cholesky factor of
-    the basis Gram matrix.  Fourier and Haar coefficients are exact only
-    where their sampled basis is orthonormal (see
-    :attr:`~funcsvm.basis.BasisSpec.orthonormal`)."""
+    square roots of the quadrature weights, basis coefficients times the
+    lower Cholesky factor of the basis Gram matrix
+    (:func:`~funcsvm.basis.gram_factor`)."""
     if projection is None:
         return rows * np.sqrt(grid.weights)
-    if projection.orthonormal:
-        return rows
     return rows @ basis_mod.gram_factor(projection, grid)
 
 

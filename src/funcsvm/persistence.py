@@ -6,7 +6,11 @@ vectors, their coefficients ``alpha_i * y_i`` and the bias.  The support
 vectors are rows of :func:`kernels.isometric_rows`: their dot product is
 the L2 inner product.  Versions 1 and 2 stored them before that map; they
 still load through it, and the metric, labels and alphas of version 1 are
-not read.  Floats are serialized with ``repr``
+not read.  Versions 1-3 took Fourier and Haar coefficients as L2
+coordinates as they were, which version 4 does not: such a file loads
+only where the basis Gram matrix is the identity to rounding (Fourier on
+a uniform grid, Haar on a power-of-two grid), and is an
+``IntegrityError`` elsewhere.  Floats are serialized with ``repr``
 round-tripping, so a loaded model reproduces decision values bit for
 bit.  Reports are written as two JSON files: a deterministic payload and
 a separate metadata file holding timestamps.
@@ -27,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .basis import coefficient_gram
 from .errors import ConfigurationError, IntegrityError
 from .functions import SamplingGrid
 from .kernels import isometric_rows, kernel_from_dict, kernel_to_dict, prepare_rows
@@ -38,7 +43,9 @@ __all__ = [
 ]
 
 MODEL_MAGIC = b"FSVM"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
+# Families whose coefficients versions 1-3 stored as they were.
+_COEFFICIENT_FAMILIES = ("fourier", "haar_wavelet")
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
@@ -114,7 +121,7 @@ def load_model(path: str) -> SvmModel:
     if len(blob) < 5 or blob[:4] != MODEL_MAGIC:
         raise IntegrityError(f"{path} is not a model file (bad magic header)")
     version = blob[4]
-    if version not in (1, 2, MODEL_VERSION):
+    if version not in range(1, MODEL_VERSION + 1):
         raise IntegrityError(f"unsupported model file version {version}")
     try:
         doc = json.loads(blob[5:].decode("utf-8"))
@@ -123,7 +130,7 @@ def load_model(path: str) -> SvmModel:
     if not isinstance(doc, dict):
         raise IntegrityError(f"model file {path} does not hold a JSON object")
     try:
-        model = _model_from_doc(doc, version)
+        model = _model_from_doc(doc, version, path)
     except KeyError as exc:
         raise IntegrityError(f"model file {path} is missing field {exc}") from exc
     except (ConfigurationError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -131,7 +138,7 @@ def load_model(path: str) -> SvmModel:
     return model
 
 
-def _model_from_doc(doc: dict, version: int) -> SvmModel:
+def _model_from_doc(doc: dict, version: int, path: str) -> SvmModel:
     """The model a parsed model file of ``version`` describes; ``ValueError``
     when its arrays disagree in shape."""
     kernel = kernel_from_dict(doc["kernel"])
@@ -156,8 +163,18 @@ def _model_from_doc(doc: dict, version: int) -> SvmModel:
             f"expected one per support vector ({vectors.shape[0]})"
         )
     bias = float(doc["bias"])
-    if version < MODEL_VERSION:
-        vectors = isometric_rows(kernel.projection, grid, vectors)
+    projection = kernel.projection
+    if version < MODEL_VERSION and projection is not None \
+            and projection.family in _COEFFICIENT_FAMILIES:
+        # Each entry sums n products of functions of frequency up to d.
+        G = coefficient_gram(projection, grid)
+        if not np.abs(G - np.eye(len(G))).max() <= len(grid) * len(G) * np.finfo(float).eps:
+            raise IntegrityError(
+                f"model file {path} holds {projection.family} coefficients of format "
+                f"{version}, which are not L2 coordinates on its grid: retrain the model"
+            )
+    elif version < 3:
+        vectors = isometric_rows(projection, grid, vectors)
     if not all(np.isfinite(a).all() for a in (vectors, coeffs, bias)):
         raise ValueError("support data or bias hold a non-finite number")
     meta = doc.get("meta", {})

@@ -228,16 +228,19 @@ def _levels(alpha: np.ndarray, C: float) -> np.ndarray:
 
 
 def _active_set(K, y, u, level, C, tol, box):
-    """An active-set continuation from ``u = y*alpha``: its point once the
-    maximal violating pair is below ``tol``, or has both ends free (the
-    free set's optimum, which only rounding keeps from ``tol``), or None
-    if neither comes within 5n steps.
+    """An active-set continuation from ``u = y*alpha``: its point, clipped
+    to the box, once the maximal violating pair is below ``tol``, or has
+    both ends free (the free set's optimum, which only rounding keeps from
+    ``tol``), or None if neither comes within 5n steps.
 
     It starts from the sets of ``level``, with the bound alphas put exactly
     on their bounds.  Each step takes :func:`_free_step` on the free set
     from the current point.  A Newton step that leaves the box, and every
     step along a null direction, goes as far as the box allows and puts the
-    blocking coordinate on its bound.  A Newton step that stays inside is
+    blocking coordinate on its bound.  A coordinate that would move by at
+    most ``eps * C`` blocks nothing: such a move is rounding, and one that
+    rounds to a denormal would block at the bound just left, each time it
+    is freed.  A Newton step that stays inside is
     taken whole; if the point is not optimal, the worse end of the maximal
     violating pair is then freed (Scheinberg, JMLR 7, 2006).  With K
     positive semidefinite every step raises the objective or keeps it, and
@@ -260,7 +263,7 @@ def _active_set(K, y, u, level, C, tol, box):
                 return None
             # How far each free coordinate can go along d before its bound.
             room = np.divide(np.where(d > 0, hi[F], lo[F]) - u[F], d,
-                             out=np.full(F.size, np.inf), where=d != 0)
+                             out=np.full(F.size, np.inf), where=np.abs(d) > EPS * C)
             k = int(room.argmin())
             t = room[k]
             if bias is None or t < 1.0:
@@ -276,10 +279,11 @@ def _active_set(K, y, u, level, C, tol, box):
         up = np.where(u < hi_in, g, -np.inf)
         down = np.where(u > lo_in, g, np.inf)
         i, j = int(up.argmax()), int(down.argmin())
-        if up[i] - down[j] < tol:
-            return u
-        if free[i] and free[j]:
-            return u  # rounding, not a wrong set, keeps the free set from its optimum
+        # With both ends free, rounding, not a wrong set, keeps the free
+        # set from its optimum.  A coordinate whose move blocked nothing may
+        # end past its bound by rounding.
+        if up[i] - down[j] < tol or (free[i] and free[j]):
+            return np.clip(u, lo, hi)
         if bias is None:
             bias = (up[i] + down[j]) / 2.0
         # Free the bound end of the pair; of two bound ends, the farther from the bias.

@@ -10,8 +10,9 @@ from funcsvm import (
     project,
     reconstruct,
 )
-from funcsvm.basis import basis_matrix, coefficient_gram
+from funcsvm.basis import basis_matrix, coefficient_gram, gram_factor, projector
 from funcsvm.errors import ConfigurationError
+from funcsvm.kernels import FunctionalKernel, prepare_rows
 
 from conftest import fft_fourier_coefficients
 
@@ -90,14 +91,58 @@ class TestReconstruct:
         c = project(u, BasisSpec("haar_wavelet", 64))
         assert np.max(np.abs(reconstruct(c, g).values - u.values)) < 1e-6
 
-    def test_padded_haar_round_trip_is_close(self):
-        # Non-power-of-two grids go through the documented padding scheme,
-        # which is only approximately invertible.
+    def test_a_rank_deficient_haar_span_is_rejected(self):
+        # On 48 points the first 48 functions of the padded Haar system
+        # span a space of dimension 37: no projection onto them is unique.
         g = SamplingGrid.uniform(0.0, 1.0, 48)
         u = SampledFunction(g, 2.0 + np.sin(2 * np.pi * g.abscissae))
-        c = project(u, BasisSpec("haar_wavelet", 48))
-        err = norm(u.with_values(reconstruct(c, g).values - u.values))
-        assert err < 0.2 * norm(u)
+        with pytest.raises(ConfigurationError, match="haar_wavelet basis of dimension 48 "
+                                                     "is singular on a grid of 48 points"):
+            project(u, BasisSpec("haar_wavelet", 48))
+
+
+class TestRankTest:
+    """A basis whose Gram matrix on the grid is numerically singular is a
+    ``ConfigurationError`` that names the family, the dimension and the
+    grid length, from every table and from a kernel's preparation."""
+
+    @pytest.mark.parametrize("family,d,n", [
+        ("haar_wavelet", 16, 100), ("haar_wavelet", 8, 40), ("haar_wavelet", 8, 48),
+        ("fourier", 64, 64),
+    ])
+    def test_singular_spans_are_named(self, family, d, n):
+        g = SamplingGrid.uniform(0.0, 1.0, n)
+        spec = BasisSpec(family, d)
+        message = f"{family} basis of dimension {d} is singular on a grid of {n} points"
+        for table in (coefficient_gram, gram_factor, projector):
+            with pytest.raises(ConfigurationError, match=message):
+                table(spec, g)
+        with pytest.raises(ConfigurationError, match=message):
+            prepare_rows(FunctionalKernel(projection=spec), g, np.zeros((0, n)))
+
+    def test_a_gram_that_passes_cholesky_can_still_be_singular(self):
+        # Haar d = 16 on 100 points has rank 15, but rounding lets its
+        # Gram matrix through a Cholesky factorization.
+        g = SamplingGrid.uniform(0.0, 1.0, 100)
+        cols = basis_matrix(BasisSpec("haar_wavelet", 16), g)
+        np.linalg.cholesky(cols.T @ (g.weights[:, None] * cols))
+        with pytest.raises(ConfigurationError, match="singular"):
+            gram_factor(BasisSpec("haar_wavelet", 16), g)
+
+    @pytest.mark.parametrize("family,d,n", [("haar_wavelet", 15, 100), ("haar_wavelet", 7, 40),
+                                            ("fourier", 63, 64)])
+    def test_the_largest_full_rank_spans_pass(self, family, d, n):
+        g = SamplingGrid.uniform(0.0, 1.0, n)
+        G = coefficient_gram(BasisSpec(family, d), g)
+        L = gram_factor(BasisSpec(family, d), g)
+        assert np.max(np.abs(L @ L.T - G)) <= 1e-12 * np.max(np.abs(G))
+
+    def test_a_gram_that_is_not_finite_is_named(self):
+        weights = np.full(40, 1.0 / 39.0)
+        weights[0] = 1e308
+        g = SamplingGrid(np.linspace(0.0, 1.0, 40), weights)
+        with pytest.raises(ConfigurationError, match="not finite on this grid"):
+            coefficient_gram(BasisSpec("fourier", 5), g)
 
 
 class TestInvariantsAndProperties:

@@ -1293,3 +1293,18 @@ class TestConfigAndFlagsThroughCli:
         doc["dataset"]["path"] = str(contract_csv)
         _run_contract(doc, contract_csv.parent,
                       [f"{flag}={text}" for flag, text in flags.items()])
+
+
+def test_an_old_fourier_model_off_a_uniform_grid_exits_2(tmp_path, synth_csv, capsys):
+    # Format 3 took Fourier coefficients as L2 coordinates, which they are
+    # only on uniform grids; on any other grid the model must be retrained.
+    data = Path(__file__).parent / "data"
+    doc = json.loads((data / "v3_fourier.fsvm").read_bytes()[5:].decode("utf-8"))
+    doc["grid"]["abscissae"] = np.sort(
+        np.random.default_rng(0).uniform(0.0, 1.0, 32)).tolist()
+    model = tmp_path / "old.fsvm"
+    model.write_bytes(b"FSVM" + bytes([3]) + json.dumps(doc).encode("utf-8"))
+    assert main(["predict", "--model", str(model), "--data", str(synth_csv)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("FSVM-ERROR code=data msg=") and "retrain the model" in err[0]

@@ -213,7 +213,7 @@ class TestBuildersRaisePackageErrors:
 
 PLAN_CHAINS = [
     ((), BasisSpec("fourier", 7)),
-    ((), BasisSpec("haar_wavelet", 8)),
+    ((), BasisSpec("haar_wavelet", 7)),
     ((Transform("center"),), BasisSpec("bspline", 9)),
     ((Transform("derivative", order=2, spline_dimension=12),), None),
     ((Transform("derivative", order=1, spline_dimension=10), Transform("normalize")),
@@ -257,14 +257,13 @@ class TestPlanTables:
     @pytest.mark.parametrize("family", ["fourier", "haar_wavelet", "bspline"])
     def test_basis_tables_are_the_callers_own(self, family):
         g = SamplingGrid.from_abscissae(np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 48)))
-        spec = BasisSpec(family, 8)
+        spec = BasisSpec(family, 7)
         kernel = FunctionalKernel(projection=spec)
         _, funcs = random_functions(3, grid_len=48)
         funcs = [SampledFunction(g, u.values) for u in funcs]
         before = prepare_batch(kernel, funcs)
-        tables = [basis_matrix(spec, g), coefficient_gram(spec, g), projector(spec, g)]
-        if family == "bspline":
-            tables.append(gram_factor(spec, g))
+        tables = [basis_matrix(spec, g), coefficient_gram(spec, g), projector(spec, g),
+                  gram_factor(spec, g)]
         for table in tables:
             kept = table.copy()
             table[...] = np.nan  # writable, and not shared with a later call
@@ -303,7 +302,7 @@ class TestProjectionConsistency:
 
 # -- Per-curve reference preparation ------------------------------------------
 # Written independently of the batched code in funcsvm: one curve at a time,
-# through a spline fit, quadrature sums and a plain Haar recursion.
+# through a spline fit, quadrature sums and a least-squares L2 projection.
 
 def _ref_center(g, v):
     return v - np.dot(g.weights, v) / g.weights.sum()
@@ -320,38 +319,12 @@ def _ref_derivative(g, v, order, dimension):
     return BSpline(knots, coeffs, SPLINE_DEGREE).derivative(order)(g.abscissae)
 
 
-def _ref_haar(y):
-    coeffs = []
-    while y.size > 1:
-        coeffs = list((y[0::2] - y[1::2]) / np.sqrt(2.0)) + coeffs
-        y = (y[0::2] + y[1::2]) / np.sqrt(2.0)
-    return np.array([y[0]] + coeffs)
-
-
-def _ref_haar_project(g, v, d):
-    w = g.weights
-    p = 1 << (len(g) - 1).bit_length()
-    if p == len(g):  # power-of-two grid: no padding
-        return _ref_haar(np.sqrt(w) * v)[:d]
-    # Documented padding scheme: remove the quadrature mean, pad
-    # symmetrically, fold the mean into the scaling coefficient.
-    mean = np.dot(w, v) / w.sum()
-    left = (p - len(g)) // 2
-    y = np.zeros(p)
-    y[left : left + len(g)] = np.sqrt(w) * (v - mean)
-    c = _ref_haar(y)
-    c[0] += mean * np.sqrt(w.sum())
-    return c[:d]
-
-
 def _ref_project(g, v, spec):
-    wv = g.weights * v
-    if spec.family == "haar_wavelet":
-        return _ref_haar_project(g, v, spec.dimension)
-    cols = basis_matrix(spec, g)
-    if spec.family == "fourier":
-        return cols.T @ wv
-    return np.linalg.solve(cols.T @ (g.weights[:, None] * cols), cols.T @ wv)
+    """Coefficients of the L2 projection of ``v`` onto the basis span: the
+    weighted least-squares fit of the sampled basis functions."""
+    sw = np.sqrt(g.weights)
+    coeffs, *_ = np.linalg.lstsq(sw[:, None] * basis_matrix(spec, g), sw * v, rcond=None)
+    return coeffs
 
 
 REF_TRANSFORMS = {
@@ -405,7 +378,7 @@ REF_TRANSFORMS = {
 
 REF_GRIDS = {
     "uniform128": SamplingGrid.uniform(0.0, 1.0, 128),
-    "uniform100": SamplingGrid.uniform(0.0, 1.0, 100),  # padded Haar
+    "uniform100": SamplingGrid.uniform(0.0, 1.0, 100),  # Haar of the padded system
     "random90": SamplingGrid.from_abscissae(
         np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 90))
     ),
@@ -416,7 +389,7 @@ class TestPrepareBatchAgainstPerCurveReference:
     @pytest.mark.parametrize("grid", sorted(REF_GRIDS))
     @pytest.mark.parametrize("chain", sorted(REF_TRANSFORMS))
     @pytest.mark.parametrize("projection", [
-        None, BasisSpec("fourier", 15), BasisSpec("haar_wavelet", 32), BasisSpec("bspline", 16),
+        None, BasisSpec("fourier", 15), BasisSpec("haar_wavelet", 7), BasisSpec("bspline", 16),
     ], ids=["raw", "fourier", "haar", "bspline"])
     def test_matches_to_1e_12(self, chain, projection, grid):
         g = REF_GRIDS[grid]
@@ -432,9 +405,8 @@ class TestPrepareBatchAgainstPerCurveReference:
             ref = ref * np.sqrt(g.weights)
         else:
             ref = np.array([_ref_project(g, r, projection) for r in ref])
-            if projection.family == "bspline":
-                cols = basis_matrix(projection, g)
-                ref = ref @ np.linalg.cholesky(cols.T @ (g.weights[:, None] * cols))
+            cols = basis_matrix(projection, g)
+            ref = ref @ np.linalg.cholesky(cols.T @ (g.weights[:, None] * cols))
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -661,11 +633,14 @@ class TestIsometricRows:
 
     def assert_exact_l2_coordinates(self, spec, g):
         # The rows' dot products are the quadrature inner products of the
-        # curves that they expand to.
-        rng = np.random.default_rng(len(g))
+        # curves' L2 projections, computed by weighted least squares.
+        values = np.random.default_rng(len(g)).standard_normal((6, len(g)))
         rows = prepare_batch(FunctionalKernel(projection=spec),
-                             [SampledFunction(g, v) for v in rng.standard_normal((6, len(g)))])
-        curves = rows @ basis_matrix(spec, g).T
+                             [SampledFunction(g, v) for v in values])
+        cols = basis_matrix(spec, g)
+        sw = np.sqrt(g.weights)
+        coeffs, *_ = np.linalg.lstsq(sw[:, None] * cols, (values * sw).T, rcond=None)
+        curves = (cols @ coeffs).T
         ref = (curves * g.weights) @ curves.T
         assert np.max(np.abs(rows @ rows.T - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -681,6 +656,21 @@ class TestIsometricRows:
         g = SamplingGrid.uniform(0.0, 1.0, n)
         for d in (1, 3, 8, n // 4, n):
             self.assert_exact_l2_coordinates(BasisSpec("haar_wavelet", d), g)
+
+    @pytest.mark.parametrize("d", [5, 9, 25])
+    def test_fourier_rows_are_exact_on_a_random_grid(self, d):
+        g = SamplingGrid.from_abscissae(np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 100)))
+        self.assert_exact_l2_coordinates(BasisSpec("fourier", d), g)
+
+    @pytest.mark.parametrize("d", [4, 8, 15])
+    def test_haar_rows_are_exact_on_a_grid_of_100_points(self, d):
+        self.assert_exact_l2_coordinates(BasisSpec("haar_wavelet", d),
+                                         SamplingGrid.uniform(0.0, 1.0, 100))
+
+    @pytest.mark.parametrize("spec", [BasisSpec("fourier", 25), BasisSpec("haar_wavelet", 32),
+                                      BasisSpec("bspline", 20)], ids=lambda s: s.family)
+    def test_every_family_is_exact_on_the_128_point_grid(self, spec):
+        self.assert_exact_l2_coordinates(spec, SamplingGrid.uniform(0.0, 1.0, 128))
 
     def test_bspline_rows_give_the_coefficient_gram_inner_product(self):
         g, funcs = self.curves()

@@ -9,6 +9,7 @@ from funcsvm import (
     BaseKernel,
     BasisSpec,
     FunctionalKernel,
+    SamplingGrid,
     Transform,
     generate_synthetic,
     load_model,
@@ -124,6 +125,27 @@ class TestModelFileContents:
     @pytest.mark.parametrize("name", list(KERNELS_BY_METRIC))
     def test_version_2_file_loads(self, name):
         _assert_predicts_as_written(f"v2_{name}")
+
+    @pytest.mark.parametrize("name", list(KERNELS_BY_METRIC))
+    def test_version_3_file_loads(self, name):
+        # Its Fourier and Haar rows are coefficients as they are, which on
+        # its uniform 32-point grid are L2 coordinates to rounding.
+        _assert_predicts_as_written(f"v3_{name}")
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_old_fourier_rows_off_a_uniform_grid_are_refused(self, tmp_path, version):
+        # Formats 1-3 took Fourier coefficients as L2 coordinates, which on
+        # a non-uniform grid they are not: the model must be trained again.
+        doc = json.loads((DATA / "v3_fourier.fsvm").read_bytes()[5:].decode("utf-8"))
+        grid = SamplingGrid.from_abscissae(
+            np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 32)))
+        doc["grid"] = {"abscissae": grid.abscissae.tolist(), "weights": grid.weights.tolist()}
+        path = tmp_path / "old.fsvm"
+        path.write_bytes(MODEL_MAGIC + bytes([version]) + json.dumps(doc).encode("utf-8"))
+        with pytest.raises(IntegrityError, match="not L2 coordinates on its grid: retrain"):
+            load_model(str(path))
+        path.write_bytes(MODEL_MAGIC + bytes([MODEL_VERSION]) + json.dumps(doc).encode("utf-8"))
+        assert load_model(str(path)).grid == grid
 
 
 DATA = Path(__file__).parent / "data"

@@ -20,8 +20,10 @@ from funcsvm import (
 from funcsvm.basis import BasisSpec
 from funcsvm.config import build_grid
 from funcsvm import selection, solver
-from funcsvm.errors import DataError, DegenerateTrainingError, GridMismatchError, UsageError
-from funcsvm.kernels import Transform, apply_base
+from funcsvm.errors import (
+    ConvergenceError, DataError, DegenerateTrainingError, GridMismatchError, UsageError,
+)
+from funcsvm.kernels import Transform, apply_base, prepare_rows
 from funcsvm.selection import step_penalty
 from funcsvm.solver import DEFAULT_MAX_ITER, solve_dual
 
@@ -501,6 +503,47 @@ class TestCandidateRows:
         assert row["error"].startswith("ConvergenceError") and "rounding floor" in row["error"]
         assert row["iterations"] < DEFAULT_MAX_ITER
         assert row["budget_exhausted"] is False
+
+    @staticmethod
+    def rounded_floor_problem(draw):
+        """The Gram matrix and labels of the linear candidate above, from its
+        rows with each entry moved by one rounding."""
+        unit = two_frequency_data(40, seed=7)
+        grid = SamplingGrid.uniform(0.0, 1.5e308, 64)
+        kernel = FunctionalKernel(projection=BasisSpec("fourier", 3))
+        rows = prepare_rows(kernel, grid, unit.value_matrix()[:20])
+        sign = np.random.default_rng(draw).choice([-1.0, 1.0], rows.shape)
+        rows = rows * (1.0 + solver.EPS * sign)
+        return apply_base(kernel.base, rows, rows), unit.labels[:20]
+
+    @pytest.mark.parametrize("draw", range(7))
+    def test_rounding_floor_stop_survives_rounding_of_the_rows(self, draw):
+        # Some draws gave a one-coordinate continuation step of -5e-324,
+        # blocked at the bound it had just left: freeing and blocking it
+        # again spent the continuation's steps, and then the whole budget.
+        K, labels = self.rounded_floor_problem(draw)
+        with pytest.raises(ConvergenceError, match="rounding floor") as info:
+            solve_dual(K, labels, 1.0, max_iter=20_000)
+        assert info.value.solution.iterations < 20_000
+
+    def test_continuation_points_stay_in_the_box(self, monkeypatch):
+        # On this draw a coordinate whose move blocked nothing ends 2.2e-47
+        # past its bound.
+        points = []
+
+        def continuation(K, y, u, level, C, tol, box):
+            point = active_set(K, y, u, level, C, tol, box)
+            points.append((point, box))
+            return point
+
+        active_set = solver._active_set
+        monkeypatch.setattr(solver, "_active_set", continuation)
+        K, labels = self.rounded_floor_problem(52)
+        with pytest.raises(ConvergenceError):
+            solve_dual(K, labels, 1.0, max_iter=2_000)
+        assert any(point is not None for point, _ in points)
+        for point, (lo, hi, _, _) in points:
+            assert point is None or (np.all(lo <= point) and np.all(point <= hi))
 
     def test_rows_without_a_solve_report_none(self):
         data = two_frequency_data(30, noise=0.3, seed=12)
