@@ -6,9 +6,9 @@ functions, :func:`basis_matrix`:
 * ``fourier`` -- constant mode first, then (cos, sin) pairs of increasing
   frequency on the observed interval rescaled to [0, 1], each scaled to
   unit quadrature norm.
-* ``haar_wavelet`` -- weight-adjusted Haar system: the scaling function
-  first, then wavelets coarsest to finest (see :func:`_haar_columns` for
-  grids whose length is not a power of two).
+* ``haar_wavelet`` -- weight-adjusted Haar system on the grid's own index
+  halving: the constant first, then wavelets coarsest to finest (see
+  :func:`_haar_columns`), unbalanced where a block has odd length.
 * ``bspline`` -- clamped splines of degree ``spline_degree``.
 
 Every family is projected by one rule, the L2 projection onto the span of
@@ -17,9 +17,9 @@ its first d functions, ``P = W B G^-1`` with ``B`` the (n, d)
 basis Gram matrix (:func:`coefficient_gram`).  Coefficient inner
 products go through ``G``: coefficient rows times its lower Cholesky
 factor ``L`` (:func:`gram_factor`) have the L2 inner product as their dot
-product.  ``G`` is the identity, to rounding, only for Fourier on uniform
-grids and Haar on power-of-two grids.  A grid on which ``G`` is
-numerically singular is a ``ConfigurationError``.
+product.  ``G`` is the identity, to rounding, for Haar on every grid and
+for Fourier on uniform grids.  A grid on which ``G`` is numerically
+singular is a ``ConfigurationError``.
 
 For a fixed grid each projection is one linear map from samples to
 coefficients: :func:`projector` builds it as an (n, d) matrix, and
@@ -122,42 +122,35 @@ def _fourier_columns(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
 
 # -- Haar ------------------------------------------------------------------
 
-def _haar_inverse(c: np.ndarray) -> np.ndarray:
-    """Samples of the Haar expansion with each row of ``c`` as its
-    coefficients, for power-of-two lengths: scaling function first, then
-    wavelets coarsest to finest, each of unit Euclidean norm."""
-    s = c[:, :1]
-    while s.shape[1] < c.shape[1]:
-        k = s.shape[1]
-        d = c[:, k : 2 * k]
-        s = np.stack([(s + d) / np.sqrt(2.0), (s - d) / np.sqrt(2.0)], axis=2)
-        s = s.reshape(c.shape[0], 2 * k)
-    return s
-
-
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def _haar_columns(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
-    """The first d weight-adjusted Haar functions on ``grid``, one per row:
-    on a grid of p = 2^k points, the unit-norm Haar vectors divided by the
-    square roots of the weights; otherwise the functions of the next
-    power of two, centred in it and cut to the grid, with the scaling
-    function replaced by a constant of unit quadrature norm."""
-    n = len(grid)
-    sw = np.sqrt(grid.weights)
-    p = _next_pow2(n)
-    full = np.eye(spec.dimension, p)
-    if p == n:
-        return _haar_inverse(full) / sw
-    m = full[:, :1] / np.sqrt(grid.total_mass)
-    full[:, 0] = 0.0
-    left = (p - n) // 2
-    return _haar_inverse(full)[:, left : left + n] / sw + m
+    """The first d weight-adjusted Haar functions on ``grid``, as columns.
+
+    Before the weights, the first is the constant ``1/sqrt(n)``; then come
+    the wavelets of the index blocks, taken breadth first from ``[0, n)``.
+    A block ``[s, e)`` of two points or more is halved at
+    ``m = s + (e - s) // 2``, with ``a = m - s`` and ``b = e - m``.  Its
+    wavelet is ``sqrt(b / (a (a + b)))`` on the a left points and
+    ``-sqrt(a / (b (a + b)))`` on the b right ones, and the halves join the
+    queue.  The n vectors are orthonormal on every grid: an unbalanced Haar
+    system (Girardi & Sweldens 1997; Fryzlewicz 2007), the classical one on
+    a power-of-two grid.  Each column is divided by the square roots of the
+    weights, so ``G`` is the identity on every grid.
+    """
+    n, d = len(grid), spec.dimension
+    cols = np.zeros((n, d))
+    cols[:, 0] = 1.0 / np.sqrt(n)
+    blocks, j = [(0, n)], 1
+    for s, e in blocks:
+        if j == d:
+            break
+        if e - s > 1:
+            m = s + (e - s) // 2
+            a, b = m - s, e - m
+            cols[s:m, j] = np.sqrt(b / (a * (a + b)))
+            cols[m:e, j] = -np.sqrt(a / (b * (a + b)))
+            blocks += [(s, m), (m, e)]
+            j += 1
+    return cols / np.sqrt(grid.weights)[:, None]
 
 
 # -- Public API ------------------------------------------------------------
@@ -168,7 +161,7 @@ def basis_matrix(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     if spec.family == "fourier":
         cols = _fourier_columns(spec, grid)
     elif spec.family == "haar_wavelet":
-        cols = _haar_columns(spec, grid).T
+        cols = _haar_columns(spec, grid)
     else:
         cols = splines.design_matrix(grid.abscissae, spec.dimension, spec.spline_degree)[0]
     return np.ascontiguousarray(cols)

@@ -343,8 +343,9 @@ def normalize_rows(grid: SamplingGrid, values: np.ndarray, indices=None) -> np.n
     w = grid.weights
 
     def measure(rows):
-        centred = center_rows(grid, rows)
-        with np.errstate(over="ignore"):
+        # A row that is not finite or too large shows in the range test.
+        with np.errstate(all="ignore"):
+            centred = center_rows(grid, rows)
             return (centred, (centred * centred) @ w,
                     DEGENERACY_RTOL**2 * ((rows * rows) @ w))
 

@@ -197,26 +197,28 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
     ``MAX_SQUARED_NORM``, unless a normalization after the derivative ends
     the chain: it divides by norms that passed its range test, so its rows
     are finite and of unit norm at most (the projection after it does not
-    lengthen a curve).
+    lengthen a curve).  It sets no floating-point warning.
     """
-    plan = _plan(kernel.prep_signature, grid)
-    for t in plan.head:
-        values = (center_rows if t.kind == "center" else normalize_rows)(grid, values)
-        check_finite(values)
-    if plan.entry is None:
-        rows = isometric_rows(None, grid, values)
-    else:
-        rows = values @ plan.entry
-    if plan.fold is not None:
-        if plan.floor_scale is not None:
-            return normalize_by(rows, plan.measure)
-        check_finite(rows)
-        rows = rows @ plan.fold
-        check_finite(rows)
-    # NaN fails the test too; einsum sets no floating-point warning.
-    if rows.size and not np.einsum("ij,ij->i", rows, rows).max() <= MAX_SQUARED_NORM:
-        raise DataError("prepared curves must have squared norms below a quarter "
-                        "of the float range")
+    # An overflow or a value that is not finite shows in the checks below.
+    with np.errstate(all="ignore"):
+        plan = _plan(kernel.prep_signature, grid)
+        for t in plan.head:
+            values = (center_rows if t.kind == "center" else normalize_rows)(grid, values)
+            check_finite(values)
+        if plan.entry is None:
+            rows = isometric_rows(None, grid, values)
+        else:
+            rows = values @ plan.entry
+        if plan.fold is not None:
+            if plan.floor_scale is not None:
+                return normalize_by(rows, plan.measure)
+            check_finite(rows)
+            rows = rows @ plan.fold
+            check_finite(rows)
+        # NaN fails the test too.
+        if rows.size and not np.einsum("ij,ij->i", rows, rows).max() <= MAX_SQUARED_NORM:
+            raise DataError("prepared curves must have squared norms below a quarter "
+                            "of the float range")
     return rows
 
 
@@ -290,15 +292,15 @@ def _plan(signature: tuple, grid: SamplingGrid) -> _Plan:
     ``z @ centred``.  Its bound is the spectral norm of the state map's
     isometric rows as it is.
     """
-    # An overflow shows in the tables, which are checked below.
-    with np.errstate(all="ignore"):
-        try:
-            plan = _build_plan(signature, grid)
-            tables = [t for t in (plan.entry, plan.fold) if t is not None]
-            finite = (all(np.isfinite(t).all() for t in tables)
-                      and np.isfinite(plan.floor_scale or 0.0))
-        except np.linalg.LinAlgError:  # a factorization of a table that is not finite
-            finite = False
+    # An overflow shows in the tables, which are checked below; the caller,
+    # prepare_rows, sets no floating-point warning.
+    try:
+        plan = _build_plan(signature, grid)
+        tables = [t for t in (plan.entry, plan.fold) if t is not None]
+        finite = (all(np.isfinite(t).all() for t in tables)
+                  and np.isfinite(plan.floor_scale or 0.0))
+    except np.linalg.LinAlgError:  # a factorization of a table that is not finite
+        finite = False
     if not finite:
         raise ConfigurationError("the preparation's tables are not finite on this grid")
     for table in tables:
@@ -390,9 +392,9 @@ def kernel_eval(
 ) -> float:
     """Evaluate the composed kernel on a single pair of curves; a
     ``DataError`` when the value is not finite."""
+    prep = prepare_batch(kernel, [u, v])
     # An overflow shows in the value, which is checked below.
     with np.errstate(all="ignore"):
-        prep = prepare_batch(kernel, [u, v])
         k = apply_base(kernel.base, prep[:1], prep[1:])
     return float(_check_kernel_values(k)[0, 0])
 
@@ -401,9 +403,9 @@ def gram_matrix(kernel: FunctionalKernel, functions) -> np.ndarray:
     """Symmetric kernel matrix; transforms are applied once per input.  A
     ``DataError`` when an entry is not finite, such as a polynomial kernel
     past the float range."""
+    prep = prepare_batch(kernel, functions)
     # An overflow shows in the values, which are checked below.
     with np.errstate(all="ignore"):
-        prep = prepare_batch(kernel, functions)
         K = apply_base(kernel.base, prep, prep)
         K = (K + K.T) / 2.0
     return _check_kernel_values(K)

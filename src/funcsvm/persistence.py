@@ -9,10 +9,12 @@ still load through it, and the metric, labels and alphas of version 1 are
 not read.  Versions 1-3 took Fourier and Haar coefficients as L2
 coordinates as they were, which version 4 does not: such a file loads
 only where the basis Gram matrix is the identity to rounding (Fourier on
-a uniform grid, Haar on a power-of-two grid), and is an
-``IntegrityError`` elsewhere.  Floats are serialized with ``repr``
-round-tripping, so a loaded model reproduces decision values bit for
-bit.  Reports are written as two JSON files: a deterministic payload and
+a uniform grid), and is an ``IntegrityError`` elsewhere.  Versions 1-4
+built Haar on a grid whose length is not a power of two from a padded
+system whose span version 5 no longer uses, so a Haar file of those
+versions loads only on a power-of-two grid.  Floats are serialized with
+``repr`` round-tripping, so a loaded model reproduces decision values bit
+for bit.  Reports are written as two JSON files: a deterministic payload and
 a separate metadata file holding timestamps.
 
 Every file the package writes (models, reports, predictions, synthetic
@@ -43,7 +45,7 @@ __all__ = [
 ]
 
 MODEL_MAGIC = b"FSVM"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 # Families whose coefficients versions 1-3 stored as they were.
 _COEFFICIENT_FAMILIES = ("fourier", "haar_wavelet")
 
@@ -164,16 +166,20 @@ def _model_from_doc(doc: dict, version: int, path: str) -> SvmModel:
         )
     bias = float(doc["bias"])
     projection = kernel.projection
-    if version < MODEL_VERSION and projection is not None \
-            and projection.family in _COEFFICIENT_FAMILIES:
+    family = None if projection is None else projection.family
+    n = len(grid)
+    coordinates = version >= 4 or family not in _COEFFICIENT_FAMILIES
+    if not coordinates:
         # Each entry sums n products of functions of frequency up to d.
         G = coefficient_gram(projection, grid)
-        if not np.abs(G - np.eye(len(G))).max() <= len(grid) * len(G) * np.finfo(float).eps:
-            raise IntegrityError(
-                f"model file {path} holds {projection.family} coefficients of format "
-                f"{version}, which are not L2 coordinates on its grid: retrain the model"
-            )
-    elif version < 3:
+        coordinates = np.abs(G - np.eye(len(G))).max() <= n * len(G) * np.finfo(float).eps
+    # Formats 1-4 took Haar off a power-of-two grid from a padded system.
+    if not coordinates or version < 5 and family == "haar_wavelet" and n & (n - 1):
+        raise IntegrityError(
+            f"model file {path} holds {family} rows of format {version}, which are not "
+            f"L2 coordinates on its grid: retrain the model"
+        )
+    if version < 3 and family not in _COEFFICIENT_FAMILIES:
         vectors = isometric_rows(projection, grid, vectors)
     if not all(np.isfinite(a).all() for a in (vectors, coeffs, bias)):
         raise ValueError("support data or bias hold a non-finite number")

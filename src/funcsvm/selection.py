@@ -258,13 +258,13 @@ def select(
             # An overflow shows in K, which solve_dual checks, or in the
             # decisions, which are checked below.
             if key != gram_key:
+                if kernel.prep_signature not in prepared:
+                    prepared[kernel.prep_signature] = (
+                        prepare_rows(kernel, train.grid, train.value_matrix()),
+                        prepare_rows(kernel, validation.grid, validation.value_matrix()),
+                    )
+                tr, va = prepared[kernel.prep_signature]
                 with np.errstate(all="ignore"):
-                    if kernel.prep_signature not in prepared:
-                        prepared[kernel.prep_signature] = (
-                            prepare_rows(kernel, train.grid, train.value_matrix()),
-                            prepare_rows(kernel, validation.grid, validation.value_matrix()),
-                        )
-                    tr, va = prepared[kernel.prep_signature]
                     K, Kv = apply_base(kernel.base, tr, tr), apply_base(kernel.base, va, tr)
                 gram_key = key
             sol = solve_dual(K, y, cand.C, tol=tol, max_iter=max_iter)

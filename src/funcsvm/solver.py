@@ -411,9 +411,9 @@ def train_svm(
     meta: dict | None = None,
 ) -> SvmModel:
     """Prepare the data under the kernel, solve the dual, keep the support set."""
+    prep = prepare_rows(kernel, data.grid, data.value_matrix())
     # An overflow shows in the Gram matrix, which solve_dual checks.
     with np.errstate(all="ignore"):
-        prep = prepare_rows(kernel, data.grid, data.value_matrix())
         K = apply_base(kernel.base, prep, prep)
     sol = solve_dual(K, data.labels, C, tol=tol, max_iter=max_iter)
     return model_from_solution(kernel, prep, data, sol, C, tol, meta)
@@ -479,10 +479,10 @@ def decision_values(model: SvmModel, curves) -> np.ndarray:
             raise GridMismatchError("the curves are not sampled on the model's grid")
     if model.n_support == 0 or not len(batch):
         return np.full(len(batch), model.bias)
+    query = (prepare_rows(model.kernel, model.grid, batch) if matrix
+             else prepare_batch(model.kernel, batch))
     # An overflow shows in the values, which are checked below.
     with np.errstate(all="ignore"):
-        query = (prepare_rows(model.kernel, model.grid, batch) if matrix
-                 else prepare_batch(model.kernel, batch))
         k = apply_base(model.kernel.base, query, model.support_vectors)
         values = k @ model.support_coeffs + model.bias
     if not np.isfinite(values).all():

@@ -40,10 +40,11 @@ class TestProject:
         assert c[0] == pytest.approx(3.5, rel=1e-10)  # Psi_1 = 1 on [0,1]
         assert np.max(np.abs(c[1:])) < 1e-10
 
-    def test_haar_parseval_at_full_dimension(self):
-        g = SamplingGrid.uniform(0.0, 1.0, 128)
+    @pytest.mark.parametrize("n", [128, 100])
+    def test_haar_parseval_at_full_dimension(self, n):
+        g = SamplingGrid.uniform(0.0, 1.0, n)
         u = random_function(g, 0)
-        c = project(u, BasisSpec("haar_wavelet", 128)).coefficients
+        c = project(u, BasisSpec("haar_wavelet", n)).coefficients
         assert np.sum(c**2) == pytest.approx(norm(u) ** 2, rel=1e-6)
 
     def test_fft_path_matches_direct_quadrature(self):
@@ -85,20 +86,21 @@ class TestReconstruct:
         r = reconstruct(CoefficientVector(np.eye(5)[0], spec), g)
         assert np.allclose(r.values, basis_matrix(spec, g)[:, 0])
 
-    def test_full_haar_round_trip(self):
-        g = SamplingGrid.uniform(0.0, 1.0, 64)
+    @pytest.mark.parametrize("n", [64, 48])
+    def test_full_haar_round_trip(self, n):
+        g = SamplingGrid.uniform(0.0, 1.0, n)
         u = random_function(g, 3)
-        c = project(u, BasisSpec("haar_wavelet", 64))
+        c = project(u, BasisSpec("haar_wavelet", n))
         assert np.max(np.abs(reconstruct(c, g).values - u.values)) < 1e-6
 
-    def test_a_rank_deficient_haar_span_is_rejected(self):
-        # On 48 points the first 48 functions of the padded Haar system
-        # span a space of dimension 37: no projection onto them is unique.
+    def test_a_rank_deficient_span_is_rejected(self):
+        # On 48 uniform points the 48 Fourier functions span a space of
+        # dimension 47: no projection onto them is unique.
         g = SamplingGrid.uniform(0.0, 1.0, 48)
         u = SampledFunction(g, 2.0 + np.sin(2 * np.pi * g.abscissae))
-        with pytest.raises(ConfigurationError, match="haar_wavelet basis of dimension 48 "
+        with pytest.raises(ConfigurationError, match="fourier basis of dimension 48 "
                                                      "is singular on a grid of 48 points"):
-            project(u, BasisSpec("haar_wavelet", 48))
+            project(u, BasisSpec("fourier", 48))
 
 
 class TestRankTest:
@@ -107,8 +109,7 @@ class TestRankTest:
     grid length, from every table and from a kernel's preparation."""
 
     @pytest.mark.parametrize("family,d,n", [
-        ("haar_wavelet", 16, 100), ("haar_wavelet", 8, 40), ("haar_wavelet", 8, 48),
-        ("fourier", 64, 64),
+        ("fourier", 100, 100), ("fourier", 40, 40), ("fourier", 48, 48), ("fourier", 64, 64),
     ])
     def test_singular_spans_are_named(self, family, d, n):
         g = SamplingGrid.uniform(0.0, 1.0, n)
@@ -121,15 +122,15 @@ class TestRankTest:
             prepare_rows(FunctionalKernel(projection=spec), g, np.zeros((0, n)))
 
     def test_a_gram_that_passes_cholesky_can_still_be_singular(self):
-        # Haar d = 16 on 100 points has rank 15, but rounding lets its
-        # Gram matrix through a Cholesky factorization.
-        g = SamplingGrid.uniform(0.0, 1.0, 100)
-        cols = basis_matrix(BasisSpec("haar_wavelet", 16), g)
+        # Fourier d = 64 on 64 uniform points has rank 63, but rounding lets
+        # its Gram matrix through a Cholesky factorization.
+        g = SamplingGrid.uniform(0.0, 1.0, 64)
+        cols = basis_matrix(BasisSpec("fourier", 64), g)
         np.linalg.cholesky(cols.T @ (g.weights[:, None] * cols))
         with pytest.raises(ConfigurationError, match="singular"):
-            gram_factor(BasisSpec("haar_wavelet", 16), g)
+            gram_factor(BasisSpec("fourier", 64), g)
 
-    @pytest.mark.parametrize("family,d,n", [("haar_wavelet", 15, 100), ("haar_wavelet", 7, 40),
+    @pytest.mark.parametrize("family,d,n", [("haar_wavelet", 40, 40), ("haar_wavelet", 100, 100),
                                             ("fourier", 63, 64)])
     def test_the_largest_full_rank_spans_pass(self, family, d, n):
         g = SamplingGrid.uniform(0.0, 1.0, n)
@@ -143,6 +144,57 @@ class TestRankTest:
         g = SamplingGrid(np.linspace(0.0, 1.0, 40), weights)
         with pytest.raises(ConfigurationError, match="not finite on this grid"):
             coefficient_gram(BasisSpec("fourier", 5), g)
+
+
+def recursive_haar(n):
+    """The n unit-norm Haar vectors as rows, for a power of two n, built
+    by ``H_2m = [H_m kron (1, 1); I_m kron (1, -1)] / sqrt(2)``."""
+    H = np.ones((1, 1))
+    while len(H) < n:
+        H = np.vstack([np.kron(H, [1.0, 1.0]), np.kron(np.eye(len(H)), [1.0, -1.0])])
+        H /= np.sqrt(2.0)
+    return H
+
+
+class TestHaarConstruction:
+    """The Haar system halves the grid's own index blocks, so it is
+    orthonormal in the quadrature and of full rank on every grid."""
+
+    GRIDS = {
+        "uniform40": SamplingGrid.uniform(0.0, 1.0, 40),
+        "uniform48": SamplingGrid.uniform(0.0, 1.0, 48),
+        "uniform100": SamplingGrid.uniform(0.0, 1.0, 100),
+        "random90": SamplingGrid.from_abscissae(
+            np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 90))),
+    }
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_every_dimension_is_full_rank_with_an_identity_gram(self, grid):
+        g = self.GRIDS[grid]
+        n = len(g)
+        for d in range(1, n + 1):
+            spec = BasisSpec("haar_wavelet", d)
+            assert np.max(np.abs(coefficient_gram(spec, g) - np.eye(d))) <= 1e-14
+            assert np.max(np.abs(gram_factor(spec, g) - np.eye(d))) <= 1e-14
+        assert np.linalg.matrix_rank(basis_matrix(BasisSpec("haar_wavelet", n), g)) == n
+
+    def test_blocks_are_halved_breadth_first_with_the_smaller_half_left(self):
+        # On 6 points: [0, 6) at 3, [0, 3) at 1, [3, 6) at 4, [1, 3) at 2, [4, 6) at 5.
+        g = SamplingGrid.uniform(0.0, 1.0, 6)
+        H = (basis_matrix(BasisSpec("haar_wavelet", 6), g) * np.sqrt(g.weights)[:, None]).T
+        assert np.sign(np.round(H, 12)).tolist() == [
+            [1, 1, 1, 1, 1, 1], [1, 1, 1, -1, -1, -1], [1, -1, -1, 0, 0, 0],
+            [0, 0, 0, 1, -1, -1], [0, 1, -1, 0, 0, 0], [0, 0, 0, 0, 1, -1]]
+        np.testing.assert_allclose(H[2], [np.sqrt(2 / 3), -np.sqrt(1 / 6), -np.sqrt(1 / 6),
+                                          0, 0, 0], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [4, 64, 128, 256])
+    def test_power_of_two_grids_give_the_classical_haar_vectors(self, n):
+        g = SamplingGrid.uniform(0.0, 1.0, n)
+        H = recursive_haar(n)
+        for d in sorted({1, 2, 3, n // 4 + 1, n // 2, n}):
+            cols = basis_matrix(BasisSpec("haar_wavelet", d), g)
+            assert np.max(np.abs(cols * np.sqrt(g.weights)[:, None] - H[:d].T)) <= 1e-15
 
 
 class TestInvariantsAndProperties:

@@ -202,6 +202,12 @@ class TestNormalizeRows:
         with pytest.raises(DegenerateFunctionError, match="function 7"):
             normalize_rows(g, rows, indices=(6, 7))
 
+    def test_a_row_of_inf_is_a_data_error_without_a_warning(self):
+        g = SamplingGrid.uniform(0.0, 1.0, 64)
+        rows = np.vstack([np.sin(2 * np.pi * g.abscissae), np.full(64, np.inf)])
+        with pytest.raises(DataError, match="must all be finite"):
+            normalize_rows(g, rows)
+
 
 def labelled_rows(n=6, length=8, seed=0):
     g = SamplingGrid.uniform(0.0, 1.0, length)

@@ -378,7 +378,7 @@ REF_TRANSFORMS = {
 
 REF_GRIDS = {
     "uniform128": SamplingGrid.uniform(0.0, 1.0, 128),
-    "uniform100": SamplingGrid.uniform(0.0, 1.0, 100),  # Haar of the padded system
+    "uniform100": SamplingGrid.uniform(0.0, 1.0, 100),  # Haar blocks of unequal halves
     "random90": SamplingGrid.from_abscissae(
         np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 90))
     ),
@@ -570,12 +570,22 @@ class TestEntryRowsPastTheFloatRange:
     def test_prepare_rows_and_prepare_batch(self):
         g, funcs = self.batch()
         values = np.array([u.values for u in funcs])
-        with np.errstate(all="ignore"):  # as every caller prepares
+        with np.errstate(all="ignore"):
             assert not np.isfinite(values @ _plan(self.kernel.prep_signature, g).entry).all()
-            with pytest.raises(DataError, match="function values must all be finite"):
-                prepare_rows(self.kernel, g, values)
-            with pytest.raises(DataError, match="function values must all be finite"):
-                prepare_batch(self.kernel, funcs)
+        with pytest.raises(DataError, match="function values must all be finite"):
+            prepare_rows(self.kernel, g, values)
+        with pytest.raises(DataError, match="function values must all be finite"):
+            prepare_batch(self.kernel, funcs)
+
+    def test_a_huge_curve_prepares_as_its_shape_without_a_warning(self):
+        # Its entry row is finite, but the measure of the normalization
+        # overflows: the rescaled retry gives the rows of the curve's shape.
+        g = SamplingGrid.uniform(0.0, 1.0, 128)
+        shape = np.sin(40.0 * g.abscissae)[None]
+        want = prepare_rows(self.kernel, g, shape)
+        for rows in (prepare_rows(self.kernel, g, 1e306 * shape),
+                     prepare_batch(self.kernel, [SampledFunction(g, 1e306 * shape[0])])):
+            assert np.linalg.norm(rows - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_decision_values(self):
         g, funcs = self.batch()
@@ -607,8 +617,7 @@ class TestNormalizedRowsHaveUnitNorm:
                 transforms=tuple(Transform(k, order=1, spline_dimension=12) for k in chain),
                 projection=projection)
             assert _plan(kernel.prep_signature, g).floor_scale is not None
-            with np.errstate(all="ignore"):  # as every caller prepares
-                rows = prepare_rows(kernel, g, values)
+            rows = prepare_rows(kernel, g, values)
             squares = np.einsum("ij,ij->i", rows, rows)
             assert np.isfinite(rows).all()
             assert (squares <= 1.0 + 1e-9).all()
@@ -662,7 +671,7 @@ class TestIsometricRows:
         g = SamplingGrid.from_abscissae(np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 100)))
         self.assert_exact_l2_coordinates(BasisSpec("fourier", d), g)
 
-    @pytest.mark.parametrize("d", [4, 8, 15])
+    @pytest.mark.parametrize("d", [4, 8, 15, 16, 32, 64])
     def test_haar_rows_are_exact_on_a_grid_of_100_points(self, d):
         self.assert_exact_l2_coordinates(BasisSpec("haar_wavelet", d),
                                          SamplingGrid.uniform(0.0, 1.0, 100))

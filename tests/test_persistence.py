@@ -132,6 +132,25 @@ class TestModelFileContents:
         # its uniform 32-point grid are L2 coordinates to rounding.
         _assert_predicts_as_written(f"v3_{name}")
 
+    @pytest.mark.parametrize("name", list(KERNELS_BY_METRIC))
+    def test_version_4_file_loads(self, name):
+        _assert_predicts_as_written(f"v4_{name}")
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_old_haar_rows_off_a_power_of_two_grid_are_refused(self, tmp_path, version):
+        # Formats 1-4 built Haar on 48 points from a padded system of 64,
+        # whose span is not the one format 5 projects onto.
+        doc = json.loads((DATA / "v3_haar.fsvm").read_bytes()[5:].decode("utf-8"))
+        grid = SamplingGrid.uniform(0.0, 1.0, 48)
+        doc["grid"] = {"abscissae": grid.abscissae.tolist(), "weights": grid.weights.tolist()}
+        path = tmp_path / "old.fsvm"
+        path.write_bytes(MODEL_MAGIC + bytes([version]) + json.dumps(doc).encode("utf-8"))
+        with pytest.raises(IntegrityError, match="haar_wavelet rows of format .*, which are "
+                                                 "not L2 coordinates on its grid: retrain"):
+            load_model(str(path))
+        path.write_bytes(MODEL_MAGIC + bytes([MODEL_VERSION]) + json.dumps(doc).encode("utf-8"))
+        assert load_model(str(path)).grid == grid
+
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_fourier_rows_off_a_uniform_grid_are_refused(self, tmp_path, version):
         # Formats 1-3 took Fourier coefficients as L2 coordinates, which on
