@@ -23,7 +23,7 @@ singular is a ``ConfigurationError``.
 
 For a fixed grid each projection is one linear map from samples to
 coefficients: :func:`projector` builds it as an (n, d) matrix, and
-:func:`project_rows` is one product with it.  The tables here are
+:func:`project` is one product with it.  The tables here are
 computed on each call and cached nowhere: a kernel's preparation plan
 (:func:`funcsvm.kernels._plan`) folds what it needs of them, from one
 :func:`projection_tables` call, into its own read-only arrays, once per
@@ -43,7 +43,6 @@ __all__ = [
     "BasisSpec",
     "CoefficientVector",
     "project",
-    "project_rows",
     "projector",
     "projection_tables",
     "reconstruct",
@@ -224,16 +223,10 @@ def projector(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
     return projection_tables(spec, grid)[0]
 
 
-def project_rows(spec: BasisSpec, grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
-    """Projection coefficients of each row of an (N, n) value matrix, as an
-    (N, d) matrix: one product with the :func:`projector`."""
-    return values @ projector(spec, grid)
-
-
 def project(u: SampledFunction, spec: BasisSpec) -> CoefficientVector:
-    """Coefficients of the orthogonal projection of ``u`` onto the basis span
-    (a one-row :func:`project_rows`)."""
-    return CoefficientVector(project_rows(spec, u.grid, u.values[None])[0], spec)
+    """Coefficients of the orthogonal projection of ``u`` onto the basis span:
+    its values times the :func:`projector`."""
+    return CoefficientVector(u.values @ projector(spec, u.grid), spec)
 
 
 def reconstruct(c: CoefficientVector, grid: SamplingGrid) -> SampledFunction:

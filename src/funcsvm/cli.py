@@ -14,28 +14,15 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    ConvergenceError,
-    DataError,
-    FuncSvmError,
-    UsageError,
-)
+from .errors import DataError, FuncSvmError, UsageError
 
 # Each command imports the modules it runs, so that a cold `predict` loads
 # no config, selection or evaluation code and `--version` loads no numpy.
 
 
-def _error_code(exc: FuncSvmError) -> str:
-    if isinstance(exc, ConvergenceError):
-        return "convergence"
-    if isinstance(exc, UsageError):
-        return "usage"
-    return "data"
-
-
 def _fail(exc: FuncSvmError) -> int:
     msg = str(exc).replace("\n", " ")
-    print(f"FSVM-ERROR code={_error_code(exc)} msg={msg}", file=sys.stderr)
+    print(f"FSVM-ERROR code={exc.code} msg={msg}", file=sys.stderr)
     return exc.exit_code
 
 
@@ -257,15 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma-grid", help="override Gaussian sigma grid")
         p.add_argument("--d-range", help="override dimensions: lo:hi or comma list")
         p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train", help="train a model from a config")
     add_common(p)
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("select", help="run the penalized split-sample search")
     add_common(p)
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("predict", help="predict labels for curves")
@@ -276,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run an evaluation protocol")
     add_common(p)
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate a synthetic sinusoid dataset")

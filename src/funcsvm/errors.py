@@ -1,19 +1,21 @@
 """Exception hierarchy shared by the whole package.
 
-Every error carries a CLI exit code so the command-line layer can map
-failures to its documented statuses (1 usage, 2 data, 3 convergence).
+Every error carries the name and the exit status that the command-line
+layer reports it under: usage/1, data/2 and convergence/3.
 """
 
 
 class FuncSvmError(Exception):
     """Base class for all package errors."""
 
+    code = "data"
     exit_code = 2
 
 
 class UsageError(FuncSvmError):
     """Bad invocation: missing arguments, empty grids, malformed config."""
 
+    code = "usage"
     exit_code = 1
 
 
@@ -62,6 +64,7 @@ class DegenerateTrainingError(DataError):
 class ConvergenceError(FuncSvmError):
     """The dual solver hit its iteration budget; carries the best iterate."""
 
+    code = "convergence"
     exit_code = 3
 
     def __init__(self, message, solution=None):

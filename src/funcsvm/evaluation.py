@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, FuncSvmError, UsageError
-from .functions import LabeledDataset, SamplingGrid
+from .functions import LabeledDataset, SamplingGrid, is_integer
 from .selection import CandidateGrid, empirical_error, select, split_sample
 from .solver import DEFAULT_TOL
 
@@ -244,7 +244,6 @@ def generate_synthetic(
     grid_length: int = 64,
     frequencies: tuple[float, float] = (2.0, 3.0),
     seed: int | None = 0,
-    grid: SamplingGrid | None = None,
 ) -> LabeledDataset:
     """Two-class sinusoid family on [0, 1].
 
@@ -254,7 +253,7 @@ def generate_synthetic(
     so for separable prototypes the Bayes error equals the flip rate.
     Each argument out of its range is a :class:`UsageError`.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (is_integer(n) and n >= 1):
         raise UsageError(f"n must be an integer >= 1, got {n!r}")
     if not 0.0 <= noise < np.inf:
         raise UsageError(f"noise must be a finite number >= 0, got {noise!r}")
@@ -262,12 +261,11 @@ def generate_synthetic(
         raise UsageError(f"label noise must be a rate in [0, 1], got {label_noise!r}")
     if len(frequencies) != 2 or not np.isfinite(frequencies).all():
         raise UsageError(f"frequencies must be two finite numbers, got {frequencies!r}")
-    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if seed is not None and not (is_integer(seed) and seed >= 0):
         raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
-    if grid is None:
-        if grid_length < 2:
-            raise UsageError(f"grid length must be at least 2, got {grid_length!r}")
-        grid = SamplingGrid.uniform(0.0, 1.0, grid_length)
+    if not (is_integer(grid_length) and grid_length >= 2):
+        raise UsageError(f"grid length must be an integer >= 2, got {grid_length!r}")
+    grid = SamplingGrid.uniform(0.0, 1.0, grid_length)
     rng = np.random.default_rng(seed)
     t = grid.abscissae
     f_pos, f_neg = frequencies

@@ -4,11 +4,12 @@ A :class:`FunctionalKernel` evaluates ``K(P(u), P(v))`` where ``P`` is an
 optional pipeline of functional transforms (center, normalize, at most
 one spline derivative) followed by an optional basis projection, and
 ``K`` is a linear, Gaussian or polynomial base kernel.  All inner
-products respect the underlying L2 geometry: :func:`isometric_rows` maps each prepared
-curve to a row whose dot product is the L2 inner product (raw curves
-times the square roots of the quadrature weights, the coefficients of
-the L2 projection onto a basis span times the Cholesky factor of the
-basis Gram matrix).
+products respect the underlying L2 geometry: each prepared curve is a
+row whose dot product is the L2 inner product.  A raw curve is its
+:func:`isometric_rows`, its values times the square roots of the
+quadrature weights; the coefficients of its L2 projection onto a basis
+span are multiplied by the Cholesky factor of the basis Gram matrix
+(:func:`~funcsvm.basis.gram_factor`).
 
 A batch is prepared through a plan built once per preparation and grid
 (see :func:`_plan`): the steps before the spline derivative or
@@ -115,7 +116,12 @@ class BaseKernel:
 
 @dataclass(frozen=True)
 class Transform:
-    """One step of the functional preprocessing chain."""
+    """One step of the functional preprocessing chain.
+
+    ``order`` and ``spline_dimension`` belong to the derivative; a centring
+    or normalization resets them to their defaults, so that two steps that
+    compute the same are equal.
+    """
 
     kind: str
     order: int = 2
@@ -123,6 +129,8 @@ class Transform:
 
     def __post_init__(self):
         if self.kind in ("center", "normalize"):
+            object.__setattr__(self, "order", 2)
+            object.__setattr__(self, "spline_dimension", 0)
             return
         if self.kind == "derivative":
             if not (is_integer(self.order) and self.order in (1, 2)):
@@ -169,7 +177,8 @@ class FunctionalKernel:
 
 def prepare_batch(kernel: FunctionalKernel, functions) -> np.ndarray:
     """Apply the kernel's transforms and projection to a batch of curves,
-    as the (N, width) matrix of their :func:`isometric_rows`.
+    as the (N, width) matrix of their isometric rows, whose dot product is
+    the L2 inner product.
 
     The curves, which share one grid, are stacked once into an (N, n) value
     matrix for :func:`prepare_rows` (see
@@ -206,7 +215,7 @@ def prepare_rows(kernel: FunctionalKernel, grid: SamplingGrid, values: np.ndarra
             values = (center_rows if t.kind == "center" else normalize_rows)(grid, values)
             check_finite(values)
         if plan.entry is None:
-            rows = isometric_rows(None, grid, values)
+            rows = isometric_rows(grid, values)
         else:
             rows = values @ plan.entry
         if plan.fold is not None:
@@ -328,14 +337,14 @@ def _build_plan(signature: tuple, grid: SamplingGrid) -> _Plan:
         norm_factor = ()
         if centrings < len(kinds):
             centred = center_rows(grid, state)
-            norm_factor = (np.linalg.qr(isometric_rows(None, grid, centred).T,
+            norm_factor = (np.linalg.qr(isometric_rows(grid, centred).T,
                                         mode="r").T,)
             floor = DEGENERACY_RTOL * float(
-                np.linalg.norm(isometric_rows(None, grid, state), 2))
+                np.linalg.norm(isometric_rows(grid, state), 2))
             floor_scale = floor * floor
             state = centred
         if projection is None:
-            state = isometric_rows(None, grid, state)
+            state = isometric_rows(grid, state)
         else:
             P, L = basis_mod.projection_tables(projection, grid)
             state = state @ P @ L
@@ -346,17 +355,12 @@ def _build_plan(signature: tuple, grid: SamplingGrid) -> _Plan:
     return _Plan(head, entry, fold, width, floor_scale)
 
 
-def isometric_rows(
-    projection: basis_mod.BasisSpec | None, grid: SamplingGrid, rows: np.ndarray
-) -> np.ndarray:
-    """Rows of curves on ``grid`` prepared under ``projection``, mapped so
-    that their dot product is the L2 inner product: raw curves times the
-    square roots of the quadrature weights, basis coefficients times the
-    lower Cholesky factor of the basis Gram matrix
+def isometric_rows(grid: SamplingGrid, rows: np.ndarray) -> np.ndarray:
+    """Rows of curves on ``grid`` times the square roots of the quadrature
+    weights: their dot product is the L2 inner product.  Basis coefficients
+    take the lower Cholesky factor of the basis Gram matrix instead
     (:func:`~funcsvm.basis.gram_factor`)."""
-    if projection is None:
-        return rows * np.sqrt(grid.weights)
-    return rows @ basis_mod.gram_factor(projection, grid)
+    return rows * np.sqrt(grid.weights)
 
 
 def inner_product_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,13 +3,15 @@
 Model format: the four magic bytes ``FSVM``, one version byte, then a
 UTF-8 JSON document holding the kernel, the grid, the prepared support
 vectors, their coefficients ``alpha_i * y_i`` and the bias.  The support
-vectors are rows of :func:`kernels.isometric_rows`: their dot product is
-the L2 inner product.  Versions 1 and 2 stored them before that map; they
-still load through it, and the metric, labels and alphas of version 1 are
-not read.  Versions 1-3 took Fourier and Haar coefficients as L2
-coordinates as they were, which version 4 does not: such a file loads
-only where the basis Gram matrix is the identity to rounding (Fourier on
-a uniform grid), and is an ``IntegrityError`` elsewhere.  Versions 1-4
+vectors are isometric rows: their dot product is the L2 inner product.
+Versions 1 and 2 stored them before that map.  They still load through
+it: raw curves through :func:`kernels.isometric_rows`, B-spline
+coefficients times the :func:`basis.gram_factor`.  The metric, labels
+and alphas of version 1 are not read.  Versions 1-3 took Fourier and
+Haar coefficients as L2 coordinates as they were, which version 4 does
+not: such a file loads only where the basis Gram matrix is the identity
+to rounding (Fourier on a uniform grid), and is an ``IntegrityError``
+elsewhere.  Versions 1-4
 built Haar on a grid whose length is not a power of two from a padded
 system whose span version 5 no longer uses, so a Haar file of those
 versions loads only on a power-of-two grid.  Floats are serialized with
@@ -33,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import coefficient_gram
+from .basis import coefficient_gram, gram_factor
 from .errors import ConfigurationError, IntegrityError
 from .functions import SamplingGrid
 from .kernels import isometric_rows, kernel_from_dict, kernel_to_dict, prepare_rows
@@ -180,7 +182,8 @@ def _model_from_doc(doc: dict, version: int, path: str) -> SvmModel:
             f"L2 coordinates on its grid: retrain the model"
         )
     if version < 3 and family not in _COEFFICIENT_FAMILIES:
-        vectors = isometric_rows(projection, grid, vectors)
+        vectors = (isometric_rows(grid, vectors) if projection is None
+                   else vectors @ gram_factor(projection, grid))
     if not all(np.isfinite(a).all() for a in (vectors, coeffs, bias)):
         raise ValueError("support data or bias hold a non-finite number")
     meta = doc.get("meta", {})

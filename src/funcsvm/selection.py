@@ -1,10 +1,11 @@
 """Penalized split-sample hyperparameter selection.
 
 The sample is split into a training part and a validation part; one SVM
-is trained per candidate (projection dimension d, kernel, C); the winner
-minimizes ``validation error + lambda_d / sqrt(validation size)``.  Ties
-break toward smaller d, then smaller C, then grid order (kernel
-declaration order on a ``from_axes`` grid).
+is trained per candidate (kernel, C); the winner minimizes ``validation
+error + lambda_d / sqrt(validation size)``, d being the dimension of the
+kernel's projection (0 for none).  Ties break toward smaller d, then
+smaller C, then grid order (kernel declaration order on a ``from_axes``
+grid).
 The returned model is built from the winning candidate's own solve on
 the training half (no refit, neither on that half nor on the full sample).
 """
@@ -50,17 +51,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Candidate:
-    """One point of the search grid; dimension 0 means no projection."""
+    """One point of the search grid: a kernel and its C.
 
-    dimension: int
+    Its :attr:`dimension`, which the penalty and the tie-break read, is the
+    kernel's projection dimension d, or 0 when the kernel projects nowhere.
+    """
+
     kernel: FunctionalKernel
     C: float
 
     def __post_init__(self):
-        if self.dimension < 0:
-            raise ConfigurationError("projection dimension must be >= 0")
         if not 0 < self.C < np.inf:
             raise ConfigurationError(f"C must be positive and finite, got {self.C!r}")
+
+    @property
+    def dimension(self) -> int:
+        projection = self.kernel.projection
+        return 0 if projection is None else projection.dimension
 
     def as_dict(self) -> dict:
         return {"dimension": self.dimension, "kernel": kernel_to_dict(self.kernel),
@@ -117,7 +124,7 @@ class CandidateGrid:
                     base=kernel.base,
                 )
                 for C in C_values:
-                    cands.append(Candidate(d, kernel_d, float(C)))
+                    cands.append(Candidate(kernel_d, float(C)))
         return cls(tuple(cands), penalties=dict(penalties or {}),
                    default_penalty=default_penalty)
 

@@ -65,6 +65,11 @@ class TestGenerateSynthetic:
         assert np.array_equal(a.value_matrix(), b.value_matrix())
         assert np.array_equal(a.labels, b.labels)
 
+    def test_non_integer_counts_and_seeds_are_usage_errors(self):
+        for kwargs in ({"n": True}, {"n": 10, "seed": True}, {"n": 10, "grid_length": 2.5}):
+            with pytest.raises(UsageError):
+                generate_synthetic(**kwargs)
+
     def test_separating_fourier_coordinate(self):
         # Brute-force scan: one coefficient should separate the noiseless
         # classes perfectly.  Freq 2 lands in coefficient 5 (sin, k=2) and

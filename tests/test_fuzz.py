@@ -36,6 +36,7 @@ from funcsvm import (
     train_svm,
 )
 from funcsvm.errors import FuncSvmError
+from funcsvm.kernels import kernel_from_dict, kernel_to_dict
 from funcsvm.persistence import MODEL_MAGIC, MODEL_VERSION
 from funcsvm.solver import decision_values
 
@@ -173,6 +174,12 @@ class TestKernelBuilders:
         _, error = outcome(kernel_eval, kernel, curves[0], values[0])
         assert error is not None  # a bare array is not a curve
 
+    @pytest.mark.parametrize("chain", CHAINS + (
+        (Transform("normalize", order=1, spline_dimension=12),),))
+    def test_dict_round_trip_returns_an_equal_kernel(self, chain):
+        kernel = FunctionalKernel(transforms=chain)
+        assert kernel_from_dict(kernel_to_dict(kernel)) == kernel
+
 
 def assert_finite_model(model):
     for array in (model.support_vectors, model.support_coeffs, model.bias):
@@ -285,7 +292,7 @@ def selection_inputs(draw):
     rows = np.vstack([train, validation])
     l = draw(st.sampled_from((len(train), 0, len(rows))))
     candidates = tuple(
-        Candidate(0 if k.projection is None else k.projection.dimension, k, C)
+        Candidate(k, C)
         for k, C in draw(st.lists(st.tuples(kernels, st.sampled_from((1e-3, 1.0, 1e3))),
                                   min_size=1, max_size=2)))
     return rows, l, candidates
@@ -302,7 +309,7 @@ class TestSelect:
     @settings(max_examples=60, deadline=None)
     @given(inputs=selection_inputs())
     @example(inputs=(overflowing_validation(), 20,
-                     (Candidate(0, FunctionalKernel(base=BaseKernel.polynomial(121)), 1.0),)))
+                     (Candidate(FunctionalKernel(base=BaseKernel.polynomial(121)), 1.0),)))
     def test_finite_scores_and_model_or_raises(self, inputs):
         rows, l, candidates = inputs
         data = LabeledDataset.from_matrix(GRID, rows, alternating(len(rows)))

@@ -21,7 +21,8 @@ from funcsvm.basis import BasisSpec
 from funcsvm.config import build_grid
 from funcsvm import selection, solver
 from funcsvm.errors import (
-    ConvergenceError, DataError, DegenerateTrainingError, GridMismatchError, UsageError,
+    ConfigurationError, ConvergenceError, DataError, DegenerateTrainingError,
+    GridMismatchError, UsageError,
 )
 from funcsvm.kernels import Transform, apply_base, prepare_rows
 from funcsvm.selection import step_penalty
@@ -144,10 +145,26 @@ class TestGridConstruction:
 
     def test_invalid_candidates_rejected(self):
         k = FunctionalKernel()
-        with pytest.raises(Exception):
-            Candidate(-1, k, 1.0)
-        with pytest.raises(Exception):
-            Candidate(3, k, 0.0)
+        with pytest.raises(ConfigurationError):
+            Candidate(k, 0.0)
+
+    def test_dimension_row_and_penalty_follow_the_projection(self):
+        data = two_frequency_data(40, noise=0.3, seed=4)
+        penalties = {0: 0.5, 4: 2.0, 8: 4.0, 200: 1000.0}
+        from_axes = CandidateGrid.from_axes(gaussian_kernels([1.0]), [1.0],
+                                            dimensions=(0, 4, 8), penalties=penalties)
+        by_hand = CandidateGrid(
+            (Candidate(FunctionalKernel(base=BaseKernel.gaussian(1.0)), 1.0),
+             Candidate(FunctionalKernel(projection=BasisSpec("haar_wavelet", 4)), 2.0)),
+            penalties=penalties)
+        for grid, dimensions in ((from_axes, [0, 4, 8]), (by_hand, [0, 4])):
+            assert [c.dimension for c in grid.candidates] == dimensions
+            for record in select(grid, data, l=20).table:
+                row, d = record.as_row(), record.candidate.dimension
+                assert row["dimension"] == d
+                assert d == (0 if row["kernel"]["projection"] is None
+                             else row["kernel"]["projection"]["dimension"])
+                assert record.score == record.validation_error + penalties[d] / np.sqrt(20)
 
     def test_step_penalty(self):
         assert step_penalty(100) == 0.0
@@ -241,7 +258,7 @@ class TestSelect:
         # The model is built from the selection solve; an independent
         # train_svm on the same half must give the same classifier bit for bit.
         data = two_frequency_data(40, noise=0.3, seed=10)
-        g = CandidateGrid((Candidate(0, kernel, 1.0),))
+        g = CandidateGrid((Candidate(kernel, 1.0),))
         res = select(g, data, l=20)
         selection_meta = {k: res.model.meta[k] for k in ("dimension", "seed",
                                                          "split_policy", "l")}
@@ -274,8 +291,8 @@ class TestSelect:
         rng = np.random.default_rng(1)
         rows = np.vstack([rng.normal(size=(20, 16)), 1e3 * rng.normal(size=(20, 16))])
         data = LabeledDataset.from_matrix(grid, rows, [1, -1] * 20)
-        poly = Candidate(0, FunctionalKernel(base=BaseKernel.polynomial(121)), 1.0)
-        gauss = Candidate(0, FunctionalKernel(base=BaseKernel.gaussian(1e-6)), 1.0)
+        poly = Candidate(FunctionalKernel(base=BaseKernel.polynomial(121)), 1.0)
+        gauss = Candidate(FunctionalKernel(base=BaseKernel.gaussian(1e-6)), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateTrainingError,
