@@ -91,14 +91,6 @@ class CoefficientVector:
         object.__setattr__(self, "coefficients", c)
 
 
-def _check_compatible(spec: BasisSpec, grid: SamplingGrid) -> None:
-    n = len(grid)
-    if spec.dimension > n:
-        raise ConfigurationError(
-            f"basis dimension {spec.dimension} exceeds grid length {n}"
-        )
-
-
 # -- Fourier ---------------------------------------------------------------
 
 def _fourier_columns(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
@@ -155,8 +147,11 @@ def _haar_columns(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
 # -- Public API ------------------------------------------------------------
 
 def basis_matrix(spec: BasisSpec, grid: SamplingGrid) -> np.ndarray:
-    """Sampled basis functions as columns of an (n, d) matrix."""
-    _check_compatible(spec, grid)
+    """Sampled basis functions as columns of an (n, d) matrix; a
+    ``ConfigurationError`` when d exceeds the grid length n."""
+    if spec.dimension > len(grid):
+        raise ConfigurationError(
+            f"basis dimension {spec.dimension} exceeds grid length {len(grid)}")
     if spec.family == "fourier":
         cols = _fourier_columns(spec, grid)
     elif spec.family == "haar_wavelet":
@@ -171,10 +166,17 @@ def _tables(spec: BasisSpec, grid: SamplingGrid):
     ``G = B' W B`` and its lower Cholesky factor ``L`` (``B`` the
     :func:`basis_matrix`, ``W`` the quadrature weights).
 
-    A ``ConfigurationError`` when ``G`` is not finite, or is numerically
-    singular: some basis function keeps at most ``n * eps`` of its squared
-    quadrature norm outside the span of the ones before it (a squared
-    Cholesky pivot over its diagonal entry of ``G``, on n points).
+    A ``ConfigurationError`` when ``G`` is not finite, or the span is
+    numerically singular on the n points, by either of two tests:
+
+    * some basis function keeps at most ``n * eps`` of its squared
+      quadrature norm outside the span of the ones before it (a squared
+      Cholesky pivot of ``G`` over its own diagonal entry);
+    * a squared Cholesky pivot of the unweighted ``B' B`` is at most
+      ``n * eps`` times its largest diagonal entry, which catches a
+      function that is rounding noise at every sample, as the last sine of
+      Fourier at d = n is on a uniform grid of odd length.  The weights do
+      not enter it, so a grid of extreme weights does not fail it.
     """
     B = basis_matrix(spec, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in G
@@ -184,9 +186,13 @@ def _tables(spec: BasisSpec, grid: SamplingGrid):
         raise ConfigurationError(
             f"the {spec.family} basis Gram matrix is not finite on this grid")
     n = len(grid)
+    floor = n * np.finfo(float).eps
+    U = B / np.abs(B).max()  # scaled so that U' U cannot overflow
+    H = U.T @ U
     try:
         L = np.linalg.cholesky(G)
-        regular = (L.diagonal() ** 2 / G.diagonal()).min() > n * np.finfo(float).eps
+        regular = ((L.diagonal() ** 2 / G.diagonal()).min() > floor and
+                   (np.linalg.cholesky(H).diagonal() ** 2).min() > floor * H.diagonal().max())
     except np.linalg.LinAlgError:
         regular = False
     if not regular:

@@ -26,8 +26,6 @@ class ConfigurationError(UsageError):
 class DataError(FuncSvmError):
     """Problems with the data itself rather than with how it was requested."""
 
-    exit_code = 2
-
 
 class GridMismatchError(DataError):
     """Two functions that should share a sampling grid do not."""

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, FuncSvmError, UsageError
-from .functions import LabeledDataset, SamplingGrid, is_integer
+from .functions import LabeledDataset, SamplingGrid, is_finite_number, is_integer, is_number
 from .selection import CandidateGrid, empirical_error, select, split_sample
 from .solver import DEFAULT_TOL
 
@@ -41,7 +41,6 @@ class EvaluationReport:
     mean_error: float
     excluded_runs: int = 0
     wall_time: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     def payload(self) -> dict:
         """Deterministic content; wall time is reporting metadata, not payload."""
@@ -51,7 +50,6 @@ class EvaluationReport:
             "per_run_chosen": self.per_run_chosen,
             "mean_error": self.mean_error,
             "excluded_runs": self.excluded_runs,
-            "extra": self.extra,
         }
 
 
@@ -115,6 +113,8 @@ def run_leave_one_out(
     if n < 3:
         raise UsageError("leave-one-out needs at least three examples")
     l = inner_l if inner_l is not None else (n - 1) // 2
+    if not is_integer(l):
+        raise UsageError(f"inner split size must be an integer, got {l!r}")
     folds = (
         (data.subset([j for j in range(n) if j != i]), data.subset([i]), "first_l", None)
         for i in range(n)
@@ -153,11 +153,11 @@ def run_repeated_splits(
 ) -> EvaluationReport:
     """Repeat a random train/test split ``count`` times and average test error."""
     n = len(data)
-    if count < 1:
-        raise UsageError("repeated splits need count >= 1")
-    if not 1 <= train_size < n:
-        raise UsageError(f"train size {train_size} incompatible with N={n}")
-    if not 1 <= inner_l < train_size:
+    if not (is_integer(count) and count >= 1):
+        raise UsageError(f"repeated splits need an integer count >= 1, got {count!r}")
+    if not (is_integer(train_size) and 1 <= train_size < n):
+        raise UsageError(f"train size {train_size!r} incompatible with N={n}")
+    if not (is_integer(inner_l) and 1 <= inner_l < train_size):
         raise UsageError("inner split size must be below the train size")
     return _run_folds(
         grid, _random_splits(data, count, train_size, seed, outer_policy),
@@ -255,11 +255,12 @@ def generate_synthetic(
     """
     if not (is_integer(n) and n >= 1):
         raise UsageError(f"n must be an integer >= 1, got {n!r}")
-    if not 0.0 <= noise < np.inf:
+    if not (is_finite_number(noise) and noise >= 0.0):
         raise UsageError(f"noise must be a finite number >= 0, got {noise!r}")
-    if not 0.0 <= label_noise <= 1.0:
+    if not (is_number(label_noise) and 0.0 <= label_noise <= 1.0):
         raise UsageError(f"label noise must be a rate in [0, 1], got {label_noise!r}")
-    if len(frequencies) != 2 or not np.isfinite(frequencies).all():
+    if not (isinstance(frequencies, (tuple, list, np.ndarray)) and len(frequencies) == 2
+            and all(map(is_finite_number, frequencies))):
         raise UsageError(f"frequencies must be two finite numbers, got {frequencies!r}")
     if seed is not None and not (is_integer(seed) and seed >= 0):
         raise UsageError(f"seed must be a non-negative integer, got {seed!r}")

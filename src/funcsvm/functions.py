@@ -329,7 +329,7 @@ def center_rows(grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
 DEGENERACY_RTOL = 1e-12
 
 
-def normalize_rows(grid: SamplingGrid, values: np.ndarray, indices=None) -> np.ndarray:
+def normalize_rows(grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
     """Center each row, then scale it to unit quadrature norm.
 
     Constant rows are a hard error: silently mapping them to the zero
@@ -346,10 +346,10 @@ def normalize_rows(grid: SamplingGrid, values: np.ndarray, indices=None) -> np.n
             return (centred, (centred * centred) @ w,
                     DEGENERACY_RTOL**2 * ((rows * rows) @ w))
 
-    return normalize_by(values, measure, indices)
+    return normalize_by(values, measure)
 
 
-def normalize_by(rows: np.ndarray, measure, indices=None) -> np.ndarray:
+def normalize_by(rows: np.ndarray, measure) -> np.ndarray:
     """The normalization of the rows of an (N, m) matrix: ``measure(rows)``
     gives ``(out, squares, floors)``, the rows to scale, their squared
     norms and the squared degeneracy floors those are tested against, and
@@ -359,8 +359,8 @@ def normalize_by(rows: np.ndarray, measure, indices=None) -> np.ndarray:
     normal float (see :func:`_squares_in_range`), ``rows`` are checked to
     be finite (see :func:`check_finite`), the whole batch is measured again
     after dividing each row by its largest absolute value, and a
-    :class:`DegenerateFunctionError` names the first row that still fails,
-    by its entry in ``indices`` (default: its row number).  A row that is
+    :class:`DegenerateFunctionError` names the first row that still fails
+    by its row number.  A row that is
     not finite fails the test, as its floor is not finite either.  A batch
     whose rows all pass unscaled costs no other work.
     """
@@ -368,7 +368,7 @@ def normalize_by(rows: np.ndarray, measure, indices=None) -> np.ndarray:
     if not _squares_in_range(squares, floors):
         check_finite(rows)
         out, squares, floors = measure(rows / _largest_magnitudes(rows))
-        _check_normalizable(squares, floors, indices)
+        _check_normalizable(squares, floors)
     return out / np.sqrt(squares)[:, None]
 
 
@@ -396,17 +396,13 @@ def _largest_magnitudes(rows: np.ndarray) -> np.ndarray:
     return scales
 
 
-def _check_normalizable(squares: np.ndarray, floors: np.ndarray, indices=None) -> None:
+def _check_normalizable(squares: np.ndarray, floors: np.ndarray) -> None:
     """Raise :class:`DegenerateFunctionError` for the first row whose
-    squared norm is at most its entry of ``floors``, naming it by its entry
-    in ``indices`` (default: its row number)."""
+    squared norm is at most its entry of ``floors``, naming its row number."""
     bad = np.flatnonzero(squares <= floors)
     if bad.size:
-        k = int(bad[0])
         raise DegenerateFunctionError(
-            "cannot normalize a (near-)constant function",
-            index=k if indices is None else indices[k],
-        )
+            "cannot normalize a (near-)constant function", index=int(bad[0]))
 
 
 @lru_cache(maxsize=64)
@@ -447,12 +443,9 @@ def center(u: SampledFunction) -> SampledFunction:
     return u.with_values(center_rows(u.grid, u.values[None])[0])
 
 
-def normalize(u: SampledFunction, index: int | None = None) -> SampledFunction:
-    """Center then scale to unit quadrature norm (see :func:`normalize_rows`).
-
-    ``index`` labels the offending curve in the error.
-    """
-    return u.with_values(normalize_rows(u.grid, u.values[None], indices=(index,))[0])
+def normalize(u: SampledFunction) -> SampledFunction:
+    """Center then scale to unit quadrature norm (see :func:`normalize_rows`)."""
+    return u.with_values(normalize_rows(u.grid, u.values[None])[0])
 
 
 def spline_derivative(

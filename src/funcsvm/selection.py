@@ -25,7 +25,7 @@ from .errors import (
     GridMismatchError,
     UsageError,
 )
-from .functions import LabeledDataset, is_finite_number
+from .functions import LabeledDataset, is_finite_number, is_integer
 from .kernels import FunctionalKernel, apply_base, kernel_to_dict, prepare_rows
 from .solver import (
     DEFAULT_MAX_ITER,
@@ -61,7 +61,7 @@ class Candidate:
     C: float
 
     def __post_init__(self):
-        if not 0 < self.C < np.inf:
+        if not (is_finite_number(self.C) and self.C > 0):
             raise ConfigurationError(f"C must be positive and finite, got {self.C!r}")
 
     @property
@@ -156,8 +156,8 @@ def split_sample(
     warning, not an error (individual candidates will fail later).
     """
     n = len(data)
-    if not 1 <= l < n:
-        raise UsageError(f"training size l={l} must satisfy 1 <= l < N={n}")
+    if not (is_integer(l) and 1 <= l < n):
+        raise UsageError(f"training size l={l!r} must be an integer with 1 <= l < N={n}")
     if policy == "first_l":
         order = np.arange(n)
     elif policy == "seeded_shuffle":

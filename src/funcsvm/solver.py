@@ -37,7 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DataError, DegenerateTrainingError, GridMismatchError
-from .functions import LabeledDataset, SampledFunction, SamplingGrid, check_value_matrix
+from .functions import (
+    LabeledDataset, SampledFunction, SamplingGrid, check_value_matrix, is_finite_number,
+)
 from .kernels import (
     MAX_SQUARED_NORM, FunctionalKernel, apply_base, prepare_batch, prepare_rows,
 )
@@ -117,9 +119,9 @@ def solve_dual(
     K = (K + K.T) / 2.0  # the loop reads row K[i] as the column K[:, i]
     if np.all(y > 0) or np.all(y < 0):
         raise DegenerateTrainingError("training data contains a single class")
-    if not 0.0 < C < np.inf:
+    if not (is_finite_number(C) and C > 0.0):
         raise DegenerateTrainingError("C must be positive and finite")
-    if not 0.0 < tol < np.inf:
+    if not (is_finite_number(tol) and tol > 0.0):
         raise DegenerateTrainingError("tol must be positive and finite")
 
     # The state is ya = y*alpha and yg = y*g, where g = 1 - (yy'K alpha) is
@@ -221,8 +223,8 @@ def solve_dual(
 
 
 def _levels(alpha: np.ndarray, C: float) -> np.ndarray:
-    """0 where alpha is at 0, 1 where it is free, 2 where it is at C, with
-    the 1e-8*C margin of :func:`_compute_bias`."""
+    """0 where alpha is at 0, 1 where it is free, 2 where it is at C: at
+    0 up to ``1e-8 * C``, at C from ``C - 1e-8 * C``."""
     eps = 1e-8 * C
     return (alpha > eps).astype(np.int8) + (alpha >= C - eps)
 
@@ -364,14 +366,15 @@ def _accept(K, y, u, C, tol, box):
 
 def _compute_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
     """Mean of y_i - f_i over free support vectors, else the midpoint of the
-    interval of biases compatible with the KKT conditions."""
+    interval of biases compatible with the KKT conditions; free and at-zero
+    alphas are those of :func:`_levels`."""
     f = K @ (y * alpha)
-    eps = 1e-8 * C
-    free = (alpha > eps) & (alpha < C - eps)
+    level = _levels(alpha, C)
+    free = level == 1
     if np.any(free):
         return float(np.mean(y[free] - f[free]))
     margin_bias = y - f  # b = margin_bias[i] puts i exactly on the margin
-    at_zero = alpha <= eps
+    at_zero = level == 0
     lower = (at_zero & (y > 0)) | (~at_zero & (y < 0))
     lo = np.max(margin_bias[lower], initial=-np.inf)
     hi = np.min(margin_bias[~lower], initial=np.inf)
@@ -407,7 +410,6 @@ def train_svm(
     data: LabeledDataset,
     C: float,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     meta: dict | None = None,
 ) -> SvmModel:
     """Prepare the data under the kernel, solve the dual, keep the support set."""
@@ -415,7 +417,7 @@ def train_svm(
     # An overflow shows in the Gram matrix, which solve_dual checks.
     with np.errstate(all="ignore"):
         K = apply_base(kernel.base, prep, prep)
-    sol = solve_dual(K, data.labels, C, tol=tol, max_iter=max_iter)
+    sol = solve_dual(K, data.labels, C, tol=tol)
     return model_from_solution(kernel, prep, data, sol, C, tol, meta)
 
 

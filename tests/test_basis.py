@@ -110,6 +110,9 @@ class TestRankTest:
 
     @pytest.mark.parametrize("family,d,n", [
         ("fourier", 100, 100), ("fourier", 40, 40), ("fourier", 48, 48), ("fourier", 64, 64),
+        # On an odd uniform grid the last sine, sin(pi i), is rounding noise
+        # at every sample.
+        *(("fourier", n, n) for n in (15, 17, 31, 33, 63, 65, 101)),
     ])
     def test_singular_spans_are_named(self, family, d, n):
         g = SamplingGrid.uniform(0.0, 1.0, n)
@@ -137,6 +140,13 @@ class TestRankTest:
         G = coefficient_gram(BasisSpec(family, d), g)
         L = gram_factor(BasisSpec(family, d), g)
         assert np.max(np.abs(L @ L.T - G)) <= 1e-12 * np.max(np.abs(G))
+
+    def test_tiny_weights_pass_both_tests_without_overflow(self):
+        # Haar divides by the square roots of the weights, so B' B of
+        # denormal weights would overflow; G is still the identity.
+        g = SamplingGrid(np.linspace(0.0, 1.0, 40), np.full(40, 1e-320))
+        L = gram_factor(BasisSpec("haar_wavelet", 40), g)
+        assert np.max(np.abs(L - np.eye(40))) <= 1e-12
 
     def test_a_gram_that_is_not_finite_is_named(self):
         weights = np.full(40, 1.0 / 39.0)

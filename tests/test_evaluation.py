@@ -14,7 +14,11 @@ from funcsvm import (
     run_repeated_splits,
 )
 from funcsvm.basis import BasisSpec, project
-from funcsvm.errors import DataError, UsageError
+from funcsvm.errors import (
+    ConfigurationError, DataError, DegenerateTrainingError, FuncSvmError, UsageError,
+)
+from funcsvm.selection import Candidate, split_sample
+from funcsvm.solver import solve_dual
 
 
 def small_grid(sigmas=(1.0,), Cs=(10.0,), dims=(5,)):
@@ -84,6 +88,39 @@ class TestGenerateSynthetic:
             if pos.min() > neg.max() + 0.1 or neg.min() > pos.max() + 0.1:
                 separating.append(j)
         assert separating == [4, 6]  # zero-based indices of coefficients 5 and 7
+
+
+ARGUMENT_CASES = {
+    "synthetic noise a string": (UsageError, lambda: generate_synthetic(10, noise="a")),
+    "synthetic noise a bool": (UsageError, lambda: generate_synthetic(10, noise=True)),
+    "synthetic label noise None": (UsageError, lambda: generate_synthetic(10, label_noise=None)),
+    "synthetic frequencies a float": (UsageError, lambda: generate_synthetic(10, frequencies=2.0)),
+    "synthetic frequency a string": (UsageError,
+                                     lambda: generate_synthetic(10, frequencies=("a", 3))),
+    "solve C a string": (DegenerateTrainingError, lambda: solve_dual(np.eye(2), [1, -1], "a")),
+    "solve C a bool": (DegenerateTrainingError, lambda: solve_dual(np.eye(2), [1, -1], True)),
+    "solve tol a string": (DegenerateTrainingError,
+                           lambda: solve_dual(np.eye(2), [1, -1], 1.0, tol="a")),
+    "split l a string": (UsageError, lambda: split_sample(generate_synthetic(10), "a")),
+    "split l a float": (UsageError, lambda: split_sample(generate_synthetic(10), 2.5)),
+    "split l a bool": (UsageError, lambda: split_sample(generate_synthetic(10), True)),
+    "candidate C a string": (ConfigurationError, lambda: Candidate(FunctionalKernel(), "a")),
+    "repeated count None": (UsageError, lambda: run_repeated_splits(
+        generate_synthetic(10), small_grid(), count=None, train_size=8, inner_l=4)),
+    "repeated train size a string": (UsageError, lambda: run_repeated_splits(
+        generate_synthetic(10), small_grid(), count=1, train_size="8", inner_l=4)),
+    "leave-one-out inner l a string": (UsageError, lambda: run_leave_one_out(
+        generate_synthetic(10), small_grid(), inner_l="a")),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_CASES)
+def test_a_numeric_argument_of_another_type_is_its_documented_error(case):
+    # Not Python's TypeError from a comparison, and a bool is not the number 1.
+    error, call = ARGUMENT_CASES[case]
+    assert issubclass(error, FuncSvmError)
+    with pytest.raises(error):
+        call()
 
 
 class TestLeaveOneOut:

@@ -358,12 +358,14 @@ class TestSelect:
 
     def test_select_and_train_share_one_iteration_budget(self):
         # A candidate that cannot converge gets the same budget whether
-        # `funcsvm train` solves it directly or `select` solves it in a grid.
+        # `funcsvm train` solves it directly or `select` solves it in a grid:
+        # train_svm takes no budget of its own and runs solve_dual's default.
         def default(fn):
             return inspect.signature(fn).parameters["max_iter"].default
 
         assert default(select) is DEFAULT_MAX_ITER
-        assert default(train_svm) is DEFAULT_MAX_ITER
+        assert default(solve_dual) is DEFAULT_MAX_ITER
+        assert "max_iter" not in inspect.signature(train_svm).parameters
         assert DEFAULT_MAX_ITER == 1_000_000
 
 

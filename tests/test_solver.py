@@ -151,6 +151,21 @@ class TestFeasibilityAndKkt:
             expected = float((lo + hi) / 2.0)
         assert _compute_bias(K, y, alpha, C) == expected
 
+    @pytest.mark.parametrize("C", [1.0, 3.0, 1e6])
+    def test_levels_and_bias_share_one_margin(self, C):
+        # An alpha of exactly 1e-8*C is at zero and one of C - 1e-8*C is at
+        # C, for _levels and the bias alike; the next float inward is free.
+        eps = 1e-8 * C
+        edges = np.array([eps, np.nextafter(eps, C), np.nextafter(C - eps, 0.0), C - eps])
+        np.testing.assert_array_equal(solver._levels(edges, C), [0, 1, 1, 2])
+        # Point 1 is free at C/2, so the bias is y_1 - f_1 unless point 0 is free too.
+        K, y = np.eye(2), np.array([1.0, -1.0])
+        for a0, free in zip(edges, [False, True, True, False]):
+            alpha = np.array([a0, C / 2])
+            margins = y - K @ (y * alpha)
+            want = float(np.mean(margins[[0, 1] if free else [1]]))
+            assert _compute_bias(K, y, alpha, C) == want
+
 
 class TestDegenerateInputs:
     def test_single_class_raises(self):
