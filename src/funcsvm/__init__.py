@@ -15,19 +15,15 @@ _MODULE_OF = {
         "inner_product", "norm", "center", "normalize", "spline_derivative",
     ], "functions"),
     **dict.fromkeys(["BasisSpec", "CoefficientVector", "project", "reconstruct"], "basis"),
-    **dict.fromkeys([
-        "BaseKernel", "Transform", "FunctionalKernel", "kernel_eval", "gram_matrix",
-    ], "kernels"),
-    **dict.fromkeys([
-        "DualSolution", "SvmModel", "solve_dual", "train_svm", "decision_value", "predict",
-    ], "solver"),
+    **dict.fromkeys(["BaseKernel", "Transform", "FunctionalKernel"], "kernels"),
+    **dict.fromkeys(["DualSolution", "SvmModel", "solve_dual", "train_svm"], "solver"),
     **dict.fromkeys([
         "Candidate", "CandidateGrid", "split_sample", "empirical_error", "select",
         "validate_grid",
     ], "selection"),
     **dict.fromkeys([
         "EvaluationReport", "run_leave_one_out", "run_fixed_split", "run_repeated_splits",
-        "paired_t_test", "generate_synthetic",
+        "generate_synthetic",
     ], "evaluation"),
     **dict.fromkeys(["DatasetDescriptor", "load_dataset", "write_csv"], "datasets"),
     **dict.fromkeys(["save_model", "load_model"], "persistence"),

@@ -6,14 +6,15 @@ report assembly is ordered by fold/run index.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FuncSvmError, UsageError
-from .functions import LabeledDataset, SamplingGrid, is_finite_number, is_integer, is_number
+from .errors import DataError, UsageError
+from .functions import (
+    LabeledDataset, SamplingGrid, is_finite_number, is_integer, is_number, is_seed,
+)
 from .selection import CandidateGrid, empirical_error, select, split_sample
 from .solver import DEFAULT_TOL
 
@@ -22,15 +23,8 @@ __all__ = [
     "run_leave_one_out",
     "run_fixed_split",
     "run_repeated_splits",
-    "paired_t_test",
     "generate_synthetic",
 ]
-
-VARIANCE_FLOOR = 1e-12
-# Terms of the incomplete beta's continued fraction: about sqrt(max(a, b))
-# are needed, so this covers a t-test on up to 10^7 pairs.
-BETA_FRACTION_TERMS = 10_000
-EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -64,14 +58,16 @@ def _run_folds(grid, folds, l, tol, key, what, protocol) -> EvaluationReport:
     policy, inner seed) tuple, and score the winner on its test part.
 
     A fold where no candidate trains is excluded and recorded under
-    ``key``, never silently dropped.
+    ``key``, never silently dropped.  Only a ``DataError`` excludes a fold:
+    the protocols check their arguments before the first fold, and a
+    ``UsageError`` is the caller's, whichever fold it shows in.
     """
     start = time.perf_counter()
     errors, chosen, excluded = [], [], 0
     for i, (train, test, policy, seed) in enumerate(folds):
         try:
             result = select(grid, train, l, policy=policy, seed=seed, tol=tol)
-        except FuncSvmError as exc:
+        except DataError as exc:
             excluded += 1
             chosen.append({key: i, "error": f"{type(exc).__name__}: {exc}"})
             continue
@@ -87,6 +83,12 @@ def _run_folds(grid, folds, l, tol, key, what, protocol) -> EvaluationReport:
         excluded_runs=excluded,
         wall_time=time.perf_counter() - start,
     )
+
+
+def _check_tol(tol) -> None:
+    """Checked once, before the first fold, where it would fail every solve."""
+    if not (is_finite_number(tol) and tol > 0.0):
+        raise UsageError(f"tol must be a positive finite number, got {tol!r}")
 
 
 def _random_splits(data: LabeledDataset, count, train_size, seed, outer_policy):
@@ -113,8 +115,9 @@ def run_leave_one_out(
     if n < 3:
         raise UsageError("leave-one-out needs at least three examples")
     l = inner_l if inner_l is not None else (n - 1) // 2
-    if not is_integer(l):
-        raise UsageError(f"inner split size must be an integer, got {l!r}")
+    if not (is_integer(l) and 1 <= l < n - 1):
+        raise UsageError(f"inner split size must be an integer in [1, {n - 2}], got {l!r}")
+    _check_tol(tol)
     folds = (
         (data.subset([j for j in range(n) if j != i]), data.subset([i]), "first_l", None)
         for i in range(n)
@@ -159,6 +162,9 @@ def run_repeated_splits(
         raise UsageError(f"train size {train_size!r} incompatible with N={n}")
     if not (is_integer(inner_l) and 1 <= inner_l < train_size):
         raise UsageError("inner split size must be below the train size")
+    if not is_seed(seed):
+        raise UsageError(f"seed must be None or an integer >= 0, got {seed!r}")
+    _check_tol(tol)
     return _run_folds(
         grid, _random_splits(data, count, train_size, seed, outer_policy),
         inner_l, tol, "run", "repeated split",
@@ -168,73 +174,6 @@ def run_repeated_splits(
             "inner_policy": "seeded_shuffle",
         },
     )
-
-
-def paired_t_test(errors_a, errors_b) -> float:
-    """Two-sided paired t-test p-value on per-split error pairs.
-
-    Zero-variance differences are handled with a variance floor: identical
-    vectors give p = 1, a constant nonzero difference gives a near-zero p.
-    """
-    a = np.asarray(errors_a, dtype=float)
-    b = np.asarray(errors_b, dtype=float)
-    if a.shape != b.shape or a.size < 2:
-        raise UsageError("paired test needs two equal-length vectors of size >= 2")
-    d = a - b
-    var = float(np.var(d, ddof=1))
-    var = max(var, VARIANCE_FLOOR)
-    t = float(np.mean(d) / np.sqrt(var / d.size))
-    return student_t_two_sided(t, d.size - 1)
-
-
-def student_t_two_sided(t: float, df: int) -> float:
-    """``P(|T| >= |t|)`` for Student's t with ``df`` degrees of freedom:
-    the regularized incomplete beta ``I_x(df/2, 1/2)`` at ``x = df / (df +
-    t^2)``."""
-    t2 = float(t) * float(t)
-    if math.isinf(t2):
-        return 0.0
-    x, y = df / (df + t2), t2 / (df + t2)  # y = 1 - x, without cancellation
-    return _incomplete_beta(df / 2.0, 0.5, x, y)
-
-
-def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
-    """The regularized incomplete beta ``I_x(a, b)``, given ``y = 1 - x``,
-    from its continued fraction (Numerical Recipes, 3rd ed., section 6.4),
-    which converges fast for ``x < (a + 1) / (a + b + 2)``; past that it is
-    ``1 - I_y(b, a)``."""
-    if not x > 0.0:
-        return 0.0 if x == 0.0 else math.nan
-    if not y > 0.0:
-        return 1.0 if y == 0.0 else math.nan
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(x) + b * math.log(y))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_fraction(a, b, x) / a
-    return 1.0 - front * _beta_fraction(b, a, y) / b
-
-
-def _beta_fraction(a: float, b: float, x: float) -> float:
-    """The continued fraction of the incomplete beta, by the modified Lentz
-    method: its even and odd terms alternate until a step changes the
-    value by less than a rounding."""
-    tiny = 1e-300  # stands in for a zero denominator
-    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
-    h = d
-    for m in range(1, BETA_FRACTION_TERMS + 1):
-        m2 = 2 * m
-        for num in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
-                    -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))):
-            d = 1.0 + num * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + num / c
-            c = c if abs(c) > tiny else tiny
-            step = c * d
-            h *= step
-        if abs(step - 1.0) < EPS:
-            break
-    return h
 
 
 def generate_synthetic(
@@ -262,8 +201,8 @@ def generate_synthetic(
     if not (isinstance(frequencies, (tuple, list, np.ndarray)) and len(frequencies) == 2
             and all(map(is_finite_number, frequencies))):
         raise UsageError(f"frequencies must be two finite numbers, got {frequencies!r}")
-    if seed is not None and not (is_integer(seed) and seed >= 0):
-        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
+    if not is_seed(seed):
+        raise UsageError(f"seed must be None or an integer >= 0, got {seed!r}")
     if not (is_integer(grid_length) and grid_length >= 2):
         raise UsageError(f"grid length must be an integer >= 2, got {grid_length!r}")
     grid = SamplingGrid.uniform(0.0, 1.0, grid_length)

@@ -44,6 +44,7 @@ __all__ = [
     "is_integer",
     "is_number",
     "is_finite_number",
+    "is_seed",
 ]
 
 
@@ -64,6 +65,11 @@ def is_finite_number(value) -> bool:
         return is_number(value) and math.isfinite(value)
     except OverflowError:  # an int past the float range
         return False
+
+
+def is_seed(value) -> bool:
+    """A random seed: None, or an integer (see :func:`is_integer`) >= 0."""
+    return value is None or (is_integer(value) and value >= 0)
 
 
 def trapezoid_weights(abscissae: np.ndarray) -> np.ndarray:

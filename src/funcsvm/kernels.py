@@ -31,7 +31,6 @@ from .errors import ConfigurationError, DataError
 # bench/layers.py traces center, normalize and spline_derivative under these names.
 from .functions import (
     DEGENERACY_RTOL,
-    SampledFunction,
     SamplingGrid,
     center,
     center_rows,
@@ -53,8 +52,6 @@ __all__ = [
     "prepare_batch",
     "prepare_rows",
     "isometric_rows",
-    "kernel_eval",
-    "gram_matrix",
     "kernel_to_dict",
     "kernel_from_dict",
     "transforms_from_dicts",
@@ -389,36 +386,6 @@ def apply_base(base: BaseKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if base.kind == "polynomial":
         return (1.0 + stat) ** base.degree
     return stat
-
-
-def kernel_eval(
-    kernel: FunctionalKernel, u: SampledFunction, v: SampledFunction
-) -> float:
-    """Evaluate the composed kernel on a single pair of curves; a
-    ``DataError`` when the value is not finite."""
-    prep = prepare_batch(kernel, [u, v])
-    # An overflow shows in the value, which is checked below.
-    with np.errstate(all="ignore"):
-        k = apply_base(kernel.base, prep[:1], prep[1:])
-    return float(_check_kernel_values(k)[0, 0])
-
-
-def gram_matrix(kernel: FunctionalKernel, functions) -> np.ndarray:
-    """Symmetric kernel matrix; transforms are applied once per input.  A
-    ``DataError`` when an entry is not finite, such as a polynomial kernel
-    past the float range."""
-    prep = prepare_batch(kernel, functions)
-    # An overflow shows in the values, which are checked below.
-    with np.errstate(all="ignore"):
-        K = apply_base(kernel.base, prep, prep)
-        K = (K + K.T) / 2.0
-    return _check_kernel_values(K)
-
-
-def _check_kernel_values(K: np.ndarray) -> np.ndarray:
-    if not np.isfinite(K).all():
-        raise DataError("kernel values are not all finite")
-    return K
 
 
 # -- Serialization ---------------------------------------------------------

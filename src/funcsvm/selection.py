@@ -25,7 +25,7 @@ from .errors import (
     GridMismatchError,
     UsageError,
 )
-from .functions import LabeledDataset, is_finite_number, is_integer
+from .functions import LabeledDataset, is_finite_number, is_integer, is_seed
 from .kernels import FunctionalKernel, apply_base, kernel_to_dict, prepare_rows
 from .solver import (
     DEFAULT_MAX_ITER,
@@ -153,11 +153,15 @@ def split_sample(
 
     ``first_l`` keeps stored order; ``seeded_shuffle`` permutes with the
     given seed first.  A side containing a single class is reported as a
-    warning, not an error (individual candidates will fail later).
+    warning, not an error (individual candidates will fail later).  A seed
+    that is not None or an integer >= 0 is a ``UsageError`` under either
+    policy.
     """
     n = len(data)
     if not (is_integer(l) and 1 <= l < n):
         raise UsageError(f"training size l={l!r} must be an integer with 1 <= l < N={n}")
+    if not is_seed(seed):
+        raise UsageError(f"seed must be None or an integer >= 0, got {seed!r}")
     if policy == "first_l":
         order = np.arange(n)
     elif policy == "seeded_shuffle":

@@ -46,7 +46,7 @@ from .kernels import (
 
 __all__ = [
     "DualSolution", "SvmModel", "solve_dual", "train_svm", "model_from_solution",
-    "decision_value", "predict",
+    "decision_values", "predict_batch",
 ]
 
 DEFAULT_TOL = 1e-3
@@ -452,11 +452,6 @@ def model_from_solution(
     )
 
 
-def decision_value(model: SvmModel, x: SampledFunction) -> float:
-    """sum_i alpha_i y_i K(x_i, x) + b."""
-    return float(decision_values(model, [x])[0])
-
-
 def decision_values(model: SvmModel, curves) -> np.ndarray:
     """Vectorized decision values for a batch of curves: a sequence of
     curves on one grid, which :func:`~funcsvm.kernels.prepare_batch` stacks
@@ -492,12 +487,8 @@ def decision_values(model: SvmModel, curves) -> np.ndarray:
     return values
 
 
-def predict(model: SvmModel, x: SampledFunction) -> int:
-    """Sign decision rule; a decision value of exactly zero maps to +1."""
-    return 1 if decision_value(model, x) >= 0.0 else -1
-
-
 def predict_batch(model: SvmModel, curves) -> np.ndarray:
-    """Sign decisions for a batch of curves (see :func:`decision_values`)."""
+    """Sign decisions for a batch of curves (see :func:`decision_values`);
+    a decision value of exactly zero maps to +1."""
     vals = decision_values(model, curves)
     return np.where(vals >= 0.0, 1, -1)

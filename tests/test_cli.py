@@ -730,7 +730,8 @@ class TestInvalidTolAndSeed:
 
 class TestInvalidRunValues:
     """Config values that ``cli`` and ``evaluation`` read after parsing are
-    checked at parse time: each bad one exits 1 with one usage error."""
+    checked at parse time, or by the protocol before its first fold: each
+    bad one exits 1 with one usage error."""
 
     PROTOCOL = {"kind": "repeated_splits", "count": 2, "train_size": 24, "inner_l": 12}
 
@@ -748,10 +749,12 @@ class TestInvalidRunValues:
         ("select", "split", {"policy": "first_l", "l": 0}),
         ("evaluate", "protocol", {"kind": "fixed_split", "train_size": 24, "inner_l": 12,
                                   "policy": "shuffled"}),
+        ("evaluate", "protocol", {"kind": "leave_one_out", "inner_l": 0}),
+        ("evaluate", "protocol", {"kind": "leave_one_out", "inner_l": 39}),
     ], ids=["split-l-string", "split-l-fraction", "split-l-true", "C-true",
             "train-size-string", "count-string", "repeated-without-train-size",
             "fixed-without-inner-l", "loo-inner-l-fraction", "split-l-0",
-            "fixed-split-unknown-policy"])
+            "fixed-split-unknown-policy", "loo-inner-l-0", "loo-inner-l-n-1"])
     def test_is_one_usage_error(self, tmp_path, synth_csv, capsys, command, key, value):
         cfg = write_config(tmp_path, synth_csv, **{key: value})
         out = tmp_path / "run"

@@ -8,7 +8,6 @@ from funcsvm import (
     LabeledDataset,
     SamplingGrid,
     generate_synthetic,
-    paired_t_test,
     run_fixed_split,
     run_leave_one_out,
     run_repeated_splits,
@@ -104,11 +103,28 @@ ARGUMENT_CASES = {
     "split l a string": (UsageError, lambda: split_sample(generate_synthetic(10), "a")),
     "split l a float": (UsageError, lambda: split_sample(generate_synthetic(10), 2.5)),
     "split l a bool": (UsageError, lambda: split_sample(generate_synthetic(10), True)),
+    "split seed a string": (UsageError, lambda: split_sample(
+        generate_synthetic(10), 4, policy="seeded_shuffle", seed="a")),
+    "split seed a float": (UsageError, lambda: split_sample(
+        generate_synthetic(10), 4, policy="seeded_shuffle", seed=1.5)),
+    "split seed negative": (UsageError, lambda: split_sample(
+        generate_synthetic(10), 4, policy="seeded_shuffle", seed=-1)),
+    "split seed a bool": (UsageError, lambda: split_sample(
+        generate_synthetic(10), 4, policy="seeded_shuffle", seed=True)),
+    "synthetic seed a float": (UsageError, lambda: generate_synthetic(10, seed=1.5)),
     "candidate C a string": (ConfigurationError, lambda: Candidate(FunctionalKernel(), "a")),
     "repeated count None": (UsageError, lambda: run_repeated_splits(
         generate_synthetic(10), small_grid(), count=None, train_size=8, inner_l=4)),
     "repeated train size a string": (UsageError, lambda: run_repeated_splits(
         generate_synthetic(10), small_grid(), count=1, train_size="8", inner_l=4)),
+    "repeated seed a string": (UsageError, lambda: run_repeated_splits(
+        generate_synthetic(10), small_grid(), count=1, train_size=8, inner_l=4, seed="a")),
+    "repeated tol a string": (UsageError, lambda: run_repeated_splits(
+        generate_synthetic(10), small_grid(), count=1, train_size=8, inner_l=4, tol="a")),
+    "fixed seed a bool": (UsageError, lambda: run_fixed_split(
+        generate_synthetic(10), small_grid(), train_size=8, inner_l=4, seed=True)),
+    "leave-one-out tol a string": (UsageError, lambda: run_leave_one_out(
+        generate_synthetic(10), small_grid(), tol="a")),
     "leave-one-out inner l a string": (UsageError, lambda: run_leave_one_out(
         generate_synthetic(10), small_grid(), inner_l="a")),
 }
@@ -158,6 +174,14 @@ class TestLeaveOneOut:
         data = labelled_sines([1, -1] * 5)
         with pytest.raises(DataError, match="^every leave-one-out fold failed$"):
             run_leave_one_out(data, small_grid(), inner_l=1)
+
+    @pytest.mark.parametrize("kwargs", [{"inner_l": 0}, {"inner_l": 11}, {"tol": 0.0},
+                                        {"tol": float("nan")}],
+                             ids=["inner-l-0", "inner-l-n-1", "tol-0", "tol-nan"])
+    def test_an_argument_out_of_range_is_a_usage_error_not_an_excluded_fold(self, kwargs):
+        # Each would fail every fold's selection alike.
+        with pytest.raises(UsageError):
+            run_leave_one_out(generate_synthetic(12, seed=6), small_grid(), **kwargs)
 
 
 class TestRepeatedSplits:
@@ -214,6 +238,10 @@ class TestRepeatedSplits:
             run_repeated_splits(data, grid, count=1, train_size=10, inner_l=3)
         with pytest.raises(UsageError):
             run_repeated_splits(data, grid, count=1, train_size=6, inner_l=6)
+        # Each would fail every run's selection alike: not an excluded run.
+        for kwargs in ({"tol": -1.0}, {"tol": float("inf")}, {"seed": -1}):
+            with pytest.raises(UsageError):
+                run_repeated_splits(data, grid, count=1, train_size=6, inner_l=3, **kwargs)
 
     def test_runs_with_a_single_class_inner_split_are_excluded(self):
         # Two inner training curves: at this seed runs 3 and 4 draw one class.
@@ -235,52 +263,3 @@ class TestRepeatedSplits:
         )
         assert report.wall_time > 0.0
         assert "wall_time" not in report.payload()
-
-
-class TestPairedTTest:
-    def test_identical_vectors_give_p_one(self):
-        e = [0.1, 0.2, 0.15, 0.3]
-        assert paired_t_test(e, e) == pytest.approx(1.0)
-
-    def test_constant_shift_is_overwhelming_evidence(self):
-        a = np.full(20, 0.20)
-        b = np.full(20, 0.10)
-        assert paired_t_test(a, b) < 1e-6
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(13)
-        a = rng.random(15)
-        b = rng.random(15)
-        assert paired_t_test(a, b) == pytest.approx(paired_t_test(b, a))
-
-    def test_matches_scipy_on_generic_input(self):
-        from scipy import stats
-
-        rng = np.random.default_rng(14)
-        a = rng.random(25)
-        b = a + 0.05 + 0.1 * rng.standard_normal(25)
-        expected = stats.ttest_rel(a, b).pvalue
-        assert paired_t_test(a, b) == pytest.approx(expected, rel=1e-10)
-
-    def test_student_t_matches_scipy_over_df_and_t(self):
-        from scipy import stats
-
-        from funcsvm.evaluation import student_t_two_sided
-
-        for df in (1, 2, 3, 5, 9, 24, 99, 250, 1000):
-            for t in np.concatenate([np.linspace(0.0, 100.0, 41), [1e-3, 1e3, 1e200]]):
-                expected = 2.0 * stats.t.sf(t, df)
-                assert student_t_two_sided(t, df) == pytest.approx(expected, rel=1e-10)
-                assert student_t_two_sided(-t, df) == student_t_two_sided(t, df)
-
-    def test_detects_a_real_gap_at_moderate_sample(self):
-        rng = np.random.default_rng(15)
-        a = rng.normal(0.07, 0.02, size=250)
-        b = rng.normal(0.03, 0.02, size=250)
-        assert paired_t_test(a, b) < 0.01
-
-    def test_rejects_mismatched_or_short_input(self):
-        with pytest.raises(UsageError):
-            paired_t_test([0.1], [0.2])
-        with pytest.raises(UsageError):
-            paired_t_test([0.1, 0.2], [0.3])

@@ -1,12 +1,14 @@
 """In-process fuzzing of the public entry points.
 
-``select``, ``train_svm``, ``decision_values``, ``gram_matrix``,
-``kernel_eval``, ``load_model`` and ``LabeledDataset.from_matrix`` meet
+``select``, ``train_svm``, ``decision_values``, ``prepare_batch`` and
+``solve_dual``, ``load_model`` and ``LabeledDataset.from_matrix`` meet
 mismatched grids, shapes and dtypes, non-finite values, empty batches,
-fractional labels and extreme scales.  Each call returns finite values or
-raises a ``funcsvm.errors`` class, and lets no warning out.  On valid
-input a value matrix and the list of its rows as curves give the same
-decision values, bit for bit.
+fractional labels and extreme scales; ``split_sample``, the protocols and
+``generate_synthetic`` meet seeds, sizes and tolerances of the wrong type
+or range.  Each call returns finite values or a valid result, or raises a
+``funcsvm.errors`` class, and lets no warning out.  On valid input a value
+matrix and the list of its rows as curves give the same decision values,
+bit for bit.
 """
 
 import copy
@@ -28,15 +30,19 @@ from funcsvm import (
     SampledFunction,
     SamplingGrid,
     Transform,
-    gram_matrix,
-    kernel_eval,
+    generate_synthetic,
     load_model,
+    run_fixed_split,
+    run_leave_one_out,
+    run_repeated_splits,
     save_model,
     select,
+    solve_dual,
+    split_sample,
     train_svm,
 )
 from funcsvm.errors import FuncSvmError
-from funcsvm.kernels import kernel_from_dict, kernel_to_dict
+from funcsvm.kernels import apply_base, kernel_from_dict, kernel_to_dict, prepare_batch
 from funcsvm.persistence import MODEL_MAGIC, MODEL_VERSION
 from funcsvm.solver import decision_values
 
@@ -164,14 +170,17 @@ class TestKernelBuilders:
         curves = [SampledFunction(GRID, row) for row in values]
         if off_grid is not None:
             curves.append(SampledFunction(off_grid, np.ones(len(off_grid))))
-        K, error = outcome(gram_matrix, kernel, curves)
+        prep, error = outcome(prepare_batch, kernel, curves)
+        if error is None:
+            # As train_svm and select build it: solve_dual checks it.
+            with np.errstate(all="ignore"):
+                K = apply_base(kernel.base, prep, prep)
+            solution, error = outcome(solve_dual, K, alternating(len(curves)), 1.0)
         if error is None:
             assert K.shape == (len(curves),) * 2 and np.isfinite(K).all()
             assert np.array_equal(K, K.T)
-        k, error = outcome(kernel_eval, kernel, curves[0], curves[-1])
-        if error is None:
-            assert np.isfinite(k)
-        _, error = outcome(kernel_eval, kernel, curves[0], values[0])
+            assert np.isfinite(solution.alphas).all() and np.isfinite(solution.bias)
+        _, error = outcome(prepare_batch, kernel, [curves[0], values[0]])
         assert error is not None  # a bare array is not a curve
 
     @pytest.mark.parametrize("chain", CHAINS + (
@@ -322,3 +331,83 @@ class TestSelect:
                 assert np.isfinite(record.score) and np.isfinite(record.validation_error)
         assert_finite_model(result.model)
         assert_same_decisions(result.model, rows)
+
+
+# Of the wrong type or out of range for every argument drawn below, but for
+# a seed None or 10**400 (an integer past the float range), and None for the
+# inner split size of leave-one-out (its default).
+WRONG_ARGUMENTS = ("a", None, True, False, 2.5, np.nan, np.inf, -np.inf, -1, -3.0, 10**400)
+# Six curves of each class, so that no fold below fails at any seed: every
+# leave-one-out fold's first five curves hold both classes, and 7 of 10
+# training curves cannot all be of one class.
+PROTOCOL_DATA = generate_synthetic(12, seed=6)
+PROTOCOL_GRID = CandidateGrid.from_axes([FunctionalKernel(base=BaseKernel.gaussian(1.0))],
+                                        [10.0], dimensions=(3,))
+
+
+def _valid_report(report, runs):
+    return len(report.per_run_chosen) == runs and 0.0 <= report.mean_error <= 1.0
+
+
+# Each entry: the call, its arguments with a valid value each, and the check
+# of a result.
+ARGUMENT_CALLS = {
+    "split_sample": (
+        lambda l, seed: split_sample(PROTOCOL_DATA, l, policy="seeded_shuffle", seed=seed),
+        {"l": 5, "seed": 3},
+        lambda split, l, seed: (len(split.train), len(split.validation)) == (l, 12 - l)),
+    "run_repeated_splits": (
+        lambda **kw: run_repeated_splits(PROTOCOL_DATA, PROTOCOL_GRID, **kw),
+        {"count": 2, "train_size": 10, "inner_l": 7, "seed": 3, "tol": 1e-3},
+        lambda report, count, **_: _valid_report(report, count)),
+    "run_fixed_split": (
+        lambda **kw: run_fixed_split(PROTOCOL_DATA, PROTOCOL_GRID, **kw),
+        {"train_size": 10, "inner_l": 7, "seed": 3, "tol": 1e-3},
+        lambda report, **_: _valid_report(report, 1)),
+    "run_leave_one_out": (
+        lambda **kw: run_leave_one_out(PROTOCOL_DATA, PROTOCOL_GRID, **kw),
+        {"inner_l": 5, "tol": 1e-3},
+        lambda report, **_: _valid_report(report, 12)),
+    "generate_synthetic": (
+        lambda seed: generate_synthetic(12, seed=seed),
+        {"seed": 3},
+        lambda data, seed: len(data) == 12 and np.isfinite(data.value_matrix()).all()),
+}
+
+
+@st.composite
+def argument_calls(draw):
+    """A call of ``ARGUMENT_CALLS`` with each argument valid or drawn from
+    ``WRONG_ARGUMENTS``.  A count of 10**400 is a valid count, of splits
+    that would not end, so it is not drawn for ``count``."""
+    name = draw(st.sampled_from(sorted(ARGUMENT_CALLS)))
+    kwargs = {}
+    for key, value in ARGUMENT_CALLS[name][1].items():
+        wrong = [w for w in WRONG_ARGUMENTS if not (key == "count" and w == 10**400)]
+        kwargs[key] = draw(st.sampled_from([value, *wrong]), label=key)
+    return name, kwargs
+
+
+class TestProtocolArguments:
+    @settings(max_examples=80, deadline=None)
+    @given(inputs=argument_calls())
+    @example(inputs=("split_sample", {"l": 5, "seed": "a"}))
+    @example(inputs=("split_sample", {"l": 5, "seed": 1.5}))
+    @example(inputs=("split_sample", {"l": 5, "seed": -1}))
+    @example(inputs=("run_repeated_splits",
+                     {"count": 2, "train_size": 10, "inner_l": 7, "seed": "a", "tol": 1e-3}))
+    @example(inputs=("run_leave_one_out", {"inner_l": 0, "tol": 1e-3}))
+    @example(inputs=("run_leave_one_out", {"inner_l": 11, "tol": 1e-3}))
+    @example(inputs=("run_repeated_splits",
+                     {"count": 2, "train_size": 10, "inner_l": 7, "seed": 3, "tol": "a"}))
+    def test_a_usage_error_or_a_valid_result(self, inputs):
+        name, kwargs = inputs
+        call, valid, check = ARGUMENT_CALLS[name]
+        result, error = outcome(lambda: call(**kwargs))
+        if error is None:
+            # A bool is not the integer 1, nor a seed.
+            assert not any(isinstance(value, bool) for value in kwargs.values())
+            assert check(result, **kwargs)
+        else:
+            # Not an excluded fold for each: no fold fails on valid arguments.
+            assert kwargs != valid and error.code == "usage", error

@@ -12,9 +12,7 @@ from funcsvm import (
     SampledFunction,
     SamplingGrid,
     Transform,
-    gram_matrix,
     inner_product,
-    kernel_eval,
 )
 from funcsvm.errors import (
     ConfigurationError, DataError, DegenerateFunctionError, GridMismatchError,
@@ -24,7 +22,7 @@ from funcsvm.kernels import (
     _plan, apply_base, kernel_from_dict, kernel_to_dict, prepare_batch, prepare_rows,
     squared_distance_matrix,
 )
-from funcsvm.solver import decision_values, train_svm
+from funcsvm.solver import SvmModel, decision_values, train_svm
 from funcsvm.splines import SPLINE_DEGREE, design_matrix
 
 
@@ -70,15 +68,20 @@ class TestSpecs:
 
 
 class TestKernelEval:
+    """The kernel of a pair of curves: ``apply_base`` on their prepared rows."""
+
     def test_gaussian_self_similarity_is_one(self):
         _, (u,) = random_functions(1)
         q = FunctionalKernel(base=BaseKernel.gaussian(3.7))
-        assert kernel_eval(q, u, u) == pytest.approx(1.0, abs=1e-12)
+        prep = prepare_batch(q, [u])
+        assert apply_base(q.base, prep, prep)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_kernel_is_the_inner_product(self):
         _, (u, v) = random_functions(2)
         q = FunctionalKernel()
-        assert kernel_eval(q, u, v) == pytest.approx(inner_product(u, v), rel=1e-12)
+        prep = prepare_batch(q, [u, v])
+        assert apply_base(q.base, prep[:1], prep[1:])[0, 0] == pytest.approx(
+            inner_product(u, v), rel=1e-12)
 
     def test_full_haar_projection_matches_raw_gaussian(self):
         # Parseval: at full dimension the projected distance equals the raw
@@ -88,8 +91,9 @@ class TestKernelEval:
         projected = FunctionalKernel(
             projection=BasisSpec("haar_wavelet", 64), base=BaseKernel.gaussian(1.0)
         )
-        assert kernel_eval(projected, u, v) == pytest.approx(
-            kernel_eval(raw, u, v), abs=1e-6
+        a, b = prepare_batch(projected, [u, v]), prepare_batch(raw, [u, v])
+        assert apply_base(projected.base, a[:1], a[1:])[0, 0] == pytest.approx(
+            apply_base(raw.base, b[:1], b[1:])[0, 0], abs=1e-6
         )
 
     def test_symmetry(self):
@@ -97,7 +101,9 @@ class TestKernelEval:
         for base in (BaseKernel.linear(), BaseKernel.gaussian(0.5),
                      BaseKernel.polynomial(3)):
             q = FunctionalKernel(base=base)
-            assert kernel_eval(q, u, v) == pytest.approx(kernel_eval(q, v, u), rel=1e-12)
+            prep = prepare_batch(q, [u, v])
+            assert apply_base(base, prep[:1], prep[1:])[0, 0] == pytest.approx(
+                apply_base(base, prep[1:], prep[:1])[0, 0], rel=1e-12)
 
     def test_degenerate_transform_identifies_the_input(self):
         g = SamplingGrid.uniform(0.0, 1.0, 32)
@@ -105,25 +111,31 @@ class TestKernelEval:
         flat = SampledFunction(g, np.full(32, 2.0))
         q = FunctionalKernel(transforms=(Transform("normalize"),))
         with pytest.raises(DegenerateFunctionError, match="function 1"):
-            kernel_eval(q, good, flat)
+            prepare_batch(q, [good, flat])
 
 
 class TestGramMatrix:
+    """A Gram matrix is ``apply_base`` of a prepared batch with itself."""
+
     def test_single_function(self):
         _, (u,) = random_functions(1)
         q = FunctionalKernel()
-        K = gram_matrix(q, [u])
+        prep = prepare_batch(q, [u])
+        K = apply_base(q.base, prep, prep)
         assert K.shape == (1, 1)
         assert K[0, 0] == pytest.approx(inner_product(u, u), rel=1e-12)
 
     def test_gaussian_diagonal_is_one(self):
         _, funcs = random_functions(6)
-        K = gram_matrix(FunctionalKernel(base=BaseKernel.gaussian(2.0)), funcs)
+        q = FunctionalKernel(base=BaseKernel.gaussian(2.0))
+        prep = prepare_batch(q, funcs)
+        K = apply_base(q.base, prep, prep)
         assert np.allclose(np.diag(K), 1.0)
 
     def test_linear_gram_positive_semidefinite(self):
         _, funcs = random_functions(5, seed=1)
-        K = gram_matrix(FunctionalKernel(), funcs)
+        prep = prepare_batch(FunctionalKernel(), funcs)
+        K = apply_base(BaseKernel.linear(), prep, prep)
         eigs = np.linalg.eigvalsh(K)
         assert eigs.min() >= -1e-8 * np.trace(K)
 
@@ -134,7 +146,8 @@ class TestGramMatrix:
     def test_psd_for_random_batches(self, base):
         for seed in range(3):
             _, funcs = random_functions(int(7 + 3 * seed), seed=seed)
-            K = gram_matrix(FunctionalKernel(base=base), funcs)
+            prep = prepare_batch(FunctionalKernel(base=base), funcs)
+            K = apply_base(base, prep, prep)
             assert np.allclose(K, K.T, atol=1e-12)
             assert np.linalg.eigvalsh(K).min() >= -1e-8 * np.trace(K)
 
@@ -145,16 +158,20 @@ class TestGramMatrix:
             projection=BasisSpec("fourier", 9),
             base=BaseKernel.gaussian(0.3),
         )
-        K = gram_matrix(q, funcs)
+        prep = prepare_batch(q, funcs)
+        K = apply_base(q.base, prep, prep)
         for i in range(4):
             for j in range(4):
+                pair = prepare_batch(q, [funcs[i], funcs[j]])
                 assert K[i, j] == pytest.approx(
-                    kernel_eval(q, funcs[i], funcs[j]), abs=1e-12
+                    apply_base(q.base, pair[:1], pair[1:])[0, 0], abs=1e-12
                 )
 
     def test_gaussian_bounds(self):
         _, funcs = random_functions(8, seed=3)
-        K = gram_matrix(FunctionalKernel(base=BaseKernel.gaussian(5.0)), funcs)
+        q = FunctionalKernel(base=BaseKernel.gaussian(5.0))
+        prep = prepare_batch(q, funcs)
+        K = apply_base(q.base, prep, prep)
         assert np.all(K > 0.0)
         assert np.all(K <= 1.0)
         off = K[~np.eye(8, dtype=bool)]
@@ -162,8 +179,10 @@ class TestGramMatrix:
 
 
 class TestBuildersRaisePackageErrors:
-    """The kernel builders end in finite values or a ``funcsvm.errors``
-    class, and never let a numpy warning out."""
+    """Kernel values end in finite values or a ``funcsvm.errors`` class,
+    and let no numpy warning out: those of ``train_svm`` and
+    ``decision_values``, and ``apply_base`` on prepared rows under the
+    ``np.errstate`` that ``train_svm`` and ``select`` build it in."""
 
     @pytest.fixture(autouse=True)
     def warnings_are_errors(self):
@@ -174,18 +193,23 @@ class TestBuildersRaisePackageErrors:
     def test_a_polynomial_past_the_float_range_is_a_data_error(self):
         _, funcs = random_functions(4)
         kernel = FunctionalKernel(base=BaseKernel.polynomial(3000))
+        with pytest.raises(DataError, match="non-finite"):
+            train_svm(kernel, LabeledDataset(funcs, [1, -1, 1, -1]), C=1.0)
+        model = SvmModel(kernel, funcs[0].grid, prepare_batch(kernel, funcs[:1]),
+                         support_coeffs=np.ones(1), bias=0.0)
         with pytest.raises(DataError, match="not all finite"):
-            gram_matrix(kernel, funcs)
-        with pytest.raises(DataError, match="not all finite"):
-            kernel_eval(kernel, funcs[0], funcs[0])
+            decision_values(model, funcs[:1])
 
     def test_a_huge_sigma_gives_the_clamped_gaussian(self):
         _, funcs = random_functions(3)
         kernel = FunctionalKernel(base=BaseKernel.gaussian(1e308))
-        K = gram_matrix(kernel, funcs)
+        prep = prepare_batch(kernel, funcs)
+        with np.errstate(over="ignore"):
+            K = apply_base(kernel.base, prep, prep)
+            k = apply_base(kernel.base, prep[:1], prep[1:2])
         assert np.all(K[~np.eye(3, dtype=bool)] == np.exp(-700.0))
         assert np.all((np.exp(-700.0) <= K) & (K <= 1.0))
-        assert kernel_eval(kernel, funcs[0], funcs[1]) == np.exp(-700.0)
+        assert k[0, 0] == np.exp(-700.0)
 
     @pytest.mark.parametrize("sigma", [1e10, 1e14, 1e308])
     def test_a_self_gram_has_a_gaussian_diagonal_of_exactly_one(self, sigma):
@@ -193,9 +217,8 @@ class TestBuildersRaisePackageErrors:
         # 9.9e-305 on these curves' diagonal.
         _, funcs = random_functions(3)
         kernel = FunctionalKernel(base=BaseKernel.gaussian(sigma))
-        assert np.all(gram_matrix(kernel, funcs).diagonal() == 1.0)
         prep = prepare_batch(kernel, funcs)
-        with np.errstate(over="ignore"):  # as in train_svm and select, which build so
+        with np.errstate(over="ignore"):
             assert np.all(apply_base(kernel.base, prep, prep).diagonal() == 1.0)
         assert np.all(squared_distance_matrix(prep, prep).diagonal() == 0.0)
 
@@ -206,9 +229,9 @@ class TestBuildersRaisePackageErrors:
         with pytest.raises(DataError, match="SampledFunction"):
             prepare_batch(FunctionalKernel(), batch)
         with pytest.raises(DataError, match="SampledFunction"):
-            gram_matrix(FunctionalKernel(), [u, *batch])
+            prepare_batch(FunctionalKernel(), [u, *batch])
         with pytest.raises(DataError, match="SampledFunction"):
-            kernel_eval(FunctionalKernel(), u, batch[0])
+            prepare_batch(FunctionalKernel(), [u, batch[0]])
 
 
 PLAN_CHAINS = [
@@ -282,11 +305,12 @@ class TestProjectionConsistency:
         q_coeff = FunctionalKernel(projection=spec, base=BaseKernel.gaussian(0.8))
         q_raw = FunctionalKernel(base=BaseKernel.gaussian(0.8))
         recon = [reconstruct(project(f, spec), g) for f in funcs]
+        coeff, raw = prepare_batch(q_coeff, funcs), prepare_batch(q_raw, recon)
+        A = apply_base(q_coeff.base, coeff, coeff)
+        B = apply_base(q_raw.base, raw, raw)
         for i in range(3):
             for j in range(3):
-                a = kernel_eval(q_coeff, funcs[i], funcs[j])
-                b = kernel_eval(q_raw, recon[i], recon[j])
-                assert a == pytest.approx(b, rel=1e-6)
+                assert A[i, j] == pytest.approx(B[i, j], rel=1e-6)
 
     def test_bspline_coefficients_carry_the_gram_metric(self):
         from funcsvm import project, reconstruct
@@ -295,7 +319,8 @@ class TestProjectionConsistency:
         spec = BasisSpec("bspline", 12)
         q_coeff = FunctionalKernel(projection=spec)
         recon = [reconstruct(project(f, spec), g) for f in funcs]
-        assert kernel_eval(q_coeff, funcs[0], funcs[1]) == pytest.approx(
+        prep = prepare_batch(q_coeff, funcs)
+        assert apply_base(q_coeff.base, prep[:1], prep[1:])[0, 0] == pytest.approx(
             inner_product(recon[0], recon[1]), rel=1e-8
         )
 

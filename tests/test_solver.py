@@ -12,8 +12,6 @@ from funcsvm import (
     SampledFunction,
     SamplingGrid,
     Transform,
-    decision_value,
-    predict,
     solve_dual,
     train_svm,
 )
@@ -26,7 +24,7 @@ from funcsvm.errors import (
     GridMismatchError,
 )
 from funcsvm.evaluation import generate_synthetic
-from funcsvm.kernels import apply_base, gram_matrix, prepare_batch
+from funcsvm.kernels import apply_base, prepare_batch
 from funcsvm.solver import (
     DualSolution,
     _active_set,
@@ -691,20 +689,16 @@ class TestTrainedModel:
         data = self.make_data(seed=1)
         kernel = FunctionalKernel(base=BaseKernel.gaussian(1.0))
         model = train_svm(kernel, data, C=5.0, tol=1e-8)
-        from funcsvm import kernel_eval
 
         x = SampledFunction(data.grid, np.cos(3 * data.grid.abscissae))
-        sol = solve_dual(
-            np.asarray(
-                [[kernel_eval(kernel, a, b) for b in data.functions] for a in data.functions]
-            ),
-            data.labels, C=5.0, tol=1e-8,
-        )
+        prep = prepare_batch(kernel, [*data.functions, x])
+        K = apply_base(kernel.base, prep, prep)
+        sol = solve_dual(K[:-1, :-1], data.labels, C=5.0, tol=1e-8)
         explicit = sum(
-            float(sol.alphas[i]) * float(data.labels[i]) * kernel_eval(kernel, data.functions[i], x)
+            float(sol.alphas[i]) * float(data.labels[i]) * K[i, -1]
             for i in range(len(data))
         ) + sol.bias
-        assert decision_value(model, x) == pytest.approx(explicit, abs=1e-6)
+        assert decision_values(model, [x])[0] == pytest.approx(explicit, abs=1e-6)
 
     def test_support_set_is_pruned(self):
         data = self.make_data(n=40, seed=2)
@@ -717,7 +711,7 @@ class TestTrainedModel:
         model = train_svm(FunctionalKernel(), data, C=1.0)
         model.support_coeffs = np.zeros_like(model.support_coeffs)
         model.bias = 0.0
-        assert predict(model, data.functions[0]) == 1
+        assert predict_batch(model, data.functions[:1])[0] == 1
 
     def test_empty_support_predicts_from_bias(self):
         data = self.make_data(seed=4)
@@ -727,7 +721,7 @@ class TestTrainedModel:
         model.bias = -0.25
         vals = decision_values(model, data.functions[:3])
         assert np.all(vals == -0.25)
-        assert predict(model, data.functions[0]) == -1
+        assert predict_batch(model, data.functions[:1])[0] == -1
 
     @pytest.mark.parametrize("kernel", [
         FunctionalKernel(base=BaseKernel.gaussian(1.0)),
@@ -787,8 +781,6 @@ class TestTrainedModel:
         kernel = FunctionalKernel()
         with pytest.raises(ConfigurationError, match="empty batch"):
             prepare_batch(kernel, [])
-        with pytest.raises(ConfigurationError, match="empty batch"):
-            gram_matrix(kernel, [])
 
     def test_curves_off_the_models_grid_are_a_grid_mismatch(self):
         # Same length, another span: prepared on their own grid, these
@@ -799,12 +791,9 @@ class TestTrainedModel:
         off = SamplingGrid.uniform(0.0, 5.0, 32)
         curves = [SampledFunction(off, f.values) for f in data.functions[:3]]
         for call in (decision_values, predict_batch):
-            with pytest.raises(GridMismatchError):
-                call(model, curves)
-        with pytest.raises(GridMismatchError):
-            decision_value(model, curves[0])
-        with pytest.raises(GridMismatchError):
-            predict(model, curves[0])
+            for batch in (curves, curves[:1]):
+                with pytest.raises(GridMismatchError):
+                    call(model, batch)
         same = [SampledFunction(data.grid, f.values) for f in data.functions[:3]]
         assert np.array_equal(decision_values(model, same),
                               decision_values(model, data.functions[:3]))
